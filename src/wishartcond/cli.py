@@ -66,7 +66,6 @@ from .exact import (
     r_closed,
     r_integral_oracle,
 )
-from .numkit import ConvergenceError
 from .sampler import (
     SamplerError,
     build_report,
@@ -647,7 +646,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, SamplerError, FloatingPointError, OverflowError) as exc:
+    # ArithmeticError covers ConvergenceError, FloatingPointError and OverflowError
+    except (SamplerError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

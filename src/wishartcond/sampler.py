@@ -1,24 +1,25 @@
 """Monte Carlo ground truth for the analytic densities.
 
 Sampling is deterministic by construction: draw index i under seed s uses
-its own counter-based stream keyed by (s, i), so the same draw comes out
-bit-identical whether the batch runs on one worker or eight, and any
-single matrix can be regenerated in isolation.  Normals come from
-Box-Muller applied to the raw 64-bit stream; each complex entry has unit
-variance (1/2 per real component).
+its own counter-based (Philox) stream keyed by (s, i), so the same draw
+comes out bit-identical whether the batch runs on one worker or eight, and
+any single draw can be regenerated in isolation.
 
-Two eigenvalue paths, both implemented here rather than delegated:
+Two sampling paths, both implemented here rather than delegated:
 
-* cyclic complex Jacobi with accumulated vectors, used for single
-  matrices; its per-pair residual is checked against the Gram matrix.
-* batched Householder tridiagonalization plus Sturm bisection, used by
-  the bulk collector, which only needs the one or two smallest
-  eigenvalues and the trace of each sample.
+* ``sample_matrix`` / ``gram_spectrum``: dense matrices whose complex
+  entries come from Box-Muller with unit variance (1/2 per real part), and
+  cyclic complex Jacobi with accumulated vectors, whose per-pair residual
+  is checked against the Gram matrix.
+* ``mc_collect``: the bidiagonal beta = 2 Laguerre model (Dumitriu and
+  Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law of
+  B B^T, with B n x n lower bidiagonal and independent Gamma squared
+  entries.  Sturm bisection on the tridiagonal B B^T gives the one or two
+  smallest eigenvalues; the trace is the sum of the squared entries.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,15 +34,14 @@ from .exact import (
     METRICS,
     Dims,
     EigenSpectrum,
-    metric_from_spectrum,
 )
-
-log = logging.getLogger("wishartcond")
 
 _INV64 = 2.0 ** -64
 _JACOBI_SWEEP_CAP = 60
 _RESIDUAL_BOUND = 1e-10
 _PIVMIN = 1e-290
+# raw words held at once per worker while drawing Gamma variates (8 MiB)
+_VARIATE_BLOCK_WORDS = 1 << 20
 
 
 class SamplerError(RuntimeError):
@@ -74,10 +74,15 @@ def _raw_block(seed: int, index: int, count: int) -> np.ndarray:
     return bg.random_raw(count)
 
 
+def _uniform(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words to uniforms in (0, 1], so that log(u) is finite."""
+    return (raw.astype(np.float64) + 1.0) * _INV64
+
+
 def _box_muller(raw: np.ndarray) -> np.ndarray:
     """Interleaved raw 64-bit words to complex standard normals."""
     # u1 in (0, 1] keeps the log finite; u2 in [0, 1)
-    u1 = (raw[..., 0::2].astype(np.float64) + 1.0) * _INV64
+    u1 = _uniform(raw[..., 0::2])
     u2 = raw[..., 1::2].astype(np.float64) * _INV64
     r = np.sqrt(-np.log(u1))
     ang = (2.0 * math.pi) * u2
@@ -93,13 +98,6 @@ def sample_matrix(dims: Dims, seed: int, index: int = 0) -> ComplexMatrix:
     """The index-th matrix draw of the given shape under this seed."""
     z = _normal_block(seed, index, dims.mn)
     return ComplexMatrix(z.reshape(dims.m, dims.n))
-
-
-def _matrix_batch(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
-    raw = np.empty((stop - start, 2 * dims.mn), dtype=np.uint64)
-    for k in range(start, stop):
-        raw[k - start] = _raw_block(seed, k, 2 * dims.mn)
-    return _box_muller(raw).reshape(stop - start, dims.m, dims.n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,39 +173,7 @@ def gram_spectrum(A: ComplexMatrix) -> EigenSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# batched tridiagonalization + Sturm bisection
-
-
-def _tridiagonalize_batch(G: np.ndarray):
-    """Reduce a stack of Hermitian matrices to (diagonal, |subdiagonal|^2)."""
-    B = np.array(G, dtype=complex)
-    k, n, _ = B.shape
-    for j in range(n - 2):
-        x = B[:, j + 1:, j]
-        normx = np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=1))
-        x0 = x[:, 0]
-        ax0 = np.abs(x0)
-        phase = np.where(ax0 > 0, x0 / np.where(ax0 > 0, ax0, 1.0), 1.0)
-        head = -phase * normx
-        v = x.copy()
-        v[:, 0] -= head
-        vnorm2 = (v.real ** 2 + v.imag ** 2).sum(axis=1)
-        beta = np.where(vnorm2 > 0, 2.0 / np.where(vnorm2 > 0, vnorm2, 1.0), 0.0)
-        S = B[:, j + 1:, j + 1:]
-        p = beta[:, None] * (S @ v[:, :, None])[:, :, 0]
-        kk = 0.5 * beta * np.einsum("ki,ki->k", np.conj(v), p).real
-        w = p - kk[:, None] * v
-        # S -= v w^H + w v^H, as one stacked rank-2 product
-        vw = np.stack([v, w], axis=2)
-        wv = np.conj(np.stack([w, v], axis=2))
-        S -= vw @ np.swapaxes(wv, 1, 2)
-        B[:, j + 1, j] = head
-        B[:, j + 2:, j] = 0.0
-        B[:, j, j + 1:] = np.conj(B[:, j + 1:, j])
-    d = np.real(np.einsum("kii->ki", B))
-    sub = B[:, np.arange(1, n), np.arange(0, n - 1)] if n > 1 else np.empty((k, 0))
-    e2 = (sub.real ** 2 + sub.imag ** 2)
-    return d, e2
+# bidiagonal Laguerre model + Sturm bisection
 
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -247,12 +213,36 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
+    """(d, e2, trace) of B B^T for draws start..stop-1 of the bidiagonal model.
+
+    Draw k sums -log(u) over fixed segments of the m*n uniforms from its
+    (seed, k) stream: lengths m, m-1, ..., m-n+1 give the squared diagonal
+    a_i^2 ~ Gamma(m - i), lengths n-1, ..., 1 the squared subdiagonal
+    b_i^2 ~ Gamma(n - 1 - i).  Each Erlang sum is an exact Gamma variate.
+    """
+    n, mn = dims.n, dims.mn
+    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
+    offsets = np.cumsum([0] + lengths[:-1])
+    gam = np.empty((stop - start, len(lengths)))
+    # rows are independent, so the block size changes memory, not values
+    block = max(1, _VARIATE_BLOCK_WORDS // mn)
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        raw = np.empty((hi - lo, mn), dtype=np.uint64)
+        for k in range(lo, hi):
+            raw[k - lo] = _raw_block(seed, k, mn)
+        logu = np.log(_uniform(raw))
+        gam[lo - start:hi - start] = -np.add.reduceat(logu, offsets, axis=1)
+    a2, b2 = gam[:, :n], gam[:, n:]
+    d = a2.copy()
+    d[:, 1:] += b2
+    return d, a2[:, :-1] * b2, gam.sum(axis=1)
+
+
 def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
                   debug: bool) -> np.ndarray:
-    A = _matrix_batch(dims, seed, start, stop)
-    G = np.swapaxes(A.conj(), 1, 2) @ A
-    tr = np.real(np.einsum("kii->k", G))
-    d, e2 = _tridiagonalize_batch(G)
+    d, e2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
     lam1 = _kth_smallest(d, e2, 1)
     lam2 = _kth_smallest(d, e2, 2) if dims.n >= 2 else None
     bad = ~np.isfinite(lam1) | (lam1 <= 0)
@@ -262,7 +252,7 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
         idx = start + int(np.argmax(bad))
         raise SamplerError(f"eigensolver failed for sample index {idx}")
     if debug:
-        _debug_check(A, G, lam1, lam2, start)
+        _debug_check(d, e2, tr, lam1, lam2, start)
     if metric == METRIC_KAPPA_D:
         return tr / lam1
     if metric == METRIC_KAPPA_E:
@@ -272,18 +262,24 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
     return lam2
 
 
-def _debug_check(A: np.ndarray, G: np.ndarray, lam1, lam2, start: int):
-    # full Jacobi pass per sample: residual enforcement plus agreement
-    # between the two eigenvalue paths
-    for k in range(A.shape[0]):
-        spec = gram_spectrum(ComplexMatrix(A[k]))
-        scale = max(float(spec.values[-1]), 1e-300)
-        if abs(spec.values[0] - lam1[k]) > 1e-8 * scale:
-            raise SamplerError(
-                f"eigenvalue paths disagree at sample index {start + k}")
-        if lam2 is not None and abs(spec.values[1] - lam2[k]) > 1e-8 * scale:
-            raise SamplerError(
-                f"eigenvalue paths disagree at sample index {start + k}")
+def _debug_check(d, e2, tr, lam1, lam2, start: int):
+    # LAPACK on each dense tridiagonal: agreement with the bisection values
+    # and with the trace
+    k, n = d.shape
+    diag = np.arange(n)
+    T = np.zeros((k, n, n))
+    T[:, diag, diag] = d
+    e = np.sqrt(e2)
+    T[:, diag[1:], diag[:-1]] = e
+    T[:, diag[:-1], diag[1:]] = e
+    vals = np.linalg.eigvalsh(T)
+    tol = 1e-8 * np.maximum(vals[:, -1], 1e-300)
+    bad = (np.abs(vals[:, 0] - lam1) > tol) | (np.abs(vals.sum(axis=1) - tr) > tol)
+    if lam2 is not None:
+        bad |= np.abs(vals[:, 1] - lam2) > tol
+    if np.any(bad):
+        raise SamplerError(
+            f"eigenvalue paths disagree at sample index {start + int(np.argmax(bad))}")
 
 
 def mc_collect(metric: str, dims: Dims, count: int, seed: int,

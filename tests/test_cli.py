@@ -221,6 +221,20 @@ class TestNumericalExit:
         assert cli.main(["density", "--metric", "kappa-d", "--n", "2",
                          "--alpha", "0", "--grid", "3:5:3"]) == EXIT_NUMERICAL
 
+    def test_arithmetic_error_maps_to_exit_2(self, monkeypatch, capsys):
+        from wishartcond import exact
+
+        def explode(dims):
+            raise ArithmeticError("synthetic table failure")
+        monkeypatch.setattr(exact, "_ke_bivariate_w_fracs", explode)
+        # empty caches, so the density is rebuilt through the patched table
+        monkeypatch.setattr(exact, "_KE_TABLE_CACHE", {})
+        monkeypatch.setattr(exact, "_KE_REALIZED_CACHE", {})
+        assert cli.main(["density", "--metric", "kappa-e", "--n", "4",
+                         "--alpha", "1", "--grid", "4:6:3"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: synthetic table failure" in err
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

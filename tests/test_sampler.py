@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from wishartcond.exact import METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_2, Dims
+from wishartcond.exact import (
+    METRIC_KAPPA_D,
+    METRIC_KAPPA_E,
+    METRIC_LAMBDA_2,
+    METRIC_LAMBDA_MIN,
+    Dims,
+)
 from wishartcond.sampler import (
     ComplexMatrix,
     McReport,
@@ -167,3 +173,37 @@ class TestAgainstExactDensity:
         draws = mc_collect(METRIC_KAPPA_D, d, 5000, seed=17)
         cdf = cdf_kappa_d_interp(d, float(draws.max()) * (1.0 + 1e-9))
         assert ks_compare(draws, cdf) < ks_threshold(5000)
+
+
+def _ks_two_sample(a, b) -> float:
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    fa = np.searchsorted(a, x, side="right") / len(a)
+    fb = np.searchsorted(b, x, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+class TestAgainstDenseModel:
+    """The bidiagonal model behind mc_collect against dense Gaussian matrices."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2)])
+    def test_two_sample_ks(self, dims):
+        mats = np.stack([sample_matrix(dims, seed=2, index=k).entries
+                         for k in range(self.N)])
+        vals = np.linalg.eigvalsh(np.swapaxes(mats.conj(), 1, 2) @ mats)
+        trace = vals.sum(axis=1)
+        dense = {METRIC_KAPPA_D: trace / vals[:, 0], METRIC_KAPPA_E: trace / vals[:, 1]}
+        crit = 1.95 * np.sqrt(2.0 / self.N)  # 1e-3 level
+        for metric, want in dense.items():
+            got = mc_collect(metric, dims, self.N, seed=1)
+            assert _ks_two_sample(got, want) < crit, metric
+
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2)])
+    def test_trace_mean(self, dims):
+        # the trace of A*A is Gamma(mn, 1): mean mn, variance mn
+        kd = mc_collect(METRIC_KAPPA_D, dims, self.N, seed=3)
+        lmin = mc_collect(METRIC_LAMBDA_MIN, dims, self.N, seed=3)
+        trace = kd * lmin
+        assert abs(trace.mean() - dims.mn) < 4.0 * np.sqrt(dims.mn / self.N)
