@@ -54,8 +54,6 @@ from .sampler import (
     McReport,
     SamplerError,
     build_report,
-    gram_spectrum,
-    jacobi_eigh,
     ks_compare,
     ks_threshold,
     mc_collect,

@@ -614,8 +614,24 @@ def build_parser() -> argparse.ArgumentParser:
 _DEFAULT_FORMATS = {"density": "csv", "mgf": "csv", "mc": "json"}
 
 
+def _join_negative_grid(argv) -> list:
+    """Rewrite ``--grid -1:5:4`` as ``--grid=-1:5:4``.
+
+    argparse reads a token that starts with '-' as an option, so a grid
+    with a negative start would not reach ``--grid`` as its value.  Grid
+    specs contain ':', which no option does.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--grid" and tok.startswith("-") and ":" in tok:
+            out[-1] = f"--grid={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def config_from_args(argv) -> RunConfig:
-    space = build_parser().parse_args(argv)
+    space = build_parser().parse_args(_join_negative_grid(argv))
     values = vars(space)
     if values.get("format") is None:
         values["format"] = _DEFAULT_FORMATS.get(values["command"], "csv")

@@ -1,70 +1,31 @@
 """Determinants, Vandermonde products and multi-index iteration.
 
-The exact densities are built from determinants of three flavours:
+The exact densities are built from determinants of two flavours:
 
 * exact integer determinants (fraction-free elimination), used by the
   falling-product identities that collapse the nested finite sums;
-* floating determinants of small real matrices with an exactly tracked
-  sign (partial-pivot elimination);
 * determinants of matrices whose entries are sign/log-magnitude scalars,
   handled by factoring the largest magnitude out of each row first.
 
-The nested sums themselves run over integer lattice boxes; IndexVector is
-the odometer that walks such a box.
+The nested sums themselves run over integer lattice boxes, walked in
+odometer order by ``iter_index_boxes``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .numkit import DOUBLE, NumericContext, SignedLog
+from .numkit import DOUBLE, NumericContext, SignedLog, _exp, _log
 
 
 # ---------------------------------------------------------------------------
 # lattice iteration
 
 
-@dataclass(frozen=True)
-class IndexVector:
-    """A point in the box prod_i {0, ..., bounds[i]} (bounds inclusive)."""
-
-    entries: tuple
-    bounds: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.bounds):
-            raise ValueError("entries and bounds must have equal length")
-        for e, b in zip(self.entries, self.bounds):
-            if b < 0 or not 0 <= e <= b:
-                raise ValueError(f"entry {e} outside [0, {b}]")
-
-    @staticmethod
-    def first(bounds) -> "IndexVector":
-        bounds = tuple(bounds)
-        return IndexVector((0,) * len(bounds), bounds)
-
-    def next(self) -> "IndexVector | None":
-        """Odometer step: increment the last slot, carrying left on overflow."""
-        entries = list(self.entries)
-        for i in reversed(range(len(entries))):
-            if entries[i] < self.bounds[i]:
-                entries[i] += 1
-                return IndexVector(tuple(entries), self.bounds)
-            entries[i] = 0
-        return None
-
-
 def iter_index_boxes(bounds):
-    """Yield every entries-tuple of the box exactly once, odometer order."""
-    bounds = tuple(bounds)
-    if len(bounds) == 0:
-        yield ()
-        return
-    iv = IndexVector.first(bounds)
-    while iv is not None:
-        yield iv.entries
-        iv = iv.next()
+    """Yield every entries-tuple of the box prod_i {0, ..., bounds[i]} once,
+    in odometer order (the last slot varies fastest)."""
+    return itertools.product(*(range(b + 1) for b in bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +115,6 @@ def _eliminate(rows, size):
     return parity, pivots
 
 
-def det_general(mat, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Determinant of a real matrix as a SignedLog, sign tracked exactly."""
-    rows = [[ctx.real(x) for x in row] for row in mat]
-    size = len(rows)
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    if size == 0:
-        return SignedLog.one()
-    parity, pivots = _eliminate(rows, size)
-    if pivots is None:
-        return SignedLog.zero()
-    sign = parity
-    logmag = ctx.real(0.0)
-    for piv in pivots:
-        if piv < 0:
-            sign = -sign
-        logmag = logmag + ctx.log(abs(piv))
-    return SignedLog(sign, logmag)
-
-
 def det_signedlog(mat) -> SignedLog:
     """Determinant of a matrix of SignedLog entries.
 
@@ -199,7 +139,7 @@ def det_signedlog(mat) -> SignedLog:
             if lm > m:
                 m = lm
         shifts.append(m)
-        scaled.append([c.sign * (0 if c.sign == 0 else _safe_exp(c.logmag - m)) for c in row])
+        scaled.append([c.sign * (0 if c.sign == 0 else _exp(c.logmag - m)) for c in row])
     parity, pivots = _eliminate(scaled, size)
     if pivots is None:
         return SignedLog.zero()
@@ -208,20 +148,8 @@ def det_signedlog(mat) -> SignedLog:
     for piv in pivots:
         if piv < 0:
             sign = -sign
-        logmag = logmag + _safe_log(abs(piv))
+        logmag = logmag + _log(abs(piv))
     return SignedLog(sign, logmag)
-
-
-def _safe_exp(x):
-    from .numkit import _exp
-
-    return _exp(x)
-
-
-def _safe_log(x):
-    from .numkit import _log
-
-    return _log(x)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +191,6 @@ def lemma_a1_det_int(jvec, n: int, alpha: int) -> int:
     return det_int(lemma_a1_matrix(jvec, n, alpha))
 
 
-def lemma_a1_lhs(jvec, n: int, alpha: int, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Determinant side of the first falling-product identity."""
-    return SignedLog.from_fraction(lemma_a1_det_int(jvec, n, alpha), ctx)
-
-
 def lemma_a1_rhs_int(jvec, n: int, alpha: int) -> int:
     """Vandermonde side: nodes c_l = l + j_l."""
     del n  # the right-hand side depends on the indices alone
@@ -299,11 +222,6 @@ def lemma_a2_matrix(lvec, n: int, alpha: int) -> list[list[int]]:
 
 def lemma_a2_det_int(lvec, n: int, alpha: int) -> int:
     return det_int(lemma_a2_matrix(lvec, n, alpha))
-
-
-def lemma_a2_lhs(lvec, n: int, alpha: int, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Determinant side of the second falling-product identity."""
-    return SignedLog.from_fraction(lemma_a2_det_int(lvec, n, alpha), ctx)
 
 
 def lemma_a2_rhs_int(lvec, n: int, alpha: int) -> int:

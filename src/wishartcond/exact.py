@@ -14,9 +14,12 @@ themselves.  Every density is a finite combination of terms
 
 with exactly rational coefficients built out of factorials; the tables of
 (edge, power, coeff) are precomputed per dimension as exact fractions and
-only converted to sign/log form at evaluation time.  The kappa-e metric
-additionally carries one finite integral over an auxiliary variable z in
-(0, 1), evaluated with adaptive Gauss-Legendre quadrature.
+only converted to sign/log form at evaluation time.  The smallest-
+eigenvalue density is a polynomial times exp(-n x), whose coefficients come
+exactly from the same Fraction polynomial algebra as the kappa-e
+determinant.  The kappa-e metric additionally carries one finite integral
+over an auxiliary variable z in (0, 1), evaluated with adaptive
+Gauss-Legendre quadrature.
 
 Densities of the eigenvalue metrics convert to densities of the trace
 ratios through an inverse-Laplace step: the only transform pair needed is
@@ -32,21 +35,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from .detkit import det_signedlog, iter_index_boxes, vandermonde, vandermonde_int
 from .numkit import (
     DOUBLE,
     NumericContext,
-    Poly,
     SignedLog,
     integrate_finite,
     integrate_semi_infinite,
     laguerre_coeff_fractions,
-    laguerre_coeffs,
     laguerre_eval,
     pochhammer_int,
-    poly_det,
     signed_log_sum,
 )
 
@@ -290,24 +291,79 @@ class _EdgePowerTable:
 
 
 # ---------------------------------------------------------------------------
+# exact polynomials: Fraction coefficient lists, constant term first
+
+
+def _lagneg_fracs(deg: int, rho: int) -> list[Fraction]:
+    """Coefficients of L_deg^(rho)(-w) in w: all positive.  deg < 0 -> zero."""
+    if deg < 0:
+        return []
+    return [abs(c) for c in laguerre_coeff_fractions(deg, rho)]
+
+
+def _fpoly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def _fpoly_add(p: list[Fraction], q: list[Fraction], sign: int = 1) -> list[Fraction]:
+    n = max(len(p), len(q))
+    out = [Fraction(0)] * n
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] += sign * b
+    return out
+
+
+def _fpoly_det(mat: list[list[list[Fraction]]]) -> list[Fraction]:
+    size = len(mat)
+    if size == 0:
+        return [Fraction(1)]
+    total: list[Fraction] = []
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
+        prod = [Fraction(1)]
+        for row, col in enumerate(perm):
+            prod = _fpoly_mul(prod, mat[row][col])
+            if not prod:
+                break
+        total = _fpoly_add(total, prod, -1 if inversions % 2 else 1)
+    while total and total[-1] == 0:
+        total.pop()
+    return total
+
+
+# ---------------------------------------------------------------------------
 # smallest eigenvalue and kappa-d
 
 
-def _min_eig_det_poly(dims: Dims, ctx: NumericContext) -> Poly:
-    """Polynomial factor of the smallest-eigenvalue density, as det of an
-    alpha x alpha matrix of Laguerre polynomials taken at negated argument."""
-    n, alpha = dims.n, dims.alpha
-    mat = []
-    for k in range(1, alpha + 1):
-        row = []
-        for l in range(1, alpha + 1):
-            deg = n + k - l - 1
-            if deg < 0:
-                row.append(Poly.zero())
-            else:
-                row.append(laguerre_coeffs(deg, l + 1, ctx).with_negated_argument())
-        mat.append(row)
-    return poly_det(mat)
+_MIN_EIG_CACHE: dict = {}
+
+
+def _min_eig_fracs(dims: Dims) -> list[Fraction]:
+    """Exact coefficients c_d of the smallest-eigenvalue density
+    sum_d c_d x^(d + alpha) exp(-n x).
+
+    The polynomial is n! / (n + alpha - 1)! times the determinant of an
+    alpha x alpha matrix of Laguerre polynomials taken at negated argument.
+    """
+    key = (dims.n, dims.alpha)
+    if key not in _MIN_EIG_CACHE:
+        n, alpha = dims.n, dims.alpha
+        det = _fpoly_det([[_lagneg_fracs(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
+                          for k in range(1, alpha + 1)])
+        lead = Fraction(math.factorial(n), math.factorial(n + alpha - 1))
+        _MIN_EIG_CACHE[key] = [lead * c for c in det]
+    return _MIN_EIG_CACHE[key]
 
 
 def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto",
@@ -319,10 +375,7 @@ def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto",
     xs = np.asarray(xs, dtype=float)
     n, alpha = dims.n, dims.alpha
     with ctx.workprec():
-        dpoly = _min_eig_det_poly(dims, ctx)
-        lead = SignedLog.from_fraction(
-            Fraction(math.factorial(n), math.factorial(n + alpha - 1)), ctx)
-        coeffs = [lead * c for c in dpoly.coeffs]
+        coeffs = [SignedLog.from_fraction(c, ctx) for c in _min_eig_fracs(dims)]
         out = np.zeros_like(xs)
         if not ctx.extended:
             signs = np.array([c.sign for c in coeffs], dtype=float)
@@ -464,10 +517,8 @@ def pdf_via_min_connection(y: float, dims: Dims, precision: str = "auto",
     ctx = resolve_context(dims, precision, dps)
     n, alpha = dims.n, dims.alpha
     with ctx.workprec():
-        dpoly = _min_eig_det_poly(dims, ctx)
-        lead = SignedLog.from_fraction(
-            Fraction(math.factorial(n), math.factorial(n + alpha - 1)), ctx)
-        terms = [(n, d + alpha, lead * c) for d, c in enumerate(dpoly.coeffs) if c.sign]
+        terms = [(n, d + alpha, SignedLog.from_fraction(c, ctx))
+                 for d, c in enumerate(_min_eig_fracs(dims)) if c]
         val = density_from_laplace_terms(terms, dims.mn, y, ctx)
         return float(val.to_real()) if val.sign else 0.0
 
@@ -535,54 +586,6 @@ def mgf_kappa_d(s: float, dims: Dims, rtol: float = 1e-9) -> float:
 # once per dimension in exact rational arithmetic by a Laplace expansion
 # along the first two columns: their contribution is diagonal (the z power
 # always equals the s power), the complementary minors depend on s alone.
-
-
-def _lagneg_fracs(deg: int, rho: int) -> list[Fraction]:
-    """Coefficients of L_deg^(rho)(-w) in w: all positive.  deg < 0 -> zero."""
-    if deg < 0:
-        return []
-    return [abs(c) for c in laguerre_coeff_fractions(deg, rho)]
-
-
-def _fpoly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _fpoly_add(p: list[Fraction], q: list[Fraction], sign: int = 1) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += sign * b
-    return out
-
-
-def _fpoly_det(mat: list[list[list[Fraction]]]) -> list[Fraction]:
-    size = len(mat)
-    if size == 0:
-        return [Fraction(1)]
-    total: list[Fraction] = []
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
-        prod = [Fraction(1)]
-        for row, col in enumerate(perm):
-            prod = _fpoly_mul(prod, mat[row][col])
-            if not prod:
-                break
-        total = _fpoly_add(total, prod, -1 if inversions % 2 else 1)
-    while total and total[-1] == 0:
-        total.pop()
-    return total
 
 
 _KE_TABLE_CACHE: dict = {}
@@ -778,8 +781,6 @@ def _ke_z_integral_extended(y: float, dims: Dims, ctx: NumericContext, rtol: flo
 
 def _exp_to_float(x) -> float:
     """exp of an mpmath log value as a double; underflow becomes 0.0."""
-    import mpmath
-
     return float(mpmath.exp(x))
 
 
@@ -912,6 +913,41 @@ def pdf_via_lambda2_connection(y: float, dims: Dims, precision: str = "auto",
         return total
 
 
+def _lambda2_z_integral(x: float, dims: Dims, rtol: float) -> float:
+    """z-integral of the second-smallest-eigenvalue kernel at x > 0, in double.
+
+    Below _KE_SPLIT it runs over the z-power table, above it over the
+    w = 1 - z table, where the (1 - z)^(-alpha) weight cancels exactly.
+    """
+    alpha = dims.alpha
+    signs_z, logs_z, dpow_z, epow_z, _ = _ke_realized(dims, "z", False)
+    signs_w, logs_w, dpow_w, epow_w, _ = _ke_realized(dims, "w", False)
+    lx = math.log(x)
+
+    def integrand_z(zs):
+        zs = np.asarray(zs, dtype=float)
+        lz = np.log(zs)
+        t = (logs_z + dpow_z * lx)[None, :] + np.outer(lz, epow_z)
+        weight = 2.0 * lz - alpha * np.log1p(-zs) - (1.0 - zs) * x
+        shift = t.max(axis=1)
+        acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_z)
+        return acc * np.exp(shift + weight)
+
+    def integrand_w(ws):
+        ws = np.asarray(ws, dtype=float)
+        lw = np.log(ws)
+        t = (logs_w + dpow_w * lx)[None, :] + np.outer(lw, epow_w - alpha)
+        weight = 2.0 * np.log1p(-ws) - ws * x
+        shift = t.max(axis=1)
+        acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_w)
+        return acc * np.exp(shift + weight)
+
+    return (integrate_finite(integrand_z, 0.0, _KE_SPLIT, rtol=rtol,
+                             order_cap=512, max_depth=30, vectorized=True)
+            + integrate_finite(integrand_w, 0.0, _KE_SPLIT, rtol=rtol,
+                               order_cap=512, max_depth=30, vectorized=True))
+
+
 def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto", dps: int = DEFAULT_DPS,
                      alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E, rtol: float = 1e-9) -> np.ndarray:
     """Density of the second-smallest eigenvalue on a grid."""
@@ -922,36 +958,9 @@ def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto", dps: int = DEFAULT
     out = np.zeros_like(xs)
     size = alpha + 2
     if not ctx.extended:
-        signs_z, logs_z, dpow_z, epow_z, _ = _ke_realized(dims, "z", False)
-        signs_w, logs_w, dpow_w, epow_w, _ = _ke_realized(dims, "w", False)
         for idx, x in enumerate(xs):
-            if x <= 0:
-                continue
-            lx = math.log(x)
-
-            def integrand_z(zs):
-                zs = np.asarray(zs, dtype=float)
-                lz = np.log(zs)
-                t = (logs_z + dpow_z * lx)[None, :] + np.outer(lz, epow_z)
-                weight = 2.0 * lz - alpha * np.log1p(-zs) - (1.0 - zs) * x
-                shift = t.max(axis=1)
-                acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_z)
-                return acc * np.exp(shift + weight)
-
-            def integrand_w(ws):
-                ws = np.asarray(ws, dtype=float)
-                lw = np.log(ws)
-                t = (logs_w + dpow_w * lx)[None, :] + np.outer(lw, epow_w - alpha)
-                weight = 2.0 * np.log1p(-ws) - ws * x
-                shift = t.max(axis=1)
-                acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_w)
-                return acc * np.exp(shift + weight)
-
-            zint = integrate_finite(integrand_z, 0.0, _KE_SPLIT, rtol=rtol,
-                                    order_cap=512, max_depth=30, vectorized=True)
-            zint += integrate_finite(integrand_w, 0.0, _KE_SPLIT, rtol=rtol,
-                                     order_cap=512, max_depth=30, vectorized=True)
-            out[idx] = x**3 * math.exp(-(n - 1) * x) * zint
+            if x > 0:
+                out[idx] = x**3 * math.exp(-(n - 1) * x) * _lambda2_z_integral(x, dims, rtol)
         return out
     with ctx.workprec():
         for idx, x in enumerate(xs):
@@ -1068,44 +1077,16 @@ def mgf_kappa_e(s: float, dims: Dims, rtol: float = 1e-9,
     _check_kappa_e_dims(dims, alpha_cap)
     if s == 0:
         return 1.0
-    n, alpha = dims.n, dims.alpha
+    n = dims.n
     mn = dims.mn
-    signs_z, logs_z, dpow_z, epow_z, _ = _ke_realized(dims, "z", False)
-    signs_w, logs_w, dpow_w, epow_w, _ = _ke_realized(dims, "w", False)
-
-    def z_kernel(x: float) -> float:
-        X = x + s
-        lX = math.log(X)
-
-        def integrand_z(zs):
-            zs = np.asarray(zs, dtype=float)
-            lz = np.log(zs)
-            t = (logs_z + dpow_z * lX)[None, :] + np.outer(lz, epow_z)
-            shift = t.max(axis=1)
-            acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_z)
-            weight = 2.0 * lz - alpha * np.log1p(-zs) - (1.0 - zs) * X
-            return acc * np.exp(shift + weight)
-
-        def integrand_w(ws):
-            ws = np.asarray(ws, dtype=float)
-            lw = np.log(ws)
-            t = (logs_w + dpow_w * lX)[None, :] + np.outer(lw, epow_w - alpha)
-            shift = t.max(axis=1)
-            acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_w)
-            weight = 2.0 * np.log1p(-ws) - ws * X
-            return acc * np.exp(shift + weight)
-
-        return (integrate_finite(integrand_z, 0.0, _KE_SPLIT, rtol=rtol,
-                                 order_cap=512, max_depth=30, vectorized=True)
-                + integrate_finite(integrand_w, 0.0, _KE_SPLIT, rtol=rtol,
-                                   order_cap=512, max_depth=30, vectorized=True))
+    dpow_z = _ke_realized(dims, "z", False)[2]
 
     def outer(xs):
         xs = np.asarray(xs, dtype=float)
         out = np.empty_like(xs)
         for i, x in enumerate(xs):
             X = x + s
-            val = z_kernel(x)
+            val = _lambda2_z_integral(X, dims, rtol)
             out[i] = math.exp((mn - 1) * math.log(x) - (n - 1) * x
                               - (mn - 4) * math.log(X)) * val
         if not np.all(np.isfinite(out)):

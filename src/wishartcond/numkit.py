@@ -14,6 +14,11 @@ Two numeric backends are supported through :class:`NumericContext`:
 * an extended software-float backend (mpmath) used automatically for large
   matrix dimensions, where alternating sums lose too many digits in double.
 
+The special functions are the ones the densities are built from: exact
+integer rising factorials, Stirling numbers and Laguerre coefficients, a
+Laguerre evaluation in sign/log form, log I_order(z) for a block of orders
+at once, and a generalized hypergeometric series.
+
 The quadrature routines are adaptive Gauss-Legendre: order doubling first,
 panel bisection when doubling stalls.  Semi-infinite integrals are mapped to
 (0, 1) with a logarithmic substitution.
@@ -248,22 +253,6 @@ def signed_log_sum(terms) -> SignedLog:
 # combinatorial special values
 
 
-def pochhammer(a, count: int, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Rising factorial a (a+1) ... (a+count-1) with exact sign tracking."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    sign = 1
-    logmag = ctx.real(0.0)
-    for i in range(count):
-        factor = a + i
-        if factor == 0:
-            return SignedLog.zero()
-        if factor < 0:
-            sign = -sign
-        logmag = logmag + ctx.log(abs(ctx.real(factor)))
-    return SignedLog(sign, logmag)
-
-
 def pochhammer_int(a: int, count: int) -> int:
     """Exact integer rising factorial for integer a."""
     out = 1
@@ -282,13 +271,6 @@ def stirling2(p: int, q: int) -> int:
     fac = math.factorial(q)
     assert total % fac == 0
     return total // fac
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError("log_gamma needs x > 0")
-    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -323,80 +305,8 @@ def laguerre_eval(deg: int, rho: int, z, ctx: NumericContext = DOUBLE) -> Signed
     return signed_log_sum(terms)
 
 
-def laguerre_coeffs(deg: int, rho: int, ctx: NumericContext = DOUBLE) -> "Poly":
-    """Monomial coefficients of L_deg^(rho) as a Poly (constant term first)."""
-    return Poly([SignedLog.from_fraction(c, ctx) for c in laguerre_coeff_fractions(deg, rho)])
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel function of the first kind, integer order
-
-
-def bessel_i_log(order: int, z: float) -> float:
-    """log I_order(z) for z > 0 via the ascending series, summed in log space."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if z <= 0:
-        raise ValueError("need z > 0 (I_n(0) is 0 for n >= 1, 1 for n = 0)")
-    lh = math.log(z / 2.0)
-    logs = []
-    best = -math.inf
-    k = 0
-    while True:
-        lt = (order + 2 * k) * lh - math.lgamma(k + 1) - math.lgamma(order + k + 1)
-        logs.append(lt)
-        if lt > best:
-            best = lt
-        # terms rise to a single peak near k ~ z/2 then fall off factorially
-        if k > z / 2.0 and lt < best - 60.0:
-            break
-        k += 1
-        if k > 10_000_000:
-            raise ConvergenceError("Bessel series did not terminate")
-    acc = 0.0
-    for lt in logs:
-        acc += math.exp(lt - best)
-    return best + math.log(acc)
-
-
-def bessel_i(order: int, z: float) -> float:
-    """I_order(z), the modified Bessel function of integer order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if z < 0:
-        raise ValueError("need z >= 0")
-    if z == 0:
-        return 1.0 if order == 0 else 0.0
-    lv = bessel_i_log(order, z)
-    if lv > 709.0:
-        raise OverflowError("Bessel value exceeds double range; use bessel_i_log")
-    return math.exp(lv)
-
-
-def bessel_i_log_grid(orders, zs: np.ndarray) -> np.ndarray:
-    """log I_order(z) for each order in `orders` over an array of z > 0.
-
-    Returns an array of shape (len(orders), len(zs)).  One shared series
-    length is chosen from the largest argument; the k-sum is done with a
-    max-shift per (order, z) pair.  All terms are positive so there is no
-    cancellation to worry about.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if np.any(zs <= 0):
-        raise ValueError("need z > 0")
-    half = np.max(zs) / 2.0
-    nk = int(half + 12.0 * math.sqrt(half + 4.0) + 25.0)
-    k = np.arange(nk + 1, dtype=float)
-    lh = np.log(zs / 2.0)  # (nz,)
-    out = np.empty((len(orders), len(zs)))
-    lgk = np.array([math.lgamma(kk + 1.0) for kk in k])
-    for i, order in enumerate(orders):
-        lgok = np.array([math.lgamma(order + kk + 1.0) for kk in k])
-        # (nk, nz) term logs
-        lt = np.subtract.outer(-lgk - lgok, np.zeros_like(lh)) + np.multiply.outer(order + 2 * k, lh)
-        peak = lt.max(axis=0)
-        out[i] = peak + np.log(np.exp(lt - peak).sum(axis=0))
-    return out
 
 
 _LOG_FACT = np.zeros(1)  # _LOG_FACT[m] = log m!, grown on demand
@@ -415,11 +325,13 @@ def log_factorials(nmax: int) -> np.ndarray:
 def bessel_i_log_block(nmax: int, zs) -> np.ndarray:
     """log I_order(z) for every order 0..nmax jointly, over an array of z > 0.
 
-    Same ascending series as bessel_i_log, but the order and term axes are
-    vectorized together (integer-argument factorials come from a shared
-    table), which is what the determinant entry ladders in the asymptotic
-    module want: many consecutive orders at one or a few arguments.
-    Returns shape (nmax + 1, len(zs)).
+    Ascending series sum_k (z/2)^(order+2k) / (k! (order+k)!), summed with a
+    max-shift per (order, z) pair; every term is positive, so nothing
+    cancels.  The order and term axes are vectorized together
+    (integer-argument factorials come from a shared table), which is what
+    the determinant entry ladders in the asymptotic module want: many
+    consecutive orders at one or a few arguments.  Returns shape
+    (nmax + 1, len(zs)).
     """
     zs = np.asarray(zs, dtype=float)
     if np.any(zs <= 0):
@@ -480,116 +392,6 @@ def pfq(a_params, b_params, z: float, rtol: float = 1e-15, max_terms: int = 200_
         else:
             small_streak = 0
     raise ConvergenceError("hypergeometric series did not converge")
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over SignedLog coefficients
-
-
-class Poly:
-    """Dense univariate polynomial with SignedLog coefficients.
-
-    coeffs[k] multiplies x^k.  The zero polynomial has an empty coefficient
-    list.  Products accumulate each output coefficient with a single
-    compensated signed-log sum, so convolution is as accurate as the sums it
-    is made of.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].sign == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly([])
-
-    @staticmethod
-    def one() -> "Poly":
-        return Poly([SignedLog.one()])
-
-    @staticmethod
-    def monomial(k: int, coeff: SignedLog) -> "Poly":
-        return Poly([SignedLog.zero()] * k + [coeff])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> SignedLog:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return SignedLog.zero()
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        out = []
-        for k in range(len(self.coeffs) + len(other.coeffs) - 1):
-            lo = max(0, k - len(other.coeffs) + 1)
-            hi = min(k, len(self.coeffs) - 1)
-            out.append(signed_log_sum(self.coeffs[i] * other.coeffs[k - i] for i in range(lo, hi + 1)))
-        return Poly(out)
-
-    def scaled(self, s: SignedLog) -> "Poly":
-        return Poly([c * s for c in self.coeffs])
-
-    def shifted_powers(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return Poly.zero()
-        return Poly([SignedLog.zero()] * k + self.coeffs)
-
-    def with_negated_argument(self) -> "Poly":
-        """p(x) -> p(-x)."""
-        return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
-
-    def eval_horner(self, z, ctx: NumericContext = DOUBLE) -> SignedLog:
-        if not self.coeffs:
-            return SignedLog.zero()
-        zsl = z if isinstance(z, SignedLog) else SignedLog.from_real(z, ctx)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * zsl + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly(degree={self.degree})"
-
-
-def poly_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant of a small matrix of polynomials by permutation expansion."""
-    size = len(mat)
-    if size == 0:
-        return Poly.one()
-    for row in mat:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    import itertools
-
-    total = Poly.zero()
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
-        prod = Poly.one()
-        for row, col in enumerate(perm):
-            prod = prod * mat[row][col]
-        if inversions % 2:
-            prod = -prod
-        total = total + prod
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ its own counter-based (Philox) stream keyed by (s, i), so the same draw
 comes out bit-identical whether the batch runs on one worker or eight, and
 any single draw can be regenerated in isolation.
 
-Two sampling paths, both implemented here rather than delegated:
+Two sampling paths:
 
-* ``sample_matrix`` / ``gram_spectrum``: dense matrices whose complex
-  entries come from Box-Muller with unit variance (1/2 per real part), and
-  cyclic complex Jacobi with accumulated vectors, whose per-pair residual
-  is checked against the Gram matrix.
+* ``sample_matrix``: dense matrices whose complex entries come from
+  Box-Muller with unit variance (1/2 per real part).  With LAPACK
+  ``np.linalg.eigvalsh`` on A*A it is the independent check of the
+  bidiagonal model below.
 * ``mc_collect``: the bidiagonal beta = 2 Laguerre model (Dumitriu and
   Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law of
   B B^T, with B n x n lower bidiagonal and independent Gamma squared
@@ -33,12 +33,9 @@ from .exact import (
     METRIC_LAMBDA_MIN,
     METRICS,
     Dims,
-    EigenSpectrum,
 )
 
 _INV64 = 2.0 ** -64
-_JACOBI_SWEEP_CAP = 60
-_RESIDUAL_BOUND = 1e-10
 _PIVMIN = 1e-290
 # raw words held at once per worker while drawing Gamma variates (8 MiB)
 _VARIATE_BLOCK_WORDS = 1 << 20
@@ -98,78 +95,6 @@ def sample_matrix(dims: Dims, seed: int, index: int = 0) -> ComplexMatrix:
     """The index-th matrix draw of the given shape under this seed."""
     z = _normal_block(seed, index, dims.mn)
     return ComplexMatrix(z.reshape(dims.m, dims.n))
-
-
-# ---------------------------------------------------------------------------
-# cyclic complex Jacobi, with vectors
-
-
-def jacobi_eigh(G: np.ndarray, tol: float = 1e-14,
-                sweep_cap: int = _JACOBI_SWEEP_CAP):
-    """Full Hermitian eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (values ascending, vectors as columns).  Each rotation first
-    strips the phase of the pivot entry, then applies the classical
-    symmetric rotation picked from the smaller-angle root.
-    """
-    A = np.array(G, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("need a square matrix")
-    U = np.eye(n, dtype=complex)
-    off_scale = tol * max(np.linalg.norm(A), 1e-300)
-    for sweep in range(sweep_cap):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = A[p, q]
-                ag = abs(g)
-                off = max(off, ag)
-                if ag == 0.0:
-                    continue
-                phase = g / ag
-                a = A[p, p].real
-                b = A[q, q].real
-                tau = (b - a) / (2.0 * ag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # J restricted to (p, q): [[c, s], [-s conj(phase), c conj(phase)]]
-                colp = A[:, p] * c - A[:, q] * (s * np.conj(phase))
-                colq = A[:, p] * s + A[:, q] * (c * np.conj(phase))
-                A[:, p] = colp
-                A[:, q] = colq
-                rowp = A[p, :] * c - A[q, :] * (s * phase)
-                rowq = A[p, :] * s + A[q, :] * (c * phase)
-                A[p, :] = rowp
-                A[q, :] = rowq
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                colp = U[:, p] * c - U[:, q] * (s * np.conj(phase))
-                colq = U[:, p] * s + U[:, q] * (c * np.conj(phase))
-                U[:, p] = colp
-                U[:, q] = colq
-        if off <= off_scale:
-            vals = np.diag(A).real
-            order = np.argsort(vals, kind="stable")
-            return vals[order], U[:, order]
-    raise SamplerError(f"Jacobi sweep cap {sweep_cap} hit, off-diagonal {off:.3e}")
-
-
-def gram_spectrum(A: ComplexMatrix) -> EigenSpectrum:
-    """Ascending spectrum of A*A with an enforced per-pair residual bound."""
-    if A.m < A.n:
-        raise ValueError("need at least as many rows as columns")
-    G = A.entries.conj().T @ A.entries
-    vals, vecs = jacobi_eigh(G)
-    scale = max(float(vals[-1]), 1e-300) if len(vals) else 1e-300
-    resid = np.linalg.norm(G @ vecs - vecs * vals[None, :], axis=0)
-    worst = float(resid.max() / scale)
-    if worst > _RESIDUAL_BOUND:
-        raise SamplerError(f"eigenpair residual {worst:.3e} above bound")
-    return EigenSpectrum(np.maximum(vals, 0.0), Dims(A.n, A.m - A.n))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,22 @@ class TestDensityCommand:
         assert out.exists()
         assert not (tmp_path / "curve.csv.part").exists()
 
+    def test_negative_grid_start(self, capsys):
+        # a space-separated grid may start below zero; no density there
+        assert cli.main(["density", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
+                         "--grid", "-1:5:4"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        xs = [float(x) for x, _ in rows]
+        pdf = [float(p) for _, p in rows]
+        assert xs == pytest.approx([-1.0, 1.0, 3.0, 5.0])
+        assert pdf[:3] == [0.0, 0.0, 0.0]
+        assert pdf[3] > 0.0
+        # mgf takes the same form; the negative s is then refused by the
+        # library, not by the argument parser
+        assert cli.main(["mgf", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
+                         "--grid", "-0.5:0.5:3"]) == EXIT_USAGE
+        assert "s must be >= 0" in capsys.readouterr().err
+
 
 class TestMgfCommand:
     def test_trivial_value(self, capsys):

@@ -1,20 +1,16 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from wishartcond.detkit import (
-    det_general,
     det_int,
     det_signedlog,
     iter_index_boxes,
     lemma_a1_det_int,
-    lemma_a1_lhs,
     lemma_a1_matrix,
     lemma_a1_rhs_int,
     lemma_a2_det_int,
-    lemma_a2_lhs,
     lemma_a2_matrix,
     lemma_a2_rhs_int,
     vandermonde,
@@ -54,6 +50,11 @@ class TestIndexBoxes:
     def test_empty_bounds(self):
         assert list(iter_index_boxes(())) == [()]
 
+    def test_odometer_order(self):
+        # the last slot varies fastest, carrying left on overflow
+        assert list(iter_index_boxes((1, 2))) == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
 
 class TestVandermonde:
     def test_int(self):
@@ -79,18 +80,6 @@ class TestDeterminants:
             size = rng.randint(1, 5)
             mat = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
             assert det_int(mat) == _det_fraction(mat)
-
-    def test_det_general_matches_int(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            size = rng.randint(1, 4)
-            mat = [[float(rng.randint(-6, 6)) for _ in range(size)] for _ in range(size)]
-            want = _det_fraction(mat)
-            got = det_general(mat).to_real()
-            if want == 0:
-                assert abs(got) < 1e-9
-            else:
-                assert got == pytest.approx(float(want), rel=1e-11)
 
     def test_det_signedlog(self):
         mat = [[SignedLog.from_real(v) for v in row]
@@ -136,14 +125,6 @@ class TestLemmaA1:
                     assert lemma_a1_det_int(list(jvec), n, alpha) == \
                         lemma_a1_rhs_int(list(jvec), n, alpha)
 
-    def test_lhs_matches_int(self):
-        jvec, n, alpha = [2, 1, 0], 4, 3
-        want = lemma_a1_det_int(jvec, n, alpha)
-        got = lemma_a1_lhs(jvec, n, alpha)
-        assert got.sign == (0 if want == 0 else math.copysign(1, want))
-        if want != 0:
-            assert got.to_real() == pytest.approx(float(want), rel=1e-12)
-
     def test_bad_jvec(self):
         with pytest.raises(ValueError):
             lemma_a1_matrix([0], 3, 2)  # wrong length
@@ -163,15 +144,6 @@ class TestLemmaA2:
         for lvec in iter_index_boxes(bounds):
             assert lemma_a2_det_int(list(lvec), n, alpha) == \
                 lemma_a2_rhs_int(list(lvec), n, alpha)
-
-    def test_lhs_matches_int(self):
-        lvec, n, alpha = [1, 0, 2, 1], 3, 2
-        want = lemma_a2_det_int(lvec, n, alpha)
-        got = lemma_a2_lhs(lvec, n, alpha)
-        if want != 0:
-            assert got.to_real() == pytest.approx(float(want), rel=1e-12)
-        else:
-            assert got.sign == 0
 
     def test_bad_lvec(self):
         with pytest.raises(ValueError):

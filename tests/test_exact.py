@@ -149,6 +149,16 @@ class TestLambdaMin:
     def test_normalized(self):
         assert normalization_lambda_min(Dims(4, 1)) == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("dims, lo, hi", [(Dims(12, 4), 0.25, 1.8),
+                                              (Dims(30, 4), 0.1, 0.8)])
+    def test_double_matches_extended(self, dims, lo, hi):
+        # [lo, hi] holds the central 98% of the mass; exact coefficients
+        # leave only the rounding of the final sum in double
+        xs = np.linspace(lo, hi, 40)
+        dbl = pdf_lambda_min_grid(xs, dims, precision="double")
+        ext = pdf_lambda_min_grid(xs, dims, precision="extended")
+        assert dbl == pytest.approx(ext, rel=1e-12)
+
 
 class TestKappaE:
     def test_needs_three_columns(self):

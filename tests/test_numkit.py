@@ -9,24 +9,17 @@ from wishartcond.numkit import (
     DOUBLE,
     ConvergenceError,
     NumericContext,
-    Poly,
     QuadratureError,
     SignedLog,
-    bessel_i,
-    bessel_i_log,
     bessel_i_log_block,
-    bessel_i_log_grid,
     gauss_legendre_rule,
     integrate_finite,
     integrate_semi_infinite,
     laguerre_coeff_fractions,
     laguerre_eval,
     log_factorials,
-    log_gamma,
     pfq,
-    pochhammer,
     pochhammer_int,
-    poly_det,
     signed_log_sum,
     stirling2,
 )
@@ -86,12 +79,6 @@ class TestSignedLog:
 
 
 class TestCombinatorics:
-    def test_pochhammer(self):
-        assert pochhammer(3.0, 4).to_real() == pytest.approx(360.0, rel=1e-14)
-        assert pochhammer(1.0, 0).to_real() == 1.0
-        # (-2.5)(-1.5)(-0.5) < 0
-        assert pochhammer(-2.5, 3).to_real() == pytest.approx(-1.875, rel=1e-14)
-
     def test_pochhammer_int(self):
         assert pochhammer_int(2, 3) == 24
         assert pochhammer_int(1, 5) == 120
@@ -107,10 +94,6 @@ class TestCombinatorics:
         for p in range(2, 8):
             for q in range(1, p):
                 assert stirling2(p, q) == q * stirling2(p - 1, q) + stirling2(p - 1, q - 1)
-
-    def test_log_gamma(self):
-        for x in (0.5, 1.0, 3.7, 40.0):
-            assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-15)
 
     def test_log_factorials(self):
         table = log_factorials(6)
@@ -134,26 +117,26 @@ class TestLaguerre:
 
 class TestBessel:
     def test_log_values(self):
-        for order in (0, 1, 2, 5):
-            for z in (0.1, 1.0, 10.0, 80.0):
+        zs = np.array([0.1, 1.0, 10.0, 80.0])
+        block = bessel_i_log_block(5, zs)
+        assert block.shape == (6, 4)
+        for order in range(6):
+            for col, z in enumerate(zs):
                 want = float(mpmath.log(mpmath.besseli(order, z)))
-                assert bessel_i_log(order, z) == pytest.approx(want, rel=1e-13)
-
-    def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(3, 0.0) == 0.0
+                assert block[order, col] == pytest.approx(want, rel=1e-13)
 
     def test_grid_and_block_agree(self):
-        zs = np.array([0.3, 2.0, 7.5])
-        grid = bessel_i_log_grid([0, 1, 4], zs)
-        block = bessel_i_log_block(4, zs)
-        assert grid.shape == (3, 3)
-        assert block.shape == (5, 3)
-        for row, order in enumerate((0, 1, 4)):
-            for col, z in enumerate(zs):
-                want = bessel_i_log(order, float(z))
-                assert grid[row, col] == pytest.approx(want, rel=1e-13)
-                assert block[order, col] == pytest.approx(want, rel=1e-13)
+        # the series length follows the largest argument of the grid, so a
+        # small argument evaluated beside a large one must not change
+        zs = np.array([0.3, 2.0, 7.5, 80.0])
+        grid = bessel_i_log_block(4, zs)
+        for col, z in enumerate(zs):
+            alone = bessel_i_log_block(4, np.array([z]))[:, 0]
+            assert grid[:, col] == pytest.approx(alone, rel=1e-14)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            bessel_i_log_block(2, np.array([1.0, 0.0]))
 
 
 class TestPfq:
@@ -169,34 +152,6 @@ class TestPfq:
         a, b, z = (1.5, 2.0), (2.5, 3.0, 1.0), 4.0
         want = float(mpmath.hyper(list(a), list(b), z))
         assert pfq(a, b, z) == pytest.approx(want, rel=1e-12)
-
-
-class TestPoly:
-    def test_product(self):
-        one_plus_x = Poly([SignedLog.one(), SignedLog.one()])
-        sq = one_plus_x * one_plus_x
-        assert [c.to_real() for c in sq.coeffs] == pytest.approx([1.0, 2.0, 1.0])
-
-    def test_eval_horner(self):
-        p = Poly([SignedLog.from_real(c) for c in (2.0, -3.0, 1.0)])
-        assert p.eval_horner(2.5).to_real() == pytest.approx(2.0 - 7.5 + 6.25, rel=1e-14)
-
-    def test_negated_argument(self):
-        p = Poly([SignedLog.from_real(c) for c in (1.0, 1.0, 1.0)])
-        q = p.with_negated_argument()
-        assert [c.to_real() for c in q.coeffs] == pytest.approx([1.0, -1.0, 1.0])
-
-    def test_poly_det(self):
-        x = Poly.monomial(1, SignedLog.one())
-        one = Poly.one()
-        det = poly_det([[x, one], [one, x]])  # x^2 - 1
-        assert det.coeff(0).to_real() == pytest.approx(-1.0)
-        assert det.coeff(1).sign == 0
-        assert det.coeff(2).to_real() == pytest.approx(1.0)
-
-    def test_trailing_zero_trim(self):
-        p = Poly([SignedLog.one(), SignedLog.zero()])
-        assert p.degree == 0
 
 
 class TestQuadrature:

@@ -13,8 +13,6 @@ from wishartcond.sampler import (
     McReport,
     SamplerError,
     build_report,
-    gram_spectrum,
-    jacobi_eigh,
     ks_compare,
     ks_threshold,
     mc_collect,
@@ -49,42 +47,6 @@ class TestMatrixDraws:
     def test_entries_must_be_2d(self):
         with pytest.raises(ValueError):
             ComplexMatrix(np.zeros(4, dtype=complex))
-
-
-class TestJacobi:
-    def test_diagonal_passthrough(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert vals == pytest.approx([1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
-
-    def test_matches_library_eigensolver(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        herm = a @ a.conj().T
-        vals, vecs = jacobi_eigh(herm)
-        want = np.linalg.eigvalsh(herm)
-        assert vals == pytest.approx(want, rel=1e-12)
-        resid = np.linalg.norm(herm @ vecs - vecs * vals[None, :], axis=0)
-        assert resid.max() <= 1e-10 * np.linalg.norm(herm, 2)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.zeros((2, 3), dtype=complex))
-
-
-class TestGramSpectrum:
-    def test_matches_library(self):
-        mat = sample_matrix(Dims(4, 2), seed=9)
-        spec = gram_spectrum(mat)
-        gram = mat.entries.conj().T @ mat.entries
-        want = np.linalg.eigvalsh(gram)
-        assert spec.values == pytest.approx(want, rel=1e-10)
-        assert spec.dims.n == 4 and spec.dims.alpha == 2
-
-    def test_needs_tall_matrix(self):
-        wide = ComplexMatrix(np.zeros((2, 5), dtype=complex))
-        with pytest.raises(ValueError):
-            gram_spectrum(wide)
 
 
 class TestMcCollect:
