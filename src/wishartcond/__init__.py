@@ -8,6 +8,7 @@ validate every analytic curve the package produces.
 
 from .asymptotic import (
     ScaledParams,
+    cdf_v_error_bound,
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,

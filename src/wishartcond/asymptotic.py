@@ -2,64 +2,67 @@
 
 As m and n grow with alpha = m - n held fixed, both squared condition
 metrics concentrate on the scale n^3, and V = metric / (mu n^3) has a
-proper limiting density for every fixed mu > 0.  Writing u = 1/(mu v),
-the limits take determinantal forms built from modified Bessel functions
-of the first kind:
+proper limiting density for every fixed mu > 0.  In U = 1/(mu V) each
+limit law is a finite mixture of Gamma laws whose weights b_k are exact,
+non-negative rationals that do not depend on mu:
 
-* kappa-d: f(v) = mu u^2 e^{-u} det[A_kl(u)], an alpha x alpha
-  determinant whose entries are short positive combinations of
-  I_{l+j+1}(2 sqrt(u)); the alpha = 0 determinant is empty (= 1) and the
-  density collapses to e^{-1/(mu v)} / (mu v^2).
+* kappa-d: U ~ sum_k b_k Gamma(k + 1).  U has density e^{-u} det A(u),
+  where A is the alpha x alpha matrix with entries
+  A_kl = sum_j w(k, l, j) u^{(j+1-l)/2} I_{l+j+1}(2 sqrt u), the hard-edge
+  Bessel determinant shape of Forrester & Hughes (J. Math. Phys. 35
+  (1994) 6736).  Through I_nu(2 sqrt u) = sum_s u^{(nu+2s)/2} / (s! (s+nu)!)
+  det A(u) = sum_k d_k u^k, and b_k = k! d_k.  At alpha = 0 the
+  determinant is 1 and the law is Edelman's e^{-1/(mu v)}.
 
-* kappa-e: f(v) = mu u^5 e^{-u} * integral over z in (0, 1) of
-  z^2 (1-z)^{-alpha} times an (alpha+2) x (alpha+2) determinant.  Its
-  first two columns depend on z through t = z u, the rest sit at z = 1.
+* kappa-e: U ~ sum_d b_d Gamma(d + 4).  U has density u^3 e^{-u} times the
+  integral over z in (0, 1) of z^2 (1-z)^{-alpha} det M(z, u), where M is
+  (alpha+2) x (alpha+2) with the same entries at t = u, except that its
+  first two columns take them at t = z u.  The coefficient P_d(z) of u^d
+  in det M vanishes to order 2 alpha at z = 1, so Q_d = P_d / (1-z)^alpha
+  is a polynomial, the integral is its moment sum_k q_k / (k + 3) against
+  z^2, and b_d = (d+3)! times that moment.
 
-The kappa-e determinant degenerates as z -> 1: the z-columns collide
-with the z = 1 columns and the determinant vanishes to order 2 alpha,
-exactly cancelling the (1-z)^{-alpha} weight.  Evaluating it naively in
-doubles near z = 1 washes out.  The entries obey the exact mixing rule
+Each (law, alpha) table is built once, on first use, in exact integer
+arithmetic (numkit.FPoly), and truncated at a degree past which no term is
+visible in double.  The kappa-e build checks that every P_d divides by
+(1-z)^{2 alpha} exactly.  With pois_i(u) = e^{-u} u^i / i!, kept in logs,
+and s = 0 (kappa-d) or 3 (kappa-e),
 
-    g_{i,j}(z u) = sum_r ((z-1) u)^r / r! * g_{i,j+r}(u),
+    pdf(v) = mu u^2 sum_k b_k pois_{k+s}(u),
+    P(V <= v) = P(U >= u) = sum_i pois_i(u) sum_{k+s >= i} b_k,
 
-so the colliding columns can be peeled: subtracting their components
-along the in-matrix z = 1 columns leaves explicit tail series whose
-leading powers of (1 - z) are factored out analytically.  The z-integral
-is split at a fixed point, the plain determinant below it and the peeled
-form above it.
+sums of positive terms with no quadrature, interpolation or cancellation.
+The probability 1 - sum_k b_k that the truncation leaves out bounds the
+error of every CDF value (cdf_v_error_bound), and mu u^2 times it bounds
+the error of the density, whose relative accuracy holds up to u =
+_u_reach, where the density has fallen below e^{-50} of its peak.
+
+The kappa-e density keeps a ``mode``: 'auto' and 'integral' both use the
+table, and 'closed' evaluates the independent three-term hypergeometric
+form of the alpha = 0 law.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .numkit import (
-    bessel_i_log_block,
-    integrate_finite,
-    pfq,
-    stirling2,
-)
+from .numkit import FPoly, fpoly_det, fpoly_split_det, log_factorials, pfq, stirling2
 
 log = logging.getLogger("wishartcond")
 
 KAPPA_D_ALPHA_CAP = 6
 KAPPA_E_ALPHA_CAP = 4
 
-# e^{-u} times the Bessel growth is far below the double underflow
-# threshold by here; the densities are identically zero at working
-# precision, so nothing past this u is ever evaluated
+# past this u the alpha = 0 hypergeometric form is zero at double precision
 _U_ZERO = 1200.0
-
-# z-integral split: plain determinant below, peeled determinant above
-_SPLIT_Z = 0.7
-
-# tail columns kept in the peeled expansion, on top of a u-dependent part
-_TAIL_BASE = 30
 
 
 @dataclass(frozen=True)
@@ -76,105 +79,170 @@ class ScaledParams:
             raise ValueError("alpha must be >= 0")
 
 
-def _u_of_v(vs: np.ndarray, mu: float) -> np.ndarray:
-    return 1.0 / (mu * vs)
-
-
 # ---------------------------------------------------------------------------
-# kappa-d limit: alpha x alpha Bessel determinant
+# exact mixture tables
 
 
 @lru_cache(maxsize=None)
-def _kd_entry_weights(alpha: int):
-    """Integer weight of u^{(j+1-l)/2} I_{l+j+1}(2 sqrt u) in entry (k, l)."""
-    tab = {}
-    for k in range(1, alpha + 1):
-        for l in range(1, alpha + 1):
-            for j in range(k):
-                tab[(k, l, j)] = sum(
-                    stirling2(i, j) * math.comb(k - 1, i) * l ** (k - 1 - i)
-                    for i in range(j, k))
-    return tab
+def _entry_weight(row: int, family: int, q: int) -> int:
+    """Integer weight of t^{(q-family-1)/2} I_{q+family+1}(2 sqrt t) in an entry."""
+    return sum(stirling2(pp, q) * math.comb(row - 1, pp) * family ** (row - 1 - pp)
+               for pp in range(q, row))
 
 
-def _kd_det(us: np.ndarray, alpha: int):
-    """(sign, log|det|) of the entry matrix, vectorized over u > 0."""
-    us = np.asarray(us, dtype=float)
-    if alpha == 0:
-        return np.ones_like(us), np.zeros_like(us)
-    weights = _kd_entry_weights(alpha)
-    lu = np.log(us)
-    li = bessel_i_log_block(2 * alpha, 2.0 * np.sqrt(us))  # orders 0..2 alpha
-    mats = np.empty((len(us), alpha, alpha))
-    for k in range(1, alpha + 1):
-        for l in range(1, alpha + 1):
-            term = np.empty((k, len(us)))
-            for j in range(k):
-                term[j] = (math.log(weights[(k, l, j)])
-                           + 0.5 * (j + 1 - l) * lu + li[l + j + 1])
-            peak = term.max(axis=0)
-            mats[:, k - 1, l - 1] = peak + np.log(np.exp(term - peak).sum(axis=0))
-    shift = mats.max(axis=1)                    # per-u, per-column
-    dets = np.linalg.det(np.exp(mats - shift[:, None, :]))
-    return np.sign(dets), np.log(np.abs(dets) + np.finfo(float).tiny) + shift.sum(axis=1)
+def _entry(row: int, family: int, deg: int) -> FPoly:
+    """Entry (row, family) as a power series in t, through t^deg.
 
-
-def _kd_closed_logdet(us: np.ndarray, alpha: int) -> np.ndarray:
-    """log of the small-alpha closed determinants (all positive)."""
-    us = np.asarray(us, dtype=float)
-    if alpha == 0:
-        return np.zeros_like(us)
-    li = bessel_i_log_block(4, 2.0 * np.sqrt(us))
-    if alpha == 1:
-        return li[2]
-    # alpha = 2: I2 I4 - I3^2 + sqrt(mu v) I2 I3, the last term dominant
-    la = li[2] + li[4]
-    lb = 2.0 * li[3]
-    lc = -0.5 * np.log(us) + li[2] + li[3]
-    peak = np.maximum(np.maximum(la, lb), lc)
-    combo = np.exp(la - peak) - np.exp(lb - peak) + np.exp(lc - peak)
-    return peak + np.log(combo)
-
-
-def pdf_v_kappa_d_grid(vs, p: ScaledParams, mode: str = "auto") -> np.ndarray:
-    """Limiting density of trace / smallest eigenvalue, scaled by mu n^3.
-
-    mode 'closed' covers alpha 0..2 without a determinant; 'determinant'
-    evaluates the general alpha x alpha form (capped); 'auto' picks
-    whichever applies.
+    Term q of the entry is sum_s t^{q+s} / (s! (q+s+family+1)!), so the
+    coefficient of t^p is sum_q weight_q p!/(p-q)! over p! (p+family+1)!.
+    The kappa-d entry A_kl(u) is u times entry (k, l) at t = u.
     """
-    if mode == "auto":
-        mode = "closed" if p.alpha <= 2 else "determinant"
-    if mode == "closed":
-        if p.alpha > 2:
-            raise ValueError("closed mode covers alpha 0, 1 and 2 only")
-    elif mode == "determinant":
-        if p.alpha > KAPPA_D_ALPHA_CAP:
-            raise ValueError(
-                f"alpha={p.alpha} above the determinant cap {KAPPA_D_ALPHA_CAP}")
-    else:
-        raise ValueError("mode must be 'auto', 'determinant' or 'closed'")
-    vs = np.asarray(vs, dtype=float)
-    out = np.zeros(vs.shape)
-    live = vs > 0
-    u = _u_of_v(vs[live], p.mu)
-    keep = (u > 0) & (u < _U_ZERO)
-    u = u[keep]
-    if len(u):
-        if mode == "closed":
-            sign = np.ones_like(u)
-            ld = _kd_closed_logdet(u, p.alpha)
+    return FPoly(family + 1, tuple(
+        sum(_entry_weight(row, family, q) * math.perm(p, q) for q in range(min(row - 1, p) + 1))
+        for p in range(deg + 1)))
+
+
+def _u_reach(columns: int) -> float:
+    # the u-density decays like e^{-u + 2 c sqrt(u)} for c Bessel-bearing
+    # columns; past this point it is below ~e^{-50} of its peak
+    return (columns + math.sqrt(columns * columns + 50.0)) ** 2 + 25.0
+
+
+def _degree(columns: int) -> int:
+    """Mixture terms kept.  At u = _u_reach the terms b_k pois_k(u) peak
+    near k* = columns sqrt(u) and fall off like e^{-(k-k*)^2 / k*}; 40 more
+    e-folds leave the first dropped term below double rounding."""
+    peak = columns * math.sqrt(_u_reach(columns))
+    return math.ceil(peak + math.sqrt(40.0 * peak))
+
+
+def _kd_weights(alpha: int, deg: int) -> list[Fraction]:
+    # det A(u) = u^alpha det[entry(k, l)(u)]
+    det = fpoly_det([[_entry(k, l, deg - alpha) for l in range(1, alpha + 1)]
+                     for k in range(1, alpha + 1)], deg - alpha)
+    return [Fraction(0)] * alpha + [c * math.factorial(p + alpha)
+                                    for p, c in enumerate(det.fractions())]
+
+
+def _ke_weights(alpha: int, deg: int) -> list[Fraction]:
+    rows = range(1, alpha + 3)
+    shift, nums = fpoly_split_det(
+        [[_entry(i, 1, deg), _entry(i, 2, deg)] for i in rows],
+        [[_entry(i, j, deg) for j in range(1, alpha + 1)] for i in rows], deg)
+    weights = []
+    for d, poly in enumerate(nums):     # P_d(z) over d! (d + shift)!
+        kept = poly
+        for step in range(2 * alpha):
+            # poly = (1 - z) r  <=>  r_k = poly_0 + ... + poly_k, with no remainder
+            run = list(itertools.accumulate(poly))
+            if run and run[-1]:
+                raise ArithmeticError(
+                    f"kappa-e limit: P_{d}(z) is not divisible by (1-z)^{step + 1}")
+            poly = run[:-1]
+            if step == alpha - 1:
+                kept = poly
+        moment = sum(Fraction(c, k + 3) for k, c in enumerate(kept))
+        weights.append(moment * Fraction(math.factorial(d + 3),
+                                         math.factorial(d) * math.factorial(d + shift)))
+    return weights
+
+
+@dataclass(frozen=True)
+class _MixtureTable:
+    """U ~ sum_k weights[k] Gamma(k + shift + 1) up to the mass ``tail``."""
+
+    weights: np.ndarray
+    upper: np.ndarray       # upper[i] = sum of weights[k] over k + shift >= i
+    shift: int
+    tail: float             # exact 1 - sum_k weights[k], rounded once
+
+
+_TABLE_CACHE: dict = {}
+_LAWS = {"kappa-d": (KAPPA_D_ALPHA_CAP, 0), "kappa-e": (KAPPA_E_ALPHA_CAP, 3)}
+
+
+def _table(law: str, alpha: int) -> _MixtureTable:
+    cap, shift = _LAWS[law]
+    if alpha > cap:
+        raise ValueError(f"alpha={alpha} above the {law} limit cap {cap}")
+    key = (law, alpha)
+    if key not in _TABLE_CACHE:
+        started = time.perf_counter()
+        if law == "kappa-d":
+            deg = _degree(alpha)
+            fracs = _kd_weights(alpha, deg)
         else:
-            sign, ld = _kd_det(u, p.alpha)
-        vals = sign * np.exp(math.log(p.mu) + 2.0 * np.log(u) - u + ld)
-        buf = np.zeros(int(live.sum()))
-        buf[keep] = vals
-        out[live] = buf
+            deg = _degree(alpha + 2)
+            fracs = _ke_weights(alpha, deg)
+        if any(b < 0 for b in fracs):
+            raise ArithmeticError(f"{law} limit: negative mixture weight")
+        suffix = list(itertools.accumulate(reversed(fracs)))[::-1]
+        tail = float(1 - suffix[0])
+        _TABLE_CACHE[key] = _MixtureTable(
+            np.array([float(b) for b in fracs]),
+            np.array([float(suffix[max(i - shift, 0)]) for i in range(len(fracs) + shift)]),
+            shift, tail)
+        log.debug("%s limit table alpha=%d: degree %d, built in %.3f s, tail mass %.3g",
+                  law, alpha, deg, time.perf_counter() - started, tail)
+    return _TABLE_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def _poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0) -> np.ndarray:
+    """u^power sum_k coeffs[k] pois_{k+offset}(u) for u > 0, one k at a time.
+
+    The factor u^power goes into each exponent, so that huge u gives 0, not
+    inf times 0."""
+    lu = np.log(us)
+    lf = log_factorials(len(coeffs) + offset)
+    out = np.zeros_like(us)
+    for k, c in enumerate(coeffs):
+        if c > 0:
+            i = k + offset
+            out += c * np.exp((i + power) * lu - us - lf[i])
     return out
 
 
-def pdf_v_kappa_d(v: float, p: ScaledParams, mode: str = "auto") -> float:
-    return float(pdf_v_kappa_d_grid(np.array([float(v)]), p, mode)[0])
+def _live_u(vs, mu: float):
+    """(vs, mask, u): u = 1/(mu v) on the points where it is finite and positive."""
+    vs = np.asarray(vs, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        us = 1.0 / (mu * vs)
+    live = (vs > 0) & np.isfinite(us) & (us > 0)
+    return vs, live, us[live]
+
+
+def _pdf(vs, p: ScaledParams, law: str) -> np.ndarray:
+    table = _table(law, p.alpha)
+    vs, live, u = _live_u(vs, p.mu)
+    out = np.zeros(vs.shape)
+    out[live] = p.mu * _poisson_mix(u, table.weights, table.shift, power=2)
+    return out
+
+
+def _cdf(p: ScaledParams, law: str):
+    table = _table(law, p.alpha)
+
+    def cdf(vs):
+        vs, live, u = _live_u(vs, p.mu)
+        out = np.zeros(vs.shape)
+        out[vs == np.inf] = table.upper[0]
+        out[live] = _poisson_mix(u, table.upper, 0)
+        return np.minimum(out, 1.0)
+
+    return cdf
+
+
+def pdf_v_kappa_d_grid(vs, p: ScaledParams) -> np.ndarray:
+    """Limiting density of trace / smallest eigenvalue, scaled by mu n^3."""
+    return _pdf(vs, p, "kappa-d")
+
+
+def pdf_v_kappa_d(v: float, p: ScaledParams) -> float:
+    return float(pdf_v_kappa_d_grid(np.array([float(v)]), p)[0])
 
 
 def cdf_v_kappa_d_alpha0(v: float, mu: float) -> float:
@@ -182,163 +250,6 @@ def cdf_v_kappa_d_alpha0(v: float, mu: float) -> float:
     if v <= 0:
         return 0.0
     return math.exp(-1.0 / (mu * v))
-
-
-# ---------------------------------------------------------------------------
-# kappa-e limit: (alpha+2) x (alpha+2) determinant under a z-integral
-
-
-@lru_cache(maxsize=None)
-def _ke_entry_weights(alpha: int, jmax: int):
-    """weights[i-1][j-1][q]: coefficient of t^{(q-j-1)/2} I_{q+j+1}(2 sqrt t).
-
-    Rows i = 1..alpha+2.  The family index j runs past alpha because the
-    peeled expansion walks up the z = 1 column ladder.
-    """
-    tab = []
-    for i in range(1, alpha + 3):
-        row = []
-        for j in range(1, jmax + 1):
-            row.append(np.array([
-                float(sum(stirling2(pp, q) * math.comb(i - 1, pp) * j ** (i - 1 - pp)
-                          for pp in range(q, i)))
-                for q in range(i)]))
-        tab.append(row)
-    return tab
-
-
-def _ke_tail_len(u: float) -> int:
-    # the peeled tail converges like (w sqrt(u))^a / a!; this length leaves
-    # the truncation far below double rounding for w <= 1 - _SPLIT_Z
-    return _TAIL_BASE + int(2.2 * math.sqrt((1.0 - _SPLIT_Z) * u))
-
-
-def _ke_column_logs(u: float, alpha: int, jmax: int) -> np.ndarray:
-    """log g_{i,j} at z = 1 for i = 1..alpha+2, j = 1..jmax (all positive)."""
-    weights = _ke_entry_weights(alpha, jmax)
-    li = bessel_i_log_block(alpha + jmax + 2, np.array([2.0 * math.sqrt(u)]))[:, 0]
-    lu = math.log(u)
-    out = np.empty((alpha + 2, jmax))
-    for i in range(1, alpha + 3):
-        for j in range(1, jmax + 1):
-            w = weights[i - 1][j - 1]
-            term = np.array([math.log(w[q]) + 0.5 * (q - j - 1) * lu + li[q + j + 1]
-                             for q in range(i)])
-            peak = term.max()
-            out[i - 1, j - 1] = peak + math.log(np.exp(term - peak).sum())
-    return out
-
-
-def _ke_z_columns(zs: np.ndarray, u: float, alpha: int, jmax: int) -> np.ndarray:
-    """log g_{i,j}(z u) for the two z-dependent columns, shape (nz, alpha+2, 2)."""
-    weights = _ke_entry_weights(alpha, jmax)
-    lt = np.log(zs) + math.log(u)
-    li = bessel_i_log_block(alpha + 4, 2.0 * np.sqrt(zs * u))  # (orders, nz)
-    out = np.empty((len(zs), alpha + 2, 2))
-    for i in range(1, alpha + 3):
-        for j in (1, 2):
-            w = weights[i - 1][j - 1]
-            term = np.empty((i, len(zs)))
-            for q in range(i):
-                term[q] = math.log(w[q]) + 0.5 * (q - j - 1) * lt + li[q + j + 1]
-            peak = term.max(axis=0)
-            out[:, i - 1, j - 2 + 1] = peak + np.log(np.exp(term - peak).sum(axis=0))
-    return out
-
-
-def _ke_direct_piece(zs: np.ndarray, u: float, alpha: int, glog: np.ndarray,
-                     jmax: int, ref: float) -> np.ndarray:
-    """z^2 (1-z)^{-alpha} det[...] on nodes below the split, scaled by e^{-ref}."""
-    clog = _ke_z_columns(zs, u, alpha, jmax)
-    mats = np.empty((len(zs), alpha + 2, alpha + 2))
-    mats[:, :, :2] = clog
-    if alpha:
-        mats[:, :, 2:] = glog[None, :, :alpha]
-    shift = mats.max(axis=1)
-    dets = np.linalg.det(np.exp(mats - shift[:, None, :]))
-    scale = np.exp(shift.sum(axis=1) - ref)
-    return zs ** 2 * (1.0 - zs) ** (-float(alpha)) * dets * scale
-
-
-def _ke_peeled_piece(zs: np.ndarray, u: float, alpha: int, glog: np.ndarray,
-                     jmax: int, ref: float) -> np.ndarray:
-    """The same integrand above the split, with the column collision peeled.
-
-    For alpha >= 2 both z-columns are replaced by their tail series along
-    the z = 1 ladder and the powers of w = 1 - z are factored out; the
-    leftover determinant is well conditioned all the way to z = 1.  For
-    alpha = 1 only the first column peels.
-    """
-    w = 1.0 - zs
-    ntail = jmax - alpha - 1
-    gstar = glog[:, alpha].max()        # scale of the ladder entry point
-    tail = np.exp(glog[:, alpha:alpha + ntail] - gstar)   # (rows, a)
-    a = np.arange(ntail)
-    lf = np.array([math.lgamma(alpha + 1 + aa) for aa in a])  # log (alpha+a)!
-    # signed coefficients (-w u)^a / (alpha+a)!  (and the shorter-shift twin)
-    wa = np.power.outer(-w * u, a)
-    coef_a = wa * np.exp(-lf)[None, :]
-    col_a = coef_a @ tail.T                                # (nz, rows)
-    mats = np.empty((len(zs), alpha + 2, alpha + 2))
-    mats[:, :, 0] = col_a
-    gshift = [gstar]
-    if alpha >= 2:
-        lf2 = np.array([math.lgamma(alpha + aa) for aa in a])  # log (alpha-1+a)!
-        mats[:, :, 1] = (wa * np.exp(-lf2)[None, :]) @ tail.T
-        gshift.append(gstar)
-        front = zs ** 2 * (-1.0) * w ** (alpha - 1) * u ** (2 * alpha - 1)
-    else:
-        c2log = _ke_z_columns(zs, u, alpha, jmax)[:, :, 1]
-        c2star = glog[:, 1].max()
-        mats[:, :, 1] = np.exp(c2log - c2star)
-        gshift.append(c2star)
-        front = zs ** 2 * (-1.0) * u
-    for j in range(1, alpha + 1):
-        gj = glog[:, j - 1].max()
-        mats[:, :, 1 + j] = np.exp(glog[:, j - 1] - gj)[None, :]
-        gshift.append(gj)
-    dets = np.linalg.det(mats)
-    return front * dets * np.exp(sum(gshift) - ref)
-
-
-def _ke_noise_floor(u: float, alpha: int) -> float:
-    """Attainable relative accuracy of the z-integral in doubles.
-
-    For u well below 1 every column of the determinant collapses onto its
-    t -> 0 limit and the determinant is suppressed by u^{2 alpha}, so its
-    double-precision evaluation carries a relative error growing like
-    u^{-2 alpha}.  The density itself shrinks as u^{5 + 2 alpha} there, so
-    giving the quadrature a matching floor costs nothing downstream and
-    keeps it from chasing tolerances the arithmetic cannot deliver.
-    """
-    if alpha == 0:
-        return 0.0
-    supp = min(1.0, 0.5 * u) ** (2 * alpha)
-    return min(0.25, 2e-13 / supp)
-
-
-def _ke_z_integral(u: float, alpha: int, rtol: float = 1e-10):
-    """Returns (ref, value): the z-integral equals value * e^{ref}."""
-    rtol = max(rtol, _ke_noise_floor(u, alpha))
-    ntail = _ke_tail_len(u) if alpha else 0
-    jmax = max(alpha + 1 + ntail, 2)
-    glog = _ke_column_logs(u, alpha, jmax)
-    # reference scale: the z = 1 matrix column maxima, so the scaled
-    # integrand is O(1) near z = 1 and underflows gracefully at z -> 0
-    ref = glog[:, 0].max() + glog[:, 1].max() + sum(
-        glog[:, j - 1].max() for j in range(1, alpha + 1))
-    if alpha == 0:
-        val = integrate_finite(
-            lambda zz: _ke_direct_piece(zz, u, alpha, glog, jmax, ref),
-            0.0, 1.0, rtol=rtol, vectorized=True)
-        return ref, val
-    lo = integrate_finite(
-        lambda zz: _ke_direct_piece(zz, u, alpha, glog, jmax, ref),
-        0.0, _SPLIT_Z, rtol=rtol, vectorized=True)
-    hi = integrate_finite(
-        lambda zz: _ke_peeled_piece(zz, u, alpha, glog, jmax, ref),
-        _SPLIT_Z, 1.0, rtol=rtol, vectorized=True)
-    return ref, lo + hi
 
 
 def _ke_closed_alpha0(vs: np.ndarray, mu: float) -> np.ndarray:
@@ -357,141 +268,56 @@ def _ke_closed_alpha0(vs: np.ndarray, mu: float) -> np.ndarray:
     return out
 
 
-def pdf_v_kappa_e_grid(vs, p: ScaledParams, mode: str = "auto",
-                       rtol: float = 1e-9) -> np.ndarray:
+def pdf_v_kappa_e_grid(vs, p: ScaledParams, mode: str = "auto") -> np.ndarray:
     """Limiting density of trace / second-smallest eigenvalue, scaled by mu n^3.
 
-    mode 'integral' evaluates the determinant under the z-integral (capped
-    alpha); 'closed' is the alpha = 0 hypergeometric form; 'auto' picks the
-    closed form when it applies.
+    mode 'auto' and 'integral' evaluate the exact mixture table, whose
+    weights are the z-integral done exactly; 'closed' is the alpha = 0
+    hypergeometric form.
     """
-    if mode == "auto":
-        mode = "closed" if p.alpha == 0 else "integral"
     if mode == "closed":
         if p.alpha != 0:
             raise ValueError("closed mode covers alpha = 0 only")
-    elif mode == "integral":
-        if p.alpha > KAPPA_E_ALPHA_CAP:
-            raise ValueError(
-                f"alpha={p.alpha} above the z-integral cap {KAPPA_E_ALPHA_CAP}")
-    else:
-        raise ValueError("mode must be 'auto', 'integral' or 'closed'")
-    vs = np.asarray(vs, dtype=float)
-    out = np.zeros(vs.shape)
-    flat = out.reshape(-1)
-    vflat = vs.reshape(-1)
-    if mode == "closed":
+        vs = np.asarray(vs, dtype=float)
+        out = np.zeros(vs.shape)
+        flat, vflat = out.reshape(-1), vs.reshape(-1)
         pos = vflat > 0
         flat[pos] = _ke_closed_alpha0(vflat[pos], p.mu)
         return out
-    for idx, v in enumerate(vflat):
-        if v <= 0:
-            continue
-        u = 1.0 / (p.mu * v)
-        if not 0.0 < u < _U_ZERO:
-            continue
-        ref, val = _ke_z_integral(u, p.alpha, rtol=0.1 * rtol)
-        if val == 0.0:
-            continue
-        lf = math.log(p.mu) + 5.0 * math.log(u) - u + ref + math.log(abs(val))
-        flat[idx] = math.copysign(math.exp(lf), val)
-    return out
+    if mode not in ("auto", "integral"):
+        raise ValueError("mode must be 'auto', 'integral' or 'closed'")
+    return _pdf(vs, p, "kappa-e")
 
 
-def pdf_v_kappa_e(v: float, p: ScaledParams, mode: str = "auto",
-                  rtol: float = 1e-9) -> float:
-    return float(pdf_v_kappa_e_grid(np.array([float(v)]), p, mode, rtol)[0])
+def pdf_v_kappa_e(v: float, p: ScaledParams, mode: str = "auto") -> float:
+    return float(pdf_v_kappa_e_grid(np.array([float(v)]), p, mode)[0])
 
 
 # ---------------------------------------------------------------------------
-# normalization and CDF helpers (all through the substitution u = 1/(mu v))
+# normalization and CDFs
 
 
-def _u_reach(columns: int) -> float:
-    # the u-integrand decays like e^{-u + 2 c sqrt(u)} for c Bessel-bearing
-    # columns; past this point it is below ~e^{-50} of its peak
-    return (columns + math.sqrt(columns * columns + 50.0)) ** 2 + 25.0
+def normalization_v_kappa_d(p: ScaledParams) -> float:
+    """Total mass of the kappa-d limit table: 1 up to its tail mass."""
+    return math.fsum(_table("kappa-d", p.alpha).weights)
 
 
-def normalization_v_kappa_d(p: ScaledParams, rtol: float = 1e-7,
-                            mode: str = "auto") -> float:
-    """Integral of the kappa-d limit density over v in (0, inf)."""
-
-    def as_u(us):
-        vs = 1.0 / (p.mu * us)
-        return pdf_v_kappa_d_grid(vs, p, mode) / (p.mu * us ** 2)
-
-    return integrate_finite(as_u, 0.0, _u_reach(p.alpha), rtol=rtol, vectorized=True)
+def normalization_v_kappa_e(p: ScaledParams) -> float:
+    """Total mass of the kappa-e limit table: 1 up to its tail mass."""
+    return math.fsum(_table("kappa-e", p.alpha).weights)
 
 
-def normalization_v_kappa_e(p: ScaledParams, rtol: float = 1e-6,
-                            mode: str = "auto") -> float:
-    """Integral of the kappa-e limit density over v in (0, inf)."""
-
-    def as_u(us):
-        vs = 1.0 / (p.mu * us)
-        return pdf_v_kappa_e_grid(vs, p, mode, rtol=0.01 * rtol) / (p.mu * us ** 2)
-
-    return integrate_finite(as_u, 0.0, _u_reach(p.alpha + 2), rtol=rtol,
-                            vectorized=True)
+def cdf_v_kappa_d_interp(p: ScaledParams):
+    """Vectorized CDF of the scaled kappa-d limit."""
+    return _cdf(p, "kappa-d")
 
 
-def _cum_right(us: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Right-tail cumulative of samples fs on the uniform grid us.
-
-    Corrected trapezoid (gradient endpoint correction), O(h^4); returns
-    the integral from each knot to the last one.
-    """
-    h = us[1] - us[0]
-    total = np.concatenate([[0.0], np.cumsum(0.5 * h * (fs[1:] + fs[:-1]))])
-    grad = np.gradient(fs, h)
-    corr = -(h * h / 12.0) * (grad - grad[0])
-    cum = total + corr
-    return cum[-1] - cum
+def cdf_v_kappa_e_interp(p: ScaledParams):
+    """Vectorized CDF of the scaled kappa-e limit."""
+    return _cdf(p, "kappa-e")
 
 
-def _right_table(u_hi: float, knots: int, integrand) -> tuple:
-    """Knots and right-tail integrals of integrand over (0, u_hi).
-
-    Two uniform segments: the main grid, plus a 256-point refinement of
-    the first panel so the small-u end (the far right tail in v) keeps
-    its mass instead of losing O(u_hi / knots) of it.
-    """
-    h = u_hi / knots
-    seg1 = np.linspace(h / 256.0, h, 256)
-    seg2 = np.linspace(h, u_hi, knots)
-    r2 = _cum_right(seg2, integrand(seg2))
-    r1 = _cum_right(seg1, integrand(seg1)) + r2[0]
-    return (np.concatenate([seg1[:-1], seg2]),
-            np.concatenate([r1[:-1], r2]))
-
-
-def _cdf_from_table(us: np.ndarray, right: np.ndarray, mu: float):
-    def cdf(vs):
-        vs = np.asarray(vs, dtype=float)
-        uq = 1.0 / (mu * np.maximum(vs, 1e-300))
-        vals = np.interp(uq, us, right)
-        vals[uq > us[-1]] = 0.0
-        return np.clip(vals, 0.0, 1.0)
-
-    return cdf
-
-
-def cdf_v_kappa_d_interp(p: ScaledParams, knots: int = 4000, mode: str = "auto"):
-    """Vectorized CDF of the scaled kappa-d limit, built once on a u-grid."""
-    u_hi = _u_reach(max(p.alpha, 1))
-    us, right = _right_table(
-        u_hi, knots,
-        lambda uu: pdf_v_kappa_d_grid(1.0 / (p.mu * uu), p, mode) / (p.mu * uu ** 2))
-    return _cdf_from_table(us, right, p.mu)
-
-
-def cdf_v_kappa_e_interp(p: ScaledParams, knots: int = 1600, mode: str = "auto",
-                         rtol: float = 1e-8):
-    """Vectorized CDF of the scaled kappa-e limit, built once on a u-grid."""
-    u_hi = _u_reach(p.alpha + 2)
-    us, right = _right_table(
-        u_hi, knots,
-        lambda uu: pdf_v_kappa_e_grid(1.0 / (p.mu * uu), p, mode, rtol=rtol)
-        / (p.mu * uu ** 2))
-    return _cdf_from_table(us, right, p.mu)
+def cdf_v_error_bound(metric: str, p: ScaledParams) -> float:
+    """Largest error of the limit CDF of ``metric`` ('kappa-d' or 'kappa-e'):
+    the exact probability 1 - sum_k b_k that its table leaves out."""
+    return _table(metric, p.alpha).tail

@@ -22,10 +22,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
+import mpmath
 import numpy as np
 
 from .asymptotic import (
     ScaledParams,
+    cdf_v_error_bound,
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
@@ -331,7 +333,8 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None):
             cdf = cdf_v_kappa_d_interp(params)
         else:
             cdf = cdf_v_kappa_e_interp(params)
-        meta = {"kind": "asymptotic", "mu": mu, "scale": mu * dims.n ** 3}
+        meta = {"kind": "asymptotic", "mu": mu, "scale": mu * dims.n ** 3,
+                "cdf_error_bound": cdf_v_error_bound(cfg.metric, params)}
     else:
         y_max = float(draws.max()) * (1.0 + 1e-9)
         cdf = _exact_cdf(cfg.metric, dims, y_max, cfg.precision)
@@ -445,13 +448,20 @@ def _st_asymptotic_normalizations():
             assert abs(total - 1.0) < 1e-6, f"{name} alpha={alpha}: {total!r}"
 
 
-def _st_kd_asymptotic_modes():
-    vs = np.linspace(0.02, 8.0, 50)
+def _st_kd_limit_bessel():
+    # alpha 1: mu u^2 e^-u I2; alpha 2: mu u^2 e^-u (I2 I4 - I3^2 + I2 I3 / sqrt(u)),
+    # all at 2 sqrt(u)
+    vs = np.linspace(0.05, 8.0, 20)
     for alpha in (1, 2):
-        params = ScaledParams(1.0, alpha)
-        gap = _rel_gap(pdf_v_kappa_d_grid(vs, params, mode="determinant"),
-                       pdf_v_kappa_d_grid(vs, params, mode="closed"))
-        assert gap < 1e-9, f"alpha={alpha} gap={gap:.2e}"
+        want = []
+        with mpmath.workdps(30):
+            for v in vs:
+                u = 1 / mpmath.mpf(float(v))
+                i2, i3, i4 = (mpmath.besseli(k, 2 * mpmath.sqrt(u)) for k in (2, 3, 4))
+                det = i2 if alpha == 1 else i2 * i4 - i3 ** 2 + i2 * i3 / mpmath.sqrt(u)
+                want.append(float(u ** 2 * mpmath.exp(-u) * det))
+        gap = _rel_gap(pdf_v_kappa_d_grid(vs, ScaledParams(1.0, alpha)), want)
+        assert gap < 1e-12, f"alpha={alpha} gap={gap:.2e}"
 
 
 def _st_limit_cdf_identity():
@@ -520,7 +530,7 @@ _SELFTEST_CHECKS = (
     ("kappa-d nested sums vs closed form", _st_kd_modes),
     ("exact densities integrate to 1", _st_exact_normalizations),
     ("asymptotic densities integrate to 1", _st_asymptotic_normalizations),
-    ("asymptotic kappa-d determinant vs closed form", _st_kd_asymptotic_modes),
+    ("asymptotic kappa-d table vs Bessel closed forms", _st_kd_limit_bessel),
     ("alpha=0 limit CDF identity", _st_limit_cdf_identity),
     ("integer determinant lemmas", _st_integer_lemmas),
     ("sampler determinism and moments", _st_sampler_moments),

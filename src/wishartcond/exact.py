@@ -29,7 +29,6 @@ laplace_inv_shifted_power and reused for both metrics.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -41,8 +40,11 @@ import numpy as np
 from .detkit import det_signedlog, iter_index_boxes, vandermonde, vandermonde_int
 from .numkit import (
     DOUBLE,
+    FPoly,
     NumericContext,
     SignedLog,
+    fpoly_det,
+    fpoly_split_det,
     integrate_finite,
     integrate_semi_infinite,
     laguerre_coeff_fractions,
@@ -290,56 +292,10 @@ class _EdgePowerTable:
         return out
 
 
-# ---------------------------------------------------------------------------
-# exact polynomials: Fraction coefficient lists, constant term first
-
-
-def _lagneg_fracs(deg: int, rho: int) -> list[Fraction]:
-    """Coefficients of L_deg^(rho)(-w) in w: all positive.  deg < 0 -> zero."""
-    if deg < 0:
-        return []
-    return [abs(c) for c in laguerre_coeff_fractions(deg, rho)]
-
-
-def _fpoly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
-def _fpoly_add(p: list[Fraction], q: list[Fraction], sign: int = 1) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += sign * b
-    return out
-
-
-def _fpoly_det(mat: list[list[list[Fraction]]]) -> list[Fraction]:
-    size = len(mat)
-    if size == 0:
-        return [Fraction(1)]
-    total: list[Fraction] = []
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(1 for i in range(size) for j in range(i + 1, size) if perm[i] > perm[j])
-        prod = [Fraction(1)]
-        for row, col in enumerate(perm):
-            prod = _fpoly_mul(prod, mat[row][col])
-            if not prod:
-                break
-        total = _fpoly_add(total, prod, -1 if inversions % 2 else 1)
-    while total and total[-1] == 0:
-        total.pop()
-    return total
+def _lagneg(deg: int, rho: int) -> FPoly:
+    """L_deg^(rho)(-w) in w: (deg+rho)! / ((deg-j)! j! (rho+j)!), all positive.
+    deg < 0 -> zero."""
+    return FPoly(rho, tuple(math.perm(deg + rho, rho + j) for j in range(deg + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +315,10 @@ def _min_eig_fracs(dims: Dims) -> list[Fraction]:
     key = (dims.n, dims.alpha)
     if key not in _MIN_EIG_CACHE:
         n, alpha = dims.n, dims.alpha
-        det = _fpoly_det([[_lagneg_fracs(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
-                          for k in range(1, alpha + 1)])
+        det = fpoly_det([[_lagneg(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
+                         for k in range(1, alpha + 1)])
         lead = Fraction(math.factorial(n), math.factorial(n + alpha - 1))
-        _MIN_EIG_CACHE[key] = [lead * c for c in det]
+        _MIN_EIG_CACHE[key] = [lead * c for c in det.fractions()]
     return _MIN_EIG_CACHE[key]
 
 
@@ -371,7 +327,8 @@ def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto",
     """Density of the smallest eigenvalue on a grid of points."""
     if dims.n < 2:
         raise ValueError("n must be >= 2")
-    ctx = resolve_context(dims, precision, dps)
+    ctx = resolve_context(dims, precision, dps,
+                          mixed_signs=any(c < 0 for c in _min_eig_fracs(dims)))
     xs = np.asarray(xs, dtype=float)
     n, alpha = dims.n, dims.alpha
     with ctx.workprec():
@@ -582,10 +539,8 @@ def mgf_kappa_d(s: float, dims: Dims, rtol: float = 1e-9) -> float:
 #
 # The determinant whose rows mix Laguerre polynomials at argument -(s z)
 # (first two columns) and -s (remaining alpha columns) expands into a
-# bivariate polynomial sum_{d,e} c[d][e] s^d z^e.  The expansion is done
-# once per dimension in exact rational arithmetic by a Laplace expansion
-# along the first two columns: their contribution is diagonal (the z power
-# always equals the s power), the complementary minors depend on s alone.
+# bivariate polynomial sum_{d,e} c[d][e] s^d z^e, once per dimension and
+# exactly (numkit.fpoly_split_det).
 
 
 _KE_TABLE_CACHE: dict = {}
@@ -602,37 +557,11 @@ def _ke_bivariate_fracs(dims: Dims):
         return _KE_TABLE_CACHE[key]
     n, alpha = dims.n, dims.alpha
     size = alpha + 2
-    # first two columns, argument -(s z): diagonal in (s, z)
-    colw = [[_lagneg_fracs(n + i - j - 2, j + 1) for j in (1, 2)]
-            for i in range(1, size + 1)]
-    # remaining columns, argument -s
-    cols = [[_lagneg_fracs(n + i - k, k - 1) for k in range(3, size + 1)]
-            for i in range(1, size + 1)]
-    c: dict = {}
-    rows = list(range(size))
-    for r1 in range(size):
-        for r2 in range(r1 + 1, size):
-            pair = _fpoly_add(
-                _fpoly_mul(colw[r1][0], colw[r2][1]),
-                _fpoly_mul(colw[r2][0], colw[r1][1]),
-                -1,
-            )
-            if not any(pair):
-                continue
-            rest = [r for r in rows if r not in (r1, r2)]
-            minor = _fpoly_det([[cols[r][kk] for kk in range(size - 2)] for r in rest])
-            if not any(minor):
-                continue
-            sign = -1 if (r1 + r2 + 1) % 2 else 1  # cols {1,2}: (-1)^(1+2+r1+r2)
-            for dw, cw in enumerate(pair):
-                if cw == 0:
-                    continue
-                for ds, cs in enumerate(minor):
-                    if cs == 0:
-                        continue
-                    keyde = (dw + ds, dw)
-                    c[keyde] = c.get(keyde, Fraction(0)) + sign * cw * cs
-    c = {k: v for k, v in c.items() if v != 0}
+    shift, nums = fpoly_split_det(
+        [[_lagneg(n + i - j - 2, j + 1) for j in (1, 2)] for i in range(1, size + 1)],
+        [[_lagneg(n + i - k, k - 1) for k in range(3, size + 1)] for i in range(1, size + 1)])
+    c = {(d, e): Fraction(num, math.factorial(d) * math.factorial(d + shift))
+         for d, row in enumerate(nums) for e, num in enumerate(row) if num}
     dmax = max(d for d, _ in c)
     emax = max(e for _, e in c)
     _KE_TABLE_CACHE[key] = (c, dmax, emax)

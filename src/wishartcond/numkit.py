@@ -16,8 +16,10 @@ Two numeric backends are supported through :class:`NumericContext`:
 
 The special functions are the ones the densities are built from: exact
 integer rising factorials, Stirling numbers and Laguerre coefficients, a
-Laguerre evaluation in sign/log form, log I_order(z) for a block of orders
-at once, and a generalized hypergeometric series.
+Laguerre evaluation in sign/log form and a generalized hypergeometric
+series.  Exact polynomials (``FPoly``) keep integer numerators over
+factorial denominators; products, truncated products and determinants of
+them stay exact without rational arithmetic.
 
 The quadrature routines are adaptive Gauss-Legendre: order doubling first,
 panel bisection when doubling stalls.  Semi-infinite integrals are mapped to
@@ -27,10 +29,12 @@ panel bisection when doubling stalls.  Semi-infinite integrals are mapped to
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -273,6 +277,19 @@ def stirling2(p: int, q: int) -> int:
     return total // fac
 
 
+_LOG_FACT = np.zeros(1)  # _LOG_FACT[m] = log m!, grown on demand
+
+
+def log_factorials(nmax: int) -> np.ndarray:
+    """Table of log m! for m = 0..nmax (at least); shared, grow-only."""
+    global _LOG_FACT
+    if len(_LOG_FACT) <= nmax:
+        old = len(_LOG_FACT)
+        steps = np.log(np.arange(old, nmax + 64, dtype=float))
+        _LOG_FACT = np.concatenate([_LOG_FACT, _LOG_FACT[-1] + np.cumsum(steps)])
+    return _LOG_FACT
+
+
 # ---------------------------------------------------------------------------
 # generalized Laguerre polynomials
 
@@ -306,47 +323,121 @@ def laguerre_eval(deg: int, rho: int, z, ctx: NumericContext = DOUBLE) -> Signed
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel function of the first kind, integer order
+# exact polynomials with factorial denominators
+#
+# Every polynomial the densities are built from (Laguerre polynomials at a
+# negated argument, truncated Bessel ascending series) has coefficients
+# nums[p] / (p! (p + shift)!) with integer nums[p].  Shifts add under
+# multiplication, and coefficient d of a product comes back over
+# d! (d + shift)! with integer binomial weights, so every sum of products
+# over one set of columns (a determinant) shares its denominators and the
+# algebra runs exactly on Python integers, with no gcd.
 
 
-_LOG_FACT = np.zeros(1)  # _LOG_FACT[m] = log m!, grown on demand
+class FPoly(NamedTuple):
+    """sum_p nums[p] x^p / (p! (p + shift)!), constant term first; no nums is 0."""
+
+    shift: int
+    nums: tuple
+
+    def fractions(self) -> list[Fraction]:
+        return [Fraction(c, math.factorial(p) * math.factorial(p + self.shift))
+                for p, c in enumerate(self.nums)]
 
 
-def log_factorials(nmax: int) -> np.ndarray:
-    """Table of log m! for m = 0..nmax (at least); shared, grow-only."""
-    global _LOG_FACT
-    if len(_LOG_FACT) <= nmax:
-        old = len(_LOG_FACT)
-        steps = np.log(np.arange(old, nmax + 64, dtype=float))
-        _LOG_FACT = np.concatenate([_LOG_FACT, _LOG_FACT[-1] + np.cumsum(steps)])
-    return _LOG_FACT
+@functools.lru_cache(maxsize=2048)
+def _fpoly_weights(ka: int, kb: int, d: int) -> tuple:
+    # d! (d+ka+kb)! / (p! (p+ka)! (d-p)! (d-p+kb)!) for p = 0..d
+    return tuple(math.comb(d, p) * math.comb(d + ka + kb, p + ka) for p in range(d + 1))
 
 
-def bessel_i_log_block(nmax: int, zs) -> np.ndarray:
-    """log I_order(z) for every order 0..nmax jointly, over an array of z > 0.
+def _fpoly_terms(a: FPoly, b: FPoly, d: int) -> list:
+    """Numerators of the terms a_p b_(d-p) of coefficient d of a b, by p."""
+    x, y = a.nums, b.nums
+    w = _fpoly_weights(a.shift, b.shift, d)
+    lo, hi = max(0, d - len(y) + 1), min(d, len(x) - 1)
+    return [0] * lo + [x[p] * y[d - p] * w[p] for p in range(lo, hi + 1)]
 
-    Ascending series sum_k (z/2)^(order+2k) / (k! (order+k)!), summed with a
-    max-shift per (order, z) pair; every term is positive, so nothing
-    cancels.  The order and term axes are vectorized together
-    (integer-argument factorials come from a shared table), which is what
-    the determinant entry ladders in the asymptotic module want: many
-    consecutive orders at one or a few arguments.  Returns shape
-    (nmax + 1, len(zs)).
+
+def fpoly_mul(a: FPoly, b: FPoly, deg: int | None = None) -> FPoly:
+    """Product, truncated above degree deg when given."""
+    top = len(a.nums) + len(b.nums) - 2
+    if deg is not None:
+        top = min(top, deg)
+    return FPoly(a.shift + b.shift, tuple(sum(_fpoly_terms(a, b, d)) for d in range(top + 1)))
+
+
+def fpoly_add(a: FPoly, b: FPoly, sign: int = 1) -> FPoly:
+    if not b.nums:
+        return a
+    if not a.nums:
+        return FPoly(b.shift, tuple(sign * c for c in b.nums))
+    if a.shift != b.shift:
+        raise ValueError("only polynomials with one shift add exactly")
+    out = list(a.nums) + [0] * (len(b.nums) - len(a.nums))
+    for i, c in enumerate(b.nums):
+        out[i] += sign * c
+    return FPoly(a.shift, tuple(out))
+
+
+def _fpoly_minors(mat, deg: int | None = None) -> dict:
+    """Every maximal minor of a tall matrix of FPoly entries, by row tuple.
+
+    Cofactor expansion along the last column, one column at a time: each
+    minor on the first c columns is c products of minors on the first
+    c - 1, which are shared instead of expanded again.
     """
-    zs = np.asarray(zs, dtype=float)
-    if np.any(zs <= 0):
-        raise ValueError("need z > 0")
-    half = float(np.max(zs)) / 2.0
-    nk = int(half + 12.0 * math.sqrt(half + 4.0) + 25.0)
-    lf = log_factorials(nmax + nk + 1)
-    k = np.arange(nk + 1)
-    orders = np.arange(nmax + 1)
-    lh = np.log(zs / 2.0)
-    base = -(lf[k][None, :] + lf[np.add.outer(orders, k)])   # (no, nk)
-    powr = np.add.outer(orders, 2.0 * k)
-    lt = base[:, :, None] + powr[:, :, None] * lh[None, None, :]
-    peak = lt.max(axis=1)
-    return peak + np.log(np.exp(lt - peak[:, None, :]).sum(axis=1))
+    minors = {(): FPoly(0, (1,))}
+    for col in range(len(mat[0]) if mat else 0):
+        grown = {}
+        for sub in itertools.combinations(range(len(mat)), col + 1):
+            total = FPoly(0, ())
+            for idx, row in enumerate(sub):
+                term = fpoly_mul(mat[row][col], minors[sub[:idx] + sub[idx + 1:]], deg)
+                total = fpoly_add(total, term, -1 if (idx + col) % 2 else 1)
+            grown[sub] = total
+        minors = grown
+    return minors
+
+
+def fpoly_det(mat, deg: int | None = None) -> FPoly:
+    det = _fpoly_minors(mat, deg)[tuple(range(len(mat)))]
+    nums = list(det.nums)
+    while nums and nums[-1] == 0:
+        nums.pop()
+    return FPoly(det.shift, tuple(nums))
+
+
+def fpoly_split_det(pairs, block, deg: int | None = None):
+    """Determinant of rows [f_r(z x), g_r(z x), block[r](x)] in powers of x and z.
+
+    pairs[r] = (f_r, g_r).  Laplace expansion along the first two columns:
+    their 2 x 2 minors are series in z x, so the z power always equals
+    their share of the x power, and the complementary minors depend on x
+    alone.  Returns (shift, nums): nums[d][e] is the numerator of the
+    coefficient of x^d z^e over d! (d + shift)!, for d up to deg.
+    """
+    size = len(pairs)
+    shift = pairs[0][0].shift + pairs[0][1].shift + sum(f.shift for f in block[0])
+    minors = _fpoly_minors(block, deg)
+    nums: list = []
+    for r1, r2 in itertools.combinations(range(size), 2):
+        pair = fpoly_add(fpoly_mul(pairs[r1][0], pairs[r2][1], deg),
+                         fpoly_mul(pairs[r2][0], pairs[r1][1], deg), -1)
+        minor = minors[tuple(r for r in range(size) if r not in (r1, r2))]
+        if not pair.nums or not minor.nums:
+            continue
+        sign = (-1) ** (r1 + r2 + 1)    # rows r1, r2 times columns 0, 1
+        top = len(pair.nums) + len(minor.nums) - 2
+        if deg is not None:
+            top = min(top, deg)
+        while len(nums) <= top:
+            nums.append([0] * (len(nums) + 1))
+        for d in range(top + 1):
+            row = nums[d]
+            for e, term in enumerate(_fpoly_terms(pair, minor, d)):
+                row[e] += sign * term
+    return shift, nums
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from wishartcond import asymptotic
 from wishartcond.asymptotic import (
     ScaledParams,
+    cdf_v_error_bound,
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
@@ -15,6 +19,60 @@ from wishartcond.asymptotic import (
     pdf_v_kappa_e,
     pdf_v_kappa_e_grid,
 )
+
+
+# Bessel-determinant oracles at 30 digits, written out from the limit
+# formulas independently of the mixture tables
+
+
+def _stirling2(p, q):
+    if p == q:
+        return 1
+    if q == 0 or q > p:
+        return 0
+    return q * _stirling2(p - 1, q) + _stirling2(p - 1, q - 1)
+
+
+def _weight(row, family, q):
+    return sum(_stirling2(pp, q) * math.comb(row - 1, pp) * family ** (row - 1 - pp)
+               for pp in range(q, row))
+
+
+def _bessel_entry(row, family, t):
+    """sum_q weight t^{(q-family-1)/2} I_{q+family+1}(2 sqrt t)."""
+    r = mpmath.sqrt(t)
+    return mpmath.fsum(_weight(row, family, q) * r ** (q - family - 1)
+                       * mpmath.besseli(q + family + 1, 2 * r) for q in range(row))
+
+
+def _kd_oracle(v, mu, alpha):
+    with mpmath.workdps(30):
+        u = 1 / (mu * mpmath.mpf(float(v)))
+        mat = mpmath.matrix(alpha, alpha)
+        for k in range(alpha):
+            for l in range(alpha):
+                mat[k, l] = u * _bessel_entry(k + 1, l + 1, u)
+        return float(mu * u ** 2 * mpmath.exp(-u) * mpmath.det(mat))
+
+
+def _ke_oracle(v, mu, alpha):
+    with mpmath.workdps(30):
+        u = 1 / (mu * mpmath.mpf(float(v)))
+        size = alpha + 2
+        fixed = [[_bessel_entry(i, j, u) for j in range(1, alpha + 1)]
+                 for i in range(1, size + 1)]
+
+        def integrand(z):
+            mat = mpmath.matrix(size, size)
+            for i in range(size):
+                mat[i, 0] = _bessel_entry(i + 1, 1, z * u)
+                mat[i, 1] = _bessel_entry(i + 1, 2, z * u)
+                for j in range(alpha):
+                    mat[i, 2 + j] = fixed[i][j]
+            return z ** 2 * (1 - z) ** (-alpha) * mpmath.det(mat)
+
+        inner = mpmath.quad(integrand, [0, 1], method="gauss-legendre")
+        return float(mu * u ** 5 * mpmath.exp(-u) * inner)
 
 
 class TestScaledParams:
@@ -45,23 +103,20 @@ class TestKappaDLimit:
         p = ScaledParams(1.0, 0)
         assert pdf_v_kappa_d(0.0, p) == 0.0
         assert pdf_v_kappa_d(-1.0, p) == 0.0
-        got = pdf_v_kappa_d_grid(np.array([-1.0, 0.0, np.inf]), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pdf_v_kappa_d_grid(np.array([-1.0, 0.0, 1e-200, np.inf]), p)
         assert np.all(got == 0.0)
 
     def test_modes_agree(self):
-        vs = np.linspace(0.02, 8.0, 60)
-        for alpha in (1, 2):
-            p = ScaledParams(1.0, alpha)
-            a = pdf_v_kappa_d_grid(vs, p, mode="determinant")
-            b = pdf_v_kappa_d_grid(vs, p, mode="closed")
-            assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-10
+        # the mixture table against the Bessel determinant it expands
+        vs = np.array([0.02, 0.07, 0.3, 1.0, 3.0, 8.0])
+        for alpha in (1, 2, 3):
+            got = pdf_v_kappa_d_grid(vs, ScaledParams(1.0, alpha))
+            want = np.array([_kd_oracle(v, 1.0, alpha) for v in vs])
+            assert np.max(np.abs(got - want) / want) < 1e-12, alpha
 
     def test_mode_validation(self):
-        p = ScaledParams(1.0, 3)
-        with pytest.raises(ValueError):
-            pdf_v_kappa_d_grid(np.array([1.0]), p, mode="closed")
-        with pytest.raises(ValueError):
-            pdf_v_kappa_d_grid(np.array([1.0]), p, mode="wat")
         with pytest.raises(ValueError):
             pdf_v_kappa_d_grid(np.array([1.0]), ScaledParams(1.0, 7))
 
@@ -113,7 +168,9 @@ class TestKappaELimit:
 
     def test_outside_support(self):
         p = ScaledParams(1.0, 1)
-        got = pdf_v_kappa_e_grid(np.array([-0.5, 0.0, np.inf]), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pdf_v_kappa_e_grid(np.array([-0.5, 0.0, 1e-200, np.inf]), p)
         assert np.all(got == 0.0)
         assert pdf_v_kappa_e(-1.0, p) == 0.0
 
@@ -135,6 +192,13 @@ class TestKappaELimit:
         total = normalization_v_kappa_e(ScaledParams(4.0, 1))
         assert total == pytest.approx(1.0, abs=1e-7)
 
+    def test_matches_bessel_z_quadrature(self):
+        vs = np.array([0.03, 0.08, 0.2, 0.5, 1.5])
+        for alpha in (1, 2):
+            got = pdf_v_kappa_e_grid(vs, ScaledParams(4.0, alpha))
+            want = np.array([_ke_oracle(v, 4.0, alpha) for v in vs])
+            assert np.max(np.abs(got - want) / want) < 1e-12, alpha
+
     def test_positive_in_bulk(self):
         p = ScaledParams(4.0, 2)
         vs = np.array([0.02, 0.05, 0.1, 0.3])
@@ -150,3 +214,60 @@ class TestKappaECdf:
         assert vals[0] < 1e-3
         assert vals[-1] > 0.995
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+class TestMixtureTables:
+    CASES = [("kappa-d", a) for a in range(4)] + [("kappa-e", a) for a in range(3)]
+
+    @pytest.mark.parametrize("law,alpha", CASES)
+    def test_weights_nonnegative_and_complete(self, law, alpha):
+        table = asymptotic._table(law, alpha)
+        assert np.all(table.weights >= 0.0)
+        assert 0.0 <= table.tail < 1e-15
+        assert cdf_v_error_bound(law, ScaledParams(2.0, alpha)) == table.tail
+
+    @pytest.mark.parametrize("law,alpha", [("kappa-d", 1), ("kappa-d", 2), ("kappa-e", 0),
+                                           ("kappa-e", 1), ("kappa-e", 2)])
+    def test_cdf_matches_gammainc(self, law, alpha):
+        # P(V <= v) = P(U >= u) = sum_k b_k Q(k + s + 1, u), Q the regularized
+        # upper incomplete gamma function
+        mu = 4.0
+        table = asymptotic._table(law, alpha)
+        build = cdf_v_kappa_d_interp if law == "kappa-d" else cdf_v_kappa_e_interp
+        vs = np.geomspace(0.002, 5.0, 25)
+        got = build(ScaledParams(mu, alpha))(vs)
+        with mpmath.workdps(30):
+            want = [float(mpmath.fsum(
+                b * mpmath.gammainc(k + table.shift + 1, 1 / (mu * mpmath.mpf(float(v))),
+                                    mpmath.inf, regularized=True)
+                for k, b in enumerate(table.weights) if b > 0)) for v in vs]
+        assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+    def test_kappa_d_cdf_matches_bessel_quadrature(self):
+        # alpha 1: P(U >= u) is the integral of e^-x I_2(2 sqrt x) from u up
+        mu = 4.0
+        cdf = cdf_v_kappa_d_interp(ScaledParams(mu, 1))
+        for v in (0.01, 0.05, 0.2, 1.0, 5.0):
+            with mpmath.workdps(30):
+                want = mpmath.quad(lambda x: mpmath.exp(-x) * mpmath.besseli(2, 2 * mpmath.sqrt(x)),
+                                   [1 / (mu * mpmath.mpf(v)), mpmath.inf])
+            assert abs(cdf(np.array([v]))[0] - float(want)) < 1e-12
+
+    def test_cdf_limits(self):
+        cdf = cdf_v_kappa_e_interp(ScaledParams(4.0, 1))
+        got = cdf(np.array([-1.0, 0.0, 1e-310, np.inf]))
+        assert list(got[:3]) == [0.0, 0.0, 0.0]
+        assert got[3] == pytest.approx(1.0, abs=1e-15)
+
+    def test_kappa_e_build_checks_divisibility(self, monkeypatch):
+        real = asymptotic.fpoly_split_det
+
+        def perturbed(pairs, block, deg=None):
+            shift, nums = real(pairs, block, deg)
+            nums[5][0] += 1
+            return shift, nums
+
+        monkeypatch.setattr(asymptotic, "fpoly_split_det", perturbed)
+        monkeypatch.setattr(asymptotic, "_TABLE_CACHE", {})
+        with pytest.raises(ArithmeticError):
+            asymptotic._table("kappa-e", 2)

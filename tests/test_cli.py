@@ -175,6 +175,8 @@ class TestMcCommand:
                          "--out", str(out)]) == EXIT_OK
         res = json.loads(out.read_text())["results"]
         assert res["meta"]["scale"] == pytest.approx(4.0 * 30 ** 3)
+        # the alpha = 0 limit is one Gamma law: its table leaves nothing out
+        assert res["meta"]["cdf_error_bound"] == 0.0
 
     def test_thread_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -158,6 +159,16 @@ class TestLambdaMin:
         dbl = pdf_lambda_min_grid(xs, dims, precision="double")
         ext = pdf_lambda_min_grid(xs, dims, precision="extended")
         assert dbl == pytest.approx(ext, rel=1e-12)
+
+    def test_auto_stays_double_for_one_signed_table(self, caplog):
+        # every coefficient is positive, so nothing cancels at any n
+        dims = Dims(20, 2)
+        xs = np.linspace(0.02, 0.6, 30)
+        with caplog.at_level(logging.INFO, logger="wishartcond"):
+            got = pdf_lambda_min_grid(xs, dims)
+        assert "switching to extended precision" not in caplog.text
+        assert got == pytest.approx(pdf_lambda_min_grid(xs, dims, precision="extended"),
+                                    rel=1e-12)
 
 
 class TestKappaE:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,8 +12,11 @@ from wishartcond.numkit import (
     ConvergenceError,
     NumericContext,
     QuadratureError,
+    FPoly,
     SignedLog,
-    bessel_i_log_block,
+    fpoly_add,
+    fpoly_det,
+    fpoly_mul,
     gauss_legendre_rule,
     integrate_finite,
     integrate_semi_infinite,
@@ -115,28 +120,45 @@ class TestLaguerre:
             assert got == pytest.approx(want, rel=1e-12)
 
 
-class TestBessel:
-    def test_log_values(self):
-        zs = np.array([0.1, 1.0, 10.0, 80.0])
-        block = bessel_i_log_block(5, zs)
-        assert block.shape == (6, 4)
-        for order in range(6):
-            for col, z in enumerate(zs):
-                want = float(mpmath.log(mpmath.besseli(order, z)))
-                assert block[order, col] == pytest.approx(want, rel=1e-13)
+class TestFPoly:
+    @staticmethod
+    def _random(rng, shift, length):
+        return FPoly(shift, tuple(rng.randint(-50, 50) for _ in range(length)))
 
-    def test_grid_and_block_agree(self):
-        # the series length follows the largest argument of the grid, so a
-        # small argument evaluated beside a large one must not change
-        zs = np.array([0.3, 2.0, 7.5, 80.0])
-        grid = bessel_i_log_block(4, zs)
-        for col, z in enumerate(zs):
-            alone = bessel_i_log_block(4, np.array([z]))[:, 0]
-            assert grid[:, col] == pytest.approx(alone, rel=1e-14)
+    def test_mul_matches_fractions(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            a = self._random(rng, rng.randint(0, 4), rng.randint(1, 7))
+            b = self._random(rng, rng.randint(0, 4), rng.randint(1, 7))
+            fa, fb = a.fractions(), b.fractions()
+            want = [sum(fa[p] * fb[d - p] for p in range(len(fa)) if 0 <= d - p < len(fb))
+                    for d in range(len(fa) + len(fb) - 1)]
+            assert fpoly_mul(a, b).fractions() == want
+            assert fpoly_mul(a, b, deg=2).fractions() == want[:3]
 
-    def test_rejects_nonpositive(self):
+    def test_det_matches_permutation_expansion(self):
+        rng = random.Random(4)
+        size = 3
+        mat = [[self._random(rng, col + 1, rng.randint(1, 4)) for col in range(size)]
+               for _ in range(size)]
+        want = [Fraction(0)] * 10
+        for perm in itertools.permutations(range(size)):
+            inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+            prod = [Fraction(1)]
+            for row, col in enumerate(perm):
+                f = mat[row][col].fractions()
+                prod = [sum(prod[p] * f[d - p] for p in range(len(prod)) if 0 <= d - p < len(f))
+                        for d in range(len(prod) + len(f) - 1)]
+            for d, c in enumerate(prod):
+                want[d] += -c if inversions % 2 else c
+        while want and want[-1] == 0:
+            want.pop()
+        assert fpoly_det(mat).fractions() == want
+
+    def test_add_needs_one_shift(self):
         with pytest.raises(ValueError):
-            bessel_i_log_block(2, np.array([1.0, 0.0]))
+            fpoly_add(FPoly(1, (1,)), FPoly(2, (1,)))
+        assert fpoly_add(FPoly(0, ()), FPoly(2, (1, 3)), -1) == FPoly(2, (-1, -3))
 
 
 class TestPfq:
