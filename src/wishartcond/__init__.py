@@ -14,9 +14,7 @@ from .asymptotic import (
     cdf_v_kappa_e_interp,
     normalization_v_kappa_d,
     normalization_v_kappa_e,
-    pdf_v_kappa_d,
     pdf_v_kappa_d_grid,
-    pdf_v_kappa_e,
     pdf_v_kappa_e_grid,
 )
 from .exact import (
@@ -27,13 +25,10 @@ from .exact import (
     METRICS,
     DensityCurve,
     Dims,
-    EigenSpectrum,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
     cdf_lambda2_interp,
     cdf_lambda_min_interp,
-    joint_eigen_density,
-    metric_from_spectrum,
     mgf_kappa_d,
     mgf_kappa_e,
     normalization_kappa_d,
@@ -44,9 +39,7 @@ from .exact import (
     pdf_kappa_d_grid,
     pdf_kappa_e,
     pdf_kappa_e_grid,
-    pdf_lambda2,
     pdf_lambda2_grid,
-    pdf_lambda_min,
     pdf_lambda_min_grid,
 )
 

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkit import FPoly, fpoly_det, fpoly_split_det, log_factorials, pfq, stirling2
+from .numkit import FPoly, fpoly_det, fpoly_split_det, pfq, poisson_mix, stirling2
 
 log = logging.getLogger("wishartcond")
 
@@ -191,21 +191,6 @@ def _table(law: str, alpha: int) -> _MixtureTable:
 # evaluation
 
 
-def _poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0) -> np.ndarray:
-    """u^power sum_k coeffs[k] pois_{k+offset}(u) for u > 0, one k at a time.
-
-    The factor u^power goes into each exponent, so that huge u gives 0, not
-    inf times 0."""
-    lu = np.log(us)
-    lf = log_factorials(len(coeffs) + offset)
-    out = np.zeros_like(us)
-    for k, c in enumerate(coeffs):
-        if c > 0:
-            i = k + offset
-            out += c * np.exp((i + power) * lu - us - lf[i])
-    return out
-
-
 def _live_u(vs, mu: float):
     """(vs, mask, u): u = 1/(mu v) on the points where it is finite and positive."""
     vs = np.asarray(vs, dtype=float)
@@ -219,7 +204,7 @@ def _pdf(vs, p: ScaledParams, law: str) -> np.ndarray:
     table = _table(law, p.alpha)
     vs, live, u = _live_u(vs, p.mu)
     out = np.zeros(vs.shape)
-    out[live] = p.mu * _poisson_mix(u, table.weights, table.shift, power=2)
+    out[live] = p.mu * poisson_mix(u, table.weights, table.shift, power=2)
     return out
 
 
@@ -230,7 +215,7 @@ def _cdf(p: ScaledParams, law: str):
         vs, live, u = _live_u(vs, p.mu)
         out = np.zeros(vs.shape)
         out[vs == np.inf] = table.upper[0]
-        out[live] = _poisson_mix(u, table.upper, 0)
+        out[live] = poisson_mix(u, table.upper, 0)
         return np.minimum(out, 1.0)
 
     return cdf
@@ -239,10 +224,6 @@ def _cdf(p: ScaledParams, law: str):
 def pdf_v_kappa_d_grid(vs, p: ScaledParams) -> np.ndarray:
     """Limiting density of trace / smallest eigenvalue, scaled by mu n^3."""
     return _pdf(vs, p, "kappa-d")
-
-
-def pdf_v_kappa_d(v: float, p: ScaledParams) -> float:
-    return float(pdf_v_kappa_d_grid(np.array([float(v)]), p)[0])
 
 
 def cdf_v_kappa_d_alpha0(v: float, mu: float) -> float:
@@ -287,10 +268,6 @@ def pdf_v_kappa_e_grid(vs, p: ScaledParams, mode: str = "auto") -> np.ndarray:
     if mode not in ("auto", "integral"):
         raise ValueError("mode must be 'auto', 'integral' or 'closed'")
     return _pdf(vs, p, "kappa-e")
-
-
-def pdf_v_kappa_e(v: float, p: ScaledParams, mode: str = "auto") -> float:
-    return float(pdf_v_kappa_e_grid(np.array([float(v)]), p, mode)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .asymptotic import (
 )
 from .detkit import lemma_a1_det_int, lemma_a1_rhs_int, lemma_a2_det_int, lemma_a2_rhs_int
 from .exact import (
-    EXTENDED_N_THRESHOLD,
     METRIC_KAPPA_D,
     METRIC_KAPPA_E,
     METRIC_LAMBDA_MIN,
@@ -222,15 +221,6 @@ def _need_scaled(cfg: RunConfig) -> ScaledParams:
     return ScaledParams(cfg.mu if cfg.mu is not None else 1.0, cfg.alpha)
 
 
-def _precision_meta(cfg: RunConfig, dims: Dims | None) -> dict:
-    meta = {"precision": cfg.precision}
-    if dims is not None and cfg.precision == "auto" and dims.n > EXTENDED_N_THRESHOLD:
-        meta["precision_note"] = (
-            f"auto escalates to extended precision above n={EXTENDED_N_THRESHOLD} "
-            "when the coefficient table mixes signs")
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -251,7 +241,7 @@ def cmd_density(cfg: RunConfig) -> int:
         else:
             ys = pdf_lambda2_grid(xs, dims, **kw)
         curve = DensityCurve(cfg.metric, "exact", xs, ys, dims=dims,
-                             meta=_precision_meta(cfg, dims))
+                             meta={"precision": cfg.precision})
     else:
         params = _need_scaled(cfg)
         if cfg.metric == METRIC_KAPPA_D:
@@ -307,14 +297,13 @@ def cmd_mgf(cfg: RunConfig) -> int:
 
 
 def _exact_cdf(metric: str, dims: Dims, y_max: float, precision: str):
-    kw = {"precision": precision}
     if metric == METRIC_KAPPA_D:
-        return cdf_kappa_d_interp(dims, y_max, **kw)
+        return cdf_kappa_d_interp(dims, y_max)
     if metric == METRIC_KAPPA_E:
-        return cdf_kappa_e_interp(dims, y_max, **kw)
+        return cdf_kappa_e_interp(dims, y_max)
     if metric == METRIC_LAMBDA_MIN:
-        return cdf_lambda_min_interp(dims, y_max, **kw)
-    return cdf_lambda2_interp(dims, y_max, **kw)
+        return cdf_lambda_min_interp(dims, y_max)
+    return cdf_lambda2_interp(dims, y_max, precision=precision)
 
 
 def _mc_run(cfg: RunConfig, threshold: float | None = None):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .numkit import DOUBLE, NumericContext, SignedLog, _exp, _log
+from .numkit import SignedLog, _exp, _log
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def iter_index_boxes(bounds):
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde products
+# Vandermonde product
 
 
 def vandermonde_int(xs) -> int:
@@ -40,22 +40,6 @@ def vandermonde_int(xs) -> int:
         for l in range(k):
             out *= xs[k] - xs[l]
     return out
-
-
-def vandermonde(xs, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Vandermonde product over real nodes, with exact zero on repeats."""
-    xs = list(xs)
-    sign = 1
-    logmag = ctx.real(0.0)
-    for k in range(len(xs)):
-        for l in range(k):
-            d = xs[k] - xs[l]
-            if d == 0:
-                return SignedLog.zero()
-            if d < 0:
-                sign = -sign
-            logmag = logmag + ctx.log(abs(ctx.real(d)))
-    return SignedLog(sign, logmag)
 
 
 # ---------------------------------------------------------------------------

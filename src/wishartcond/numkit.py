@@ -11,8 +11,8 @@ Two numeric backends are supported through :class:`NumericContext`:
 
 * double precision (the default), with compensated summation for the
   alternating sums that appear in the density formulas;
-* an extended software-float backend (mpmath) used automatically for large
-  matrix dimensions, where alternating sums lose too many digits in double.
+* an extended software-float backend (mpmath), used where a sum cancels
+  too much to keep its digits in double.
 
 The special functions are the ones the densities are built from: exact
 integer rising factorials, Stirling numbers and Laguerre coefficients, a
@@ -21,9 +21,9 @@ series.  Exact polynomials (``FPoly``) keep integer numerators over
 factorial denominators; products, truncated products and determinants of
 them stay exact without rational arithmetic.
 
-The quadrature routines are adaptive Gauss-Legendre: order doubling first,
-panel bisection when doubling stalls.  Semi-infinite integrals are mapped to
-(0, 1) with a logarithmic substitution.
+The quadrature routine is adaptive Gauss-Legendre: order doubling first,
+panel bisection when doubling stalls.  poisson_mix sums a Poisson mixture
+one term at a time, in logs.
 """
 
 from __future__ import annotations
@@ -288,6 +288,22 @@ def log_factorials(nmax: int) -> np.ndarray:
         steps = np.log(np.arange(old, nmax + 64, dtype=float))
         _LOG_FACT = np.concatenate([_LOG_FACT, _LOG_FACT[-1] + np.cumsum(steps)])
     return _LOG_FACT
+
+
+def poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0) -> np.ndarray:
+    """u^power sum_k coeffs[k] pois_{k+offset}(u) for u > 0, one k at a time,
+    with pois_i(u) = e^{-u} u^i / i!.
+
+    The factor u^power goes into each exponent, so that huge u gives 0, not
+    inf times 0."""
+    lu = np.log(us)
+    lf = log_factorials(len(coeffs) + offset)
+    out = np.zeros_like(us)
+    for k, c in enumerate(coeffs):
+        if c > 0:
+            i = k + offset
+            out += c * np.exp((i + power) * lu - us - lf[i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,40 +604,3 @@ def integrate_finite(
             f"quadrature error estimate {err_total:.3e} above tolerance for integral {total:.6e}"
         )
     return total
-
-
-def integrate_semi_infinite(
-    f,
-    decay: float,
-    rtol: float = 1e-9,
-    order: int = DEFAULT_ORDER,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    vectorized: bool = False,
-) -> float:
-    """Integrate f over (0, inf) assuming |f(x)| falls off like exp(-decay x).
-
-    Substituting x = -log(u)/decay maps the integral to (0, 1); the mapped
-    integrand is bounded up to logarithmic factors, which the adaptive
-    bisection in integrate_finite resolves near u = 0.
-    """
-    if decay <= 0:
-        raise ValueError("decay must be positive")
-
-    if vectorized:
-
-        def mapped(us):
-            us = np.asarray(us, dtype=float)
-            xs = -np.log(us) / decay
-            return np.asarray(f(xs), dtype=float) / (us * decay)
-
-    else:
-
-        def mapped(u):
-            x = -math.log(u) / decay
-            return f(x) / (u * decay)
-
-    return integrate_finite(
-        mapped, 0.0, 1.0, rtol=rtol, order=order, order_cap=order_cap,
-        max_depth=max_depth, vectorized=vectorized,
-    )

@@ -1,0 +1,92 @@
+"""Closed alpha = 0 forms of the second-smallest-eigenvalue laws.
+
+They come from a different derivation than the library's tables (a double
+sum over Laguerre coefficients, with no determinant expansion) and serve
+the tests as independent references.
+"""
+
+import functools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from wishartcond.exact import DEFAULT_DPS, Dims, _EdgePowerTable, _evaluate, _law_values
+from wishartcond.numkit import pochhammer_int
+
+
+def _closed_pairs(n: int):
+    """(i, j, c_ij) of the alpha = 0 double sum, skipping the zero terms."""
+    for i in range(n):
+        for j in range(n - 1):
+            if j + 1 - i == 0:
+                continue
+            yield i, j, Fraction(
+                pochhammer_int(-n + 1, i) * pochhammer_int(-n + 2, j)
+                * (j + 1 - i) * math.factorial(i + j + 2),
+                pochhammer_int(3, i) * pochhammer_int(4, j)
+                * math.factorial(i) * math.factorial(j),
+            )
+
+
+def ke_closed_alpha0_law(n: int) -> tuple:
+    """The alpha = 0 kappa-e density as two pieces on (edge, inf), at edges
+    n - 1 and n; above n their terms cancel heavily against each other."""
+    nn = n * n
+    front = Fraction(math.factorial(nn - 1) * nn * (nn - 1), 12)
+    near: dict = {}
+    far: dict = {}
+    for i, j, cij in _closed_pairs(n):
+        for k in range(i + j + 3):
+            p = nn + k - i - j - 4
+            near[p] = near.get(p, 0) + front * cij * Fraction(
+                (-1) ** (i + j + k),
+                math.factorial(i + j + 2 - k) * math.factorial(nn + k - i - j - 4))
+        far[nn - 2] = far.get(nn - 2, 0) - front * cij / math.factorial(nn - 2)
+    return tuple(_EdgePowerTable(nn, edge, math.inf, tuple(terms), tuple(terms.values()))
+                 for edge, terms in ((n - 1, near), (n, far)))
+
+
+def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto",
+                                   dps: int = DEFAULT_DPS) -> np.ndarray:
+    """kappa-e density at alpha = 0 from the closed double sum."""
+    if dims.alpha != 0 or dims.n < 3:
+        raise ValueError("closed form covers alpha = 0 and n >= 3 only")
+    law = ke_closed_alpha0_law(dims.n)
+    return _evaluate(functools.partial(_law_values, law), ys, precision, dps,
+                     "closed kappa-e density")
+
+
+def _exp_tail(order: int, x: float) -> float:
+    """sum_{t >= order} (-x)^t / t!, the remainder of the exp(-x) series."""
+    if x < 0.75 * order:
+        term = (-x) ** order / math.factorial(order)
+        total = term
+        t = order
+        while abs(term) > 1e-20 * max(abs(total), 1e-300):
+            t += 1
+            term *= -x / t
+            total += term
+        return total
+    partial = 0.0
+    for t in range(order):
+        partial += (-x) ** t / math.factorial(t)
+    return math.exp(-x) - partial
+
+
+def pdf_lambda2_closed_alpha0_grid(xs, dims: Dims) -> np.ndarray:
+    """Second-smallest-eigenvalue density at alpha = 0 from the closed double sum."""
+    if dims.alpha != 0 or dims.n < 3:
+        raise ValueError("closed form covers alpha = 0 and n >= 3 only")
+    n = dims.n
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros_like(xs)
+    coeffs = [(i, j, float(cij)) for i, j, cij in _closed_pairs(n)]
+    lead = n * n * (n * n - 1) / 12.0
+    for idx, x in enumerate(xs):
+        if x <= 0:
+            continue
+        # partial exp series minus exp(-x) = -(series tail)
+        acc = sum(cij * -_exp_tail(i + j + 3, x) for i, j, cij in coeffs)
+        out[idx] = lead * math.exp(-(n - 1) * x) * acc
+    return out

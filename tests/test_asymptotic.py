@@ -14,9 +14,7 @@ from wishartcond.asymptotic import (
     cdf_v_kappa_e_interp,
     normalization_v_kappa_d,
     normalization_v_kappa_e,
-    pdf_v_kappa_d,
     pdf_v_kappa_d_grid,
-    pdf_v_kappa_e,
     pdf_v_kappa_e_grid,
 )
 
@@ -88,7 +86,7 @@ class TestScaledParams:
 class TestKappaDLimit:
     def test_alpha0_reference_point(self):
         # mu=1, v=1 sits at u=1 where the alpha=0 density is exactly e^{-1}
-        got = pdf_v_kappa_d(1.0, ScaledParams(1.0, 0))
+        got = pdf_v_kappa_d_grid(np.array([1.0]), ScaledParams(1.0, 0))[0]
         assert got == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_grid_matches_scalar(self):
@@ -96,13 +94,11 @@ class TestKappaDLimit:
         vs = np.array([0.02, 0.1, 0.7, 3.0])
         grid = pdf_v_kappa_d_grid(vs, p)
         for v, g in zip(vs, grid):
-            # batch evaluation shares one scaling shift, so only near-equality
-            assert pdf_v_kappa_d(float(v), p) == pytest.approx(g, rel=1e-12)
+            # a point alone gives the value it has in the batch
+            assert pdf_v_kappa_d_grid(np.array([v]), p)[0] == pytest.approx(g, rel=1e-12)
 
     def test_outside_support(self):
         p = ScaledParams(1.0, 0)
-        assert pdf_v_kappa_d(0.0, p) == 0.0
-        assert pdf_v_kappa_d(-1.0, p) == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pdf_v_kappa_d_grid(np.array([-1.0, 0.0, 1e-200, np.inf]), p)
@@ -172,7 +168,6 @@ class TestKappaELimit:
             warnings.simplefilter("error")
             got = pdf_v_kappa_e_grid(np.array([-0.5, 0.0, 1e-200, np.inf]), p)
         assert np.all(got == 0.0)
-        assert pdf_v_kappa_e(-1.0, p) == 0.0
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

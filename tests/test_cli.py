@@ -244,10 +244,9 @@ class TestNumericalExit:
 
         def explode(dims):
             raise ArithmeticError("synthetic table failure")
-        monkeypatch.setattr(exact, "_ke_bivariate_w_fracs", explode)
-        # empty caches, so the density is rebuilt through the patched table
-        monkeypatch.setattr(exact, "_KE_TABLE_CACHE", {})
-        monkeypatch.setattr(exact, "_KE_REALIZED_CACHE", {})
+        monkeypatch.setattr(exact, "_ke_det", explode)
+        # an empty cache, so the density is rebuilt through the patched table
+        monkeypatch.setattr(exact, "_KE_CACHE", {})
         assert cli.main(["density", "--metric", "kappa-e", "--n", "4",
                          "--alpha", "1", "--grid", "4:6:3"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err

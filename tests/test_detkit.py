@@ -13,7 +13,6 @@ from wishartcond.detkit import (
     lemma_a2_det_int,
     lemma_a2_matrix,
     lemma_a2_rhs_int,
-    vandermonde,
     vandermonde_int,
 )
 from wishartcond.numkit import SignedLog
@@ -62,11 +61,6 @@ class TestVandermonde:
         assert vandermonde_int([0, 1, 3]) == 6
         assert vandermonde_int([1, 0]) == -1
         assert vandermonde_int([2, 2, 5]) == 0
-
-    def test_float_matches_int(self):
-        xs = [0.0, 1.0, 3.0, 7.0]
-        want = vandermonde_int([0, 1, 3, 7])
-        assert vandermonde(xs).to_real() == pytest.approx(float(want), rel=1e-13)
 
 
 class TestDeterminants:

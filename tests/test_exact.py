@@ -1,23 +1,29 @@
 import logging
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from oracles import (
+    ke_closed_alpha0_law,
+    pdf_kappa_e_closed_alpha0_grid,
+    pdf_lambda2_closed_alpha0_grid,
+)
 from wishartcond.exact import (
     METRIC_KAPPA_D,
-    METRIC_KAPPA_E,
-    METRIC_LAMBDA_2,
-    METRIC_LAMBDA_MIN,
     DensityCurve,
     Dims,
-    EigenSpectrum,
+    _kd_law,
+    _ke_bivariate_w_fracs,
+    _ke_pieces,
+    _law_values,
+    _min_eig_fracs,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
     cdf_lambda2_interp,
     cdf_lambda_min_interp,
-    joint_eigen_density,
-    metric_from_spectrum,
     mgf_kappa_d,
     mgf_kappa_e,
     normalization_kappa_d,
@@ -25,12 +31,8 @@ from wishartcond.exact import (
     pdf_kappa_d,
     pdf_kappa_d_grid,
     pdf_kappa_e,
-    pdf_kappa_e_closed_alpha0_grid,
     pdf_kappa_e_grid,
-    pdf_lambda2,
-    pdf_lambda2_closed_alpha0_grid,
     pdf_lambda2_grid,
-    pdf_lambda_min,
     pdf_lambda_min_grid,
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
@@ -40,6 +42,7 @@ from wishartcond.exact import (
     r_integral_oracle,
     resolve_context,
 )
+from wishartcond.numkit import DOUBLE
 
 
 class TestDims:
@@ -53,49 +56,6 @@ class TestDims:
             Dims(0, 1)
         with pytest.raises(ValueError):
             Dims(3, -1)
-
-
-class TestEigenSpectrum:
-    def test_metrics(self):
-        spec = EigenSpectrum(np.array([1.0, 2.0, 3.0]), Dims(3, 0))
-        assert metric_from_spectrum(spec, METRIC_KAPPA_D) == pytest.approx(6.0)
-        assert metric_from_spectrum(spec, METRIC_KAPPA_E) == pytest.approx(3.0)
-        assert metric_from_spectrum(spec, METRIC_LAMBDA_MIN) == pytest.approx(1.0)
-        assert metric_from_spectrum(spec, METRIC_LAMBDA_2) == pytest.approx(2.0)
-
-    def test_needs_second_eigenvalue(self):
-        spec = EigenSpectrum(np.array([2.0]), Dims(1, 0))
-        with pytest.raises(ValueError):
-            metric_from_spectrum(spec, METRIC_KAPPA_E)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            EigenSpectrum(np.array([2.0, 1.0]), Dims(2, 0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EigenSpectrum(np.array([-1.0, 1.0]), Dims(2, 0))
-
-    def test_tiny_negative_clipped(self):
-        spec = EigenSpectrum(np.array([-1e-14, 1.0]), Dims(2, 0))
-        assert spec.values[0] == 0.0
-
-
-class TestJointDensity:
-    def test_simplest_case(self):
-        # n=2, alpha=0 at (1, 2): Vandermonde^2 * e^{-3} / normalization = e^{-3}
-        got = joint_eigen_density([1.0, 2.0], Dims(2, 0))
-        assert got == pytest.approx(math.exp(-3.0), rel=1e-13)
-
-    def test_symmetry(self):
-        d = Dims(3, 1)
-        a = joint_eigen_density([0.5, 1.0, 2.5], d)
-        b = joint_eigen_density([2.5, 0.5, 1.0], d)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            joint_eigen_density([1.0], Dims(2, 0))
 
 
 class TestKappaD:
@@ -145,7 +105,7 @@ class TestLambdaMin:
         assert got == pytest.approx(2.0 * np.exp(-2.0 * xs), rel=1e-12)
 
     def test_support(self):
-        assert pdf_lambda_min(-0.5, Dims(3, 1)) == 0.0
+        assert pdf_lambda_min_grid(np.array([-0.5]), Dims(3, 1))[0] == 0.0
 
     def test_normalized(self):
         assert normalization_lambda_min(Dims(4, 1)) == pytest.approx(1.0, abs=1e-7)
@@ -166,7 +126,7 @@ class TestLambdaMin:
         xs = np.linspace(0.02, 0.6, 30)
         with caplog.at_level(logging.INFO, logger="wishartcond"):
             got = pdf_lambda_min_grid(xs, dims)
-        assert "switching to extended precision" not in caplog.text
+        assert "0 of 30 points evaluated again" in caplog.text
         assert got == pytest.approx(pdf_lambda_min_grid(xs, dims, precision="extended"),
                                     rel=1e-12)
 
@@ -197,7 +157,7 @@ class TestKappaE:
 
 class TestLambda2:
     def test_support(self):
-        assert pdf_lambda2(-0.1, Dims(3, 0)) == 0.0
+        assert pdf_lambda2_grid(np.array([-0.1]), Dims(3, 0))[0] == 0.0
         assert pdf_lambda2_grid(np.array([0.4]), Dims(3, 0))[0] > 0.0
 
     def test_closed_alpha0_matches_general(self):
@@ -304,13 +264,253 @@ class TestCurveAndContext:
             DensityCurve(METRIC_KAPPA_D, "exact", np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_resolve_context(self):
-        assert not resolve_context(Dims(3, 0), "double").extended
-        assert resolve_context(Dims(3, 0), "extended").extended
-        assert not resolve_context(Dims(3, 0), "auto").extended
-        assert resolve_context(Dims(20, 0), "auto").extended
-        assert not resolve_context(Dims(20, 0), "auto", mixed_signs=False).extended
+        # 'auto' starts in double at every size; only measured cancellation
+        # sends a point to extended precision
+        assert not resolve_context("double").extended
+        assert not resolve_context("auto").extended
+        assert resolve_context("extended").dps == 40
+        assert resolve_context("extended", 60).dps == 60
         with pytest.raises(ValueError):
-            resolve_context(Dims(3, 0), "sometimes")
+            resolve_context("sometimes")
 
     def test_normalization_spot(self):
         assert normalization_kappa_d(Dims(2, 1)) == pytest.approx(1.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the exact edge-power pieces, against references computed from scratch
+
+
+def _mp_density(law, y):
+    """Density of a law at y from its exact coefficients, in mpmath."""
+    big = mpmath.mpf(y)
+    total = mpmath.mpf(0)
+    for piece in law:
+        if piece.edge < y <= piece.hi:
+            for p, f in zip(piece.powers, piece.fracs):
+                total += mpmath.mpf(f.numerator) / f.denominator * (big - piece.edge) ** p
+    return total * big ** (-law[0].mn)
+
+
+def _exact_mass(piece) -> Fraction:
+    """Integral of a piece over (edge, hi], by expanding (y - edge)^p in powers of y."""
+    e, big = piece.edge, piece.mn
+    total = Fraction(0)
+    for p, f in zip(piece.powers, piece.fracs):
+        for k in range(p + 1):
+            m = k - big + 1     # antiderivative y^m / m with m <= -1
+            upper = 0 if piece.hi == math.inf else Fraction(int(piece.hi)) ** m
+            total += f * math.comb(p, k) * (-e) ** (p - k) * (upper - Fraction(e) ** m) / m
+    return total
+
+
+def _term_masses(piece):
+    """(p, mass of the term as a Beta(p+1, mn-p-1) law in t = 1 - edge/y)."""
+    e, big = piece.edge, piece.mn
+    for p, f in zip(piece.powers, piece.fracs):
+        yield p, f * Fraction(e) ** (p + 1 - big) * Fraction(
+            math.factorial(p) * math.factorial(big - 2 - p), math.factorial(big - 1))
+
+
+def _mp_cdf(law, y):
+    total = mpmath.mpf(0)
+    for piece in law:
+        top = min(y, piece.hi)
+        if top <= piece.edge:
+            continue
+        t = 1 - mpmath.mpf(piece.edge) / top
+        for p, mass in _term_masses(piece):
+            total += (mpmath.mpf(mass.numerator) / mass.denominator
+                      * mpmath.betainc(p + 1, piece.mn - p - 1, 0, t, regularized=True))
+    return total
+
+
+def _mp_mgf(law, s):
+    """E[exp(-s Y)]: confluent U functions for the pieces on (edge, inf),
+    direct quadrature for a piece with a finite upper limit."""
+    s = mpmath.mpf(s)
+    total = mpmath.mpf(0)
+    for piece in law:
+        e, big = piece.edge, piece.mn
+        if piece.hi == math.inf:
+            for p, f in zip(piece.powers, piece.fracs):
+                total += (mpmath.mpf(f.numerator) / f.denominator * mpmath.mpf(e) ** (p + 1 - big)
+                          * mpmath.exp(-s * e) * mpmath.factorial(p)
+                          * mpmath.hyperu(p + 1, p + 2 - big, s * e))
+        else:
+            total += mpmath.quad(lambda y: _mp_density((piece,), y) * mpmath.exp(-s * y),
+                                 [e, piece.hi])
+    return total
+
+
+class TestKappaEPieces:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_double_matches_mpmath(self, n):
+        # the near piece at T = y - n + 1 in (0, 1], then the tail to 10^4 n
+        ys = np.concatenate([n - 1 + np.array([0.05, 0.3, 0.7, 1.0]),
+                             np.geomspace(n + 0.01, 1e4 * n, 12)])
+        for alpha in range(4):
+            law = _ke_pieces(Dims(n, alpha))
+            got = pdf_kappa_e_grid(ys, Dims(n, alpha), precision="double")
+            with mpmath.workdps(60):
+                want = np.array([float(_mp_density(law, y)) for y in ys])
+            assert np.max(np.abs(got - want) / want) <= 1e-12, (n, alpha)
+
+    def test_double_matches_mpmath_n50(self):
+        # below y = 100 the density is under the double range
+        dims = Dims(50, 1)
+        ys = np.geomspace(200.0, 5e5, 12)
+        law = _ke_pieces(dims)
+        got = pdf_kappa_e_grid(ys, dims, precision="double")
+        with mpmath.workdps(60):
+            want = np.array([float(_mp_density(law, y)) for y in ys])
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    def test_matches_lambda2_connection(self):
+        for n in range(3, 9):
+            for alpha in range(4):
+                dims = Dims(n, alpha)
+                for y in (n - 0.4, 2.0 * n):
+                    assert pdf_kappa_e(y, dims) == pytest.approx(
+                        pdf_via_lambda2_connection(y, dims), rel=1e-8), (n, alpha, y)
+
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 1), Dims(5, 2), Dims(4, 3)])
+    def test_total_mass_is_exactly_one(self, dims):
+        assert sum(_exact_mass(piece) for piece in _ke_pieces(dims)) == 1
+
+    def test_alpha0_equals_closed_oracle(self):
+        for n in (3, 4, 6):
+            near_piece, tail_piece = _ke_pieces(Dims(n, 0))
+            closed_near, closed_far = ke_closed_alpha0_law(n)
+            near = {p: f for p, f in zip(closed_near.powers, closed_near.fracs) if f}
+            assert dict(zip(near_piece.powers, near_piece.fracs)) == near
+            # above n: the near terms re-expanded around n, plus the far terms
+            tail: dict = {}
+            for k, f in near.items():
+                for p in range(k + 1):
+                    tail[p] = tail.get(p, 0) + f * math.comb(k, p)
+            for p, f in zip(closed_far.powers, closed_far.fracs):
+                tail[p] = tail.get(p, 0) + f
+            assert dict(zip(tail_piece.powers, tail_piece.fracs)) == {
+                p: f for p, f in tail.items() if f}
+
+    def test_sign_guard(self):
+        # the tail piece is one-signed and the near piece cancels mildly, so
+        # neither needs more than double precision
+        for n in range(3, 16):
+            for alpha in range(4):
+                near, tail = _ke_pieces(Dims(n, alpha))
+                assert all(f > 0 for f in tail.fracs), (n, alpha)
+                _, ratios = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), DOUBLE)
+                assert ratios.max() <= 2.0, (n, alpha)
+
+    def test_kappa_d_tables_one_signed(self):
+        # the production table (from the smallest-eigenvalue polynomial) is
+        # the nested-sum table, exactly
+        cases = [(n, alpha) for n in range(2, 21) for alpha in range(4)]
+        cases += [(n, 4) for n in range(2, 13)]
+        for n, alpha in cases:
+            table, = _kd_law(Dims(n, alpha), "theorem")
+            assert all(f > 0 for f in table.fracs), (n, alpha)
+            assert _kd_law(Dims(n, alpha))[0].fracs == table.fracs, (n, alpha)
+
+    def test_auto_falls_back_where_the_sum_cancels(self, caplog):
+        # the closed alpha = 0 form cancels by a ratio near 1e9 at y = 1000 n
+        dims, ys = Dims(3, 0), np.array([3000.0])
+        with mpmath.workdps(60):
+            want = float(_mp_density(ke_closed_alpha0_law(3), 3000.0))
+        with caplog.at_level(logging.INFO, logger="wishartcond"):
+            auto = pdf_kappa_e_closed_alpha0_grid(ys, dims)[0]
+        assert "1 of 1 points evaluated again" in caplog.text
+        assert auto == pytest.approx(want, rel=1e-12)
+        assert abs(pdf_kappa_e_closed_alpha0_grid(ys, dims, precision="double")[0] - want) \
+            > 1e-8 * want
+        # the pieces lose nothing there in double
+        assert pdf_kappa_e_grid(ys, dims, precision="double")[0] == pytest.approx(want, rel=1e-12)
+
+    def test_exact_rational_value_n13(self):
+        # at integer y the w-table z-integral of the kernel is an exact
+        # rational: int_0^1 (T - w)^P w^q (1 - w)^2 dw by the binomial theorem
+        dims, y = Dims(13, 1), 80
+        mn, big_t = dims.mn, y - 12
+        cw, _, _ = _ke_bivariate_w_fracs(dims)
+        total = Fraction(0)
+        for (d, e), f in cw.items():
+            p, q = mn - 5 - d, e - 1
+            total += f / math.factorial(p) * sum(
+                math.comb(p, r) * big_t ** (p - r) * (-1) ** r
+                * Fraction(2, (r + q + 1) * (r + q + 2) * (r + q + 3)) for r in range(p + 1))
+        want = float(total * math.factorial(mn - 1) / Fraction(y) ** mn)
+        assert pdf_kappa_e(float(y), dims) == pytest.approx(want, rel=1e-13)
+
+    def test_build_rejects_broken_determinant(self, monkeypatch):
+        # a determinant row that does not vanish at z = 1 breaks divisibility
+        from wishartcond import exact
+
+        shift, nums = exact._ke_det(Dims(4, 1))
+        broken = [list(row) for row in nums]
+        broken[-1][0] += 1
+        monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
+        monkeypatch.setattr(exact, "_KE_CACHE", {})
+        with pytest.raises(ArithmeticError):
+            exact._ke_pieces(Dims(4, 1))
+
+
+class TestExactCdfs:
+    @pytest.mark.parametrize("builder, dims, ys", [
+        (cdf_kappa_d_interp, Dims(50, 1), 50.0 + np.geomspace(1e3, 1e8, 8)),
+        (cdf_kappa_d_interp, Dims(50, 2), 50.0 + np.geomspace(1e3, 1e8, 8)),
+        (cdf_kappa_e_interp, Dims(4, 0), np.array([3.3, 3.8, 4.0, 4.6, 8.0, 30.0, 400.0])),
+        (cdf_kappa_e_interp, Dims(4, 1), np.array([3.3, 3.8, 4.0, 4.6, 8.0, 30.0, 400.0])),
+        (cdf_kappa_e_interp, Dims(4, 2), np.array([3.3, 3.8, 4.0, 4.6, 8.0, 30.0, 400.0])),
+        (cdf_kappa_e_interp, Dims(8, 1), np.array([7.5, 8.0, 9.0, 20.0, 100.0, 1e3, 1e5])),
+    ])
+    def test_matches_betainc(self, builder, dims, ys):
+        law = _kd_law(dims) if builder is cdf_kappa_d_interp else _ke_pieces(dims)
+        got = builder(dims, 1.0)(ys)
+        with mpmath.workdps(30):
+            want = np.array([float(_mp_cdf(law, y)) for y in ys])
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_limits(self):
+        for builder, dims in ((cdf_kappa_d_interp, Dims(4, 2)), (cdf_kappa_e_interp, Dims(4, 2)),
+                              (cdf_lambda_min_interp, Dims(4, 2))):
+            vals = builder(dims, 1.0)(np.array([-1.0, 0.0, 2.0, 3.0, 1e12, np.inf]))
+            assert vals[0] == vals[1] == 0.0
+            assert vals[-1] == pytest.approx(1.0, abs=1e-15)
+            assert np.all(np.diff(vals) >= 0.0)
+
+    def test_lambda_min_cdf_matches_gammainc(self):
+        dims = Dims(6, 2)
+        xs = np.array([0.01, 0.1, 0.3, 1.0, 3.0])
+        got = cdf_lambda_min_interp(dims, 1.0)(xs)
+        with mpmath.workdps(30):
+            want = [float(sum(mpmath.mpf(c.numerator) / c.denominator
+                              * mpmath.gammainc(d + 3, 0, 6 * x) / mpmath.mpf(6) ** (d + 3)
+                              for d, c in enumerate(_min_eig_fracs(dims))))
+                    for x in xs]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestMgfAgainstMpmath:
+    @pytest.mark.parametrize("fn, dims, ss", [
+        (mgf_kappa_d, Dims(3, 1), (0.037, 0.3)),
+        (mgf_kappa_d, Dims(4, 2), (0.011, 0.2)),
+        (mgf_kappa_d, Dims(30, 4), (0.0005, 0.002)),
+        (mgf_kappa_e, Dims(4, 1), (0.25, 0.02)),
+        (mgf_kappa_e, Dims(6, 2), (0.01, 0.1)),
+    ])
+    def test_relative_error(self, fn, dims, ss):
+        law = _kd_law(dims) if fn is mgf_kappa_d else _ke_pieces(dims)
+        for s in ss:
+            with mpmath.workdps(30):
+                want = float(_mp_mgf(law, s))
+            assert fn(s, dims) == pytest.approx(want, rel=1e-12), s
+
+
+class TestLambda2Precision:
+    def test_double_matches_extended_at_n13(self):
+        dims = Dims(13, 1)
+        xs = np.array([0.05, 1.0])
+        assert pdf_lambda2_grid(xs, dims) == pytest.approx(
+            pdf_lambda2_grid(xs, dims, precision="extended"), rel=1e-12)

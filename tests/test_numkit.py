@@ -19,12 +19,12 @@ from wishartcond.numkit import (
     fpoly_mul,
     gauss_legendre_rule,
     integrate_finite,
-    integrate_semi_infinite,
     laguerre_coeff_fractions,
     laguerre_eval,
     log_factorials,
     pfq,
     pochhammer_int,
+    poisson_mix,
     signed_log_sum,
     stirling2,
 )
@@ -99,6 +99,15 @@ class TestCombinatorics:
         for p in range(2, 8):
             for q in range(1, p):
                 assert stirling2(p, q) == q * stirling2(p - 1, q) + stirling2(p - 1, q - 1)
+
+    def test_poisson_mix(self):
+        us = np.array([0.5, 3.0, 40.0])
+        coeffs = np.array([0.25, 0.0, 0.75])
+        want = [sum(c * float(mpmath.exp(-u) * mpmath.mpf(u) ** (k + 2 + 1) / mpmath.factorial(k + 2))
+                    for k, c in enumerate(coeffs)) for u in us]
+        assert poisson_mix(us, coeffs, 2, power=1) == pytest.approx(want, rel=1e-13)
+        # huge u gives 0, not inf times 0
+        assert poisson_mix(np.array([1e300]), coeffs, 0, power=2)[0] == 0.0
 
     def test_log_factorials(self):
         table = log_factorials(6)
@@ -201,14 +210,6 @@ class TestQuadrature:
             integrate_finite(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 0.0, math.inf)
-
-    def test_semi_infinite(self):
-        got = integrate_semi_infinite(lambda x: math.exp(-x), 1.0, rtol=1e-11)
-        assert got == pytest.approx(1.0, rel=1e-10)
-        got = integrate_semi_infinite(lambda x: x * math.exp(-2.0 * x), 2.0, rtol=1e-11)
-        assert got == pytest.approx(0.25, rel=1e-10)
-        with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: 0.0, 0.0)
 
     def test_error_hierarchy(self):
         assert issubclass(QuadratureError, ConvergenceError)
