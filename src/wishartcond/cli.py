@@ -296,14 +296,14 @@ def cmd_mgf(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _exact_cdf(metric: str, dims: Dims, y_max: float, precision: str):
+def _exact_cdf(metric: str, dims: Dims):
     if metric == METRIC_KAPPA_D:
-        return cdf_kappa_d_interp(dims, y_max)
+        return cdf_kappa_d_interp(dims)
     if metric == METRIC_KAPPA_E:
-        return cdf_kappa_e_interp(dims, y_max)
+        return cdf_kappa_e_interp(dims)
     if metric == METRIC_LAMBDA_MIN:
-        return cdf_lambda_min_interp(dims, y_max)
-    return cdf_lambda2_interp(dims, y_max, precision=precision)
+        return cdf_lambda_min_interp(dims)
+    return cdf_lambda2_interp(dims)
 
 
 def _mc_run(cfg: RunConfig, threshold: float | None = None):
@@ -325,8 +325,7 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None):
         meta = {"kind": "asymptotic", "mu": mu, "scale": mu * dims.n ** 3,
                 "cdf_error_bound": cdf_v_error_bound(cfg.metric, params)}
     else:
-        y_max = float(draws.max()) * (1.0 + 1e-9)
-        cdf = _exact_cdf(cfg.metric, dims, y_max, cfg.precision)
+        cdf = _exact_cdf(cfg.metric, dims)
         meta = {"kind": "exact"}
     report = build_report(cfg.metric, dims, draws, cfg.seed, cdf,
                           bins=cfg.bins, threshold=threshold)
@@ -374,7 +373,7 @@ def cmd_figure(cfg: RunConfig) -> int:
     prefix = cfg.out if cfg.out is not None else f"figure_{cfg.figure_id}"
     run = RunConfig(command="mc", metric=metric, kind="asymptotic", n=n,
                     alpha=alpha, mu=mu, samples=cfg.samples, seed=cfg.seed,
-                    bins=cfg.bins, precision=cfg.precision)
+                    bins=cfg.bins)
     # the acceptance allowance: finite-n bias on top of sampling noise
     threshold = 0.03 if n <= 10 else 0.02
     report = _mc_run(run, threshold=threshold)
@@ -488,7 +487,7 @@ def _st_sampler_moments():
 def _st_mc_exact_agreement():
     dims = Dims(3, 0)
     draws = mc_collect(METRIC_KAPPA_D, dims, 4000, seed=11)
-    cdf = cdf_kappa_d_interp(dims, float(draws.max()) * (1.0 + 1e-9))
+    cdf = cdf_kappa_d_interp(dims)
     stat = ks_compare(draws, cdf)
     bound = ks_threshold(len(draws))
     assert stat < bound, f"ks={stat:.4f} >= {bound:.4f}"
@@ -556,7 +555,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shared(sub, *, dims=True, mu=False, precision=True, output=True):
+def _add_shared(sub, *, dims=True, mu=False, precision=False, output=True):
     if dims:
         sub.add_argument("--n", type=int, help="matrix columns")
         sub.add_argument("--alpha", type=int, help="rows minus columns")
@@ -580,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, required=True)
     p.add_argument("--kind", choices=("exact", "asymptotic"), default="exact")
     p.add_argument("--grid", required=True, help="start:stop:points")
-    _add_shared(p, mu=True)
+    _add_shared(p, mu=True, precision=True)
 
     p = commands.add_parser("mgf", help="evaluate a moment generating function")
     p.add_argument("--metric", choices=(METRIC_KAPPA_D, METRIC_KAPPA_E), required=True)
@@ -602,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--bins", type=int, default=60)
-    p.add_argument("--precision", choices=("auto", "double", "extended"),
-                   default="auto")
     p.add_argument("--out", help="output path prefix")
 
     commands.add_parser("selftest", help="run the cross-module invariant suite")

@@ -16,22 +16,28 @@ with exact rational coefficients, built once per dimension in integer
 arithmetic and grouped into pieces of one edge each (_EdgePowerTable).
 kappa-d is one piece on (n, inf).  kappa-e is two: a near piece on
 (n - 1, n] at edge n - 1 and a tail piece on (n, inf) at edge n, whose
-coefficients are all positive.  The smallest-eigenvalue density is a
-polynomial with positive coefficients times exp(-n x).
+coefficients are all positive.  Both eigenvalue laws are finite sums of
+terms
+
+    coeff * x^power * exp(-rate x),   x > 0,
+
+grouped into pieces of one rate each (_ExpPiece): the smallest
+eigenvalue is one piece at rate n with positive coefficients, the
+second-smallest two pieces at rates n - 1 and n.
 
 In t = 1 - edge / y a term of a piece is a multiple of a Beta(power + 1,
 mn - power - 1) density, so every trace-ratio CDF is a finite sum of
 binomial probabilities in t and every moment generating function one
-finite quadrature in t per piece.  The smallest-eigenvalue CDF is a
-finite Poisson sum.  The second-smallest-eigenvalue density alone keeps
-an integral over an auxiliary variable z in (0, 1), done by adaptive
-Gauss-Legendre quadrature, and its CDF is interpolated.
+finite quadrature in t per piece.  A term of an eigenvalue law is a
+multiple of a Gamma(power + 1, rate) density, so both eigenvalue CDFs are
+finite Poisson sums.
 
 Precision 'auto' evaluates every table in double and measures the
-cancellation ratio sum |term| / |sum term| in the same pass; only the
-points where it exceeds 1e4 (about 11 digits left) are evaluated again
-at DEFAULT_DPS digits.  The second-smallest eigenvalue has no table and
-stays in double under 'auto'.
+digits lost to cancellation, log10 of sum |term| / |sum term|, in the
+same pass; only the points that lose more than 3 (13 of 16 left) are
+evaluated again at DEFAULT_DPS digits, and again at twice the digits
+while they keep fewer than 13.  The two second-smallest-eigenvalue pieces
+cancel near x = 0, so those points go to DEFAULT_DPS digits or more.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
 push the eigenvalue densities through the inverse-Laplace pair
@@ -46,8 +52,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .detkit import det_signedlog, iter_index_boxes, vandermonde_int
@@ -76,8 +82,11 @@ METRICS = (METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_MIN, METRIC_LAMBDA_2)
 DEFAULT_ALPHA_CAP_KAPPA_D = 4
 DEFAULT_ALPHA_CAP_KAPPA_E = 3
 DEFAULT_DPS = 40
-# cancellation ratio above which 'auto' evaluates a point again at DEFAULT_DPS
-_RATIO_LIMIT = 1e4
+# digits lost to cancellation above which 'auto' evaluates a point again
+_LOST_LIMIT = 3.0
+# digits past which 'auto' gives up on a point that still cancels
+_MAX_DPS = 10_000
+_LN10 = math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,33 +148,51 @@ def resolve_context(precision: str = "auto", dps: int = DEFAULT_DPS) -> NumericC
 
 
 def _evaluate(values_fn, xs, precision: str, dps: int, what: str) -> np.ndarray:
-    """values_fn(xs, ctx) -> (values, cancellation ratios) at the chosen
-    precision; under 'auto', points whose ratio exceeds _RATIO_LIMIT are
-    evaluated again at dps digits."""
+    """values_fn(xs, ctx) -> (values, digits lost to cancellation) at the
+    chosen precision; under 'auto', points that lose more than _LOST_LIMIT
+    of the 16 digits of a double are evaluated again at dps digits, and
+    again at twice the digits while they keep fewer than 16 - _LOST_LIMIT."""
     xs = np.asarray(xs, dtype=float)
     ctx = resolve_context(precision, dps)
     with ctx.workprec():
-        values, ratios = values_fn(xs, ctx)
+        values, lost = values_fn(xs, ctx)
     if precision == "auto" and xs.size:
-        redo = ratios > _RATIO_LIMIT
+        redo = lost > _LOST_LIMIT
         log.info("%s: %d of %d points evaluated again at %d digits, worst "
-                 "cancellation ratio %.3g", what, int(redo.sum()), xs.size, dps,
-                 float(ratios.max()))
-        if redo.any():
+                 "cancellation %.1f digits", what, int(redo.sum()), xs.size, dps,
+                 float(lost.max()))
+        while redo.any():
+            if dps > _MAX_DPS:
+                raise ArithmeticError(f"{what}: cancellation leaves no digits at {dps // 2} digits")
             ext = NumericContext(dps)
             with ext.workprec():
-                values[redo] = values_fn(xs[redo], ext)[0]
+                values[redo], lost[redo] = values_fn(xs[redo], ext)
+            redo &= lost > _LOST_LIMIT + dps - 16
+            dps *= 2
+            if redo.any():
+                log.info("%s: %d points evaluated again at %d digits", what,
+                         int(redo.sum()), dps)
     return values
 
 
 def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    """(sum_j signs_j exp(t_j), sum_j |.| / |sum_j .|) in double."""
+    """(sum_j signs_j exp(t_j), log10 of sum_j |.| / |sum_j .|) in double."""
     shift = t.max()
     scaled = np.exp(t - shift)
     acc = float(np.dot(signs, scaled))
     if acc == 0.0:
         return 0.0, math.inf
-    return acc * math.exp(shift), float(scaled.sum()) / abs(acc)
+    return acc * math.exp(shift), math.log10(float(scaled.sum()) / abs(acc))
+
+
+def _signed_log_lost_sum(parts) -> tuple[float, float]:
+    """(sum of SignedLog parts as a double, log10 of sum |.| / |sum .|) at
+    the parts' own precision; no parts give (0.0, 0.0)."""
+    total = signed_log_sum(parts)
+    if not total.sign:
+        return 0.0, (math.inf if any(p.sign for p in parts) else 0.0)
+    mags = signed_log_sum([SignedLog(1, p.logmag) for p in parts if p.sign])
+    return float(total.to_real()), float(mags.logmag - total.logmag) / _LN10
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +306,11 @@ class _EdgePowerTable:
 
 
 def _law_values(law, ys: np.ndarray, ctx: NumericContext):
-    """Density of a law on a grid, with the cancellation ratio of each point."""
+    """Density of a law on a grid, with the digits each point loses to
+    cancellation."""
     mn = law[0].mn
     out = np.zeros_like(ys)
-    ratios = np.ones_like(ys)
+    lost = np.zeros_like(ys)
     if not ctx.extended:
         edges = np.concatenate([np.full(len(t.powers), float(t.edge)) for t in law])
         his = np.concatenate([np.full(len(t.powers), t.hi) for t in law])
@@ -293,16 +321,15 @@ def _law_values(law, ys: np.ndarray, ctx: NumericContext):
             if not mask.any():
                 continue
             t = logs[mask] + powers[mask] * np.log(y - edges[mask]) - mn * math.log(y)
-            out[i], ratios[i] = _signed_sum(signs[mask], t)
-        return out, ratios
+            out[i], lost[i] = _signed_sum(signs[mask], t)
+        return out, lost
     terms = [(t.edge, t.hi, p, SignedLog.from_fraction(f, ctx))
              for t in law for p, f in zip(t.powers, t.fracs) if f]
     for i, y in enumerate(ys):
-        parts = [c.scaled_by_log(p * ctx.log(ctx.real(y - edge)) - mn * ctx.log(ctx.real(y)))
-                 for edge, hi, p, c in terms if edge < y <= hi]
-        total = signed_log_sum(parts)
-        out[i] = float(total.to_real()) if total.sign else 0.0
-    return out, ratios
+        out[i], lost[i] = _signed_log_lost_sum(
+            [c.scaled_by_log(p * ctx.log(ctx.real(y - edge)) - mn * ctx.log(ctx.real(y)))
+             for edge, hi, p, c in terms if edge < y <= hi])
+    return out, lost
 
 
 def _beta_mix(lt, l1t, terms, top: int, extra=0.0) -> np.ndarray:
@@ -349,6 +376,74 @@ def _law_mgf(law, s: float, rtol: float) -> float:
     return total
 
 
+# ---------------------------------------------------------------------------
+# exp power tables
+#
+# An eigenvalue law is a tuple of pieces; its density at x > 0 sums
+# c x^k exp(-rate x) over the terms of every piece.  A term is c k! / rate^(k+1)
+# times the Gamma(k + 1, rate) density, whose upper tail at x is
+# sum_{i <= k} pois_i(rate x).
+
+
+class _ExpPiece(NamedTuple):
+    """sum_j fracs[j] x^powers[j] exp(-rate x), exact Fraction coefficients."""
+
+    rate: int
+    powers: tuple
+    fracs: tuple
+
+
+def _exp_law_values(law, xs: np.ndarray, ctx: NumericContext):
+    """Density of an eigenvalue law on a grid, with the digits each point
+    loses to cancellation."""
+    terms = [(rate, k, SignedLog.from_fraction(c, ctx))
+             for rate, powers, fracs in law for k, c in zip(powers, fracs) if c]
+    out = np.zeros_like(xs)
+    lost = np.zeros_like(xs)
+    if not ctx.extended:
+        rates, powers, signs, logs = (np.array(col, dtype=float) for col in zip(
+            *((rate, k, c.sign, c.logmag) for rate, k, c in terms)))
+        for i, x in enumerate(xs):
+            if x > 0:
+                t = logs + powers * math.log(x) - rates * x
+                out[i], lost[i] = _signed_sum(signs, t)
+        return out, lost
+    for i, x in enumerate(xs):
+        if x > 0:
+            xr = ctx.real(x)
+            lx = ctx.log(xr)
+            out[i], lost[i] = _signed_log_lost_sum(
+                [c.scaled_by_log(k * lx - rate * xr) for rate, k, c in terms])
+    return out, lost
+
+
+def _exp_law_cdf(law):
+    """Exact CDF of an eigenvalue law: 1 - sum over pieces of
+    sum_i pois_i(rate x) u_i, with u_i the Gamma weight of the terms k >= i."""
+    parts = []
+    for rate, powers, fracs in law:
+        weights = {k: c * math.factorial(k) / Fraction(rate) ** (k + 1)
+                   for k, c in zip(powers, fracs)}
+        upper, run = [], Fraction(0)
+        for k in range(max(powers), -1, -1):
+            run += weights.get(k, 0)
+            upper.append(float(run))
+        parts.append((rate, np.array(upper[::-1])))
+
+    def cdf(xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        out[xs == np.inf] = 1.0
+        live = (xs > 0) & (xs < np.inf)
+        tail = np.zeros(int(live.sum()))
+        for rate, upper in parts:
+            tail += poisson_mix(rate * xs[live], upper, 0)
+        out[live] = 1.0 - tail
+        return out
+
+    return cdf
+
+
 def _lagneg(deg: int, rho: int) -> FPoly:
     """L_deg^(rho)(-w) in w: (deg+rho)! / ((deg-j)! j! (rho+j)!), all positive.
     deg < 0 -> zero."""
@@ -379,37 +474,19 @@ def _min_eig_fracs(dims: Dims) -> list[Fraction]:
     return _MIN_EIG_CACHE[key]
 
 
-def _lambda_min_values(xs: np.ndarray, ctx: NumericContext, dims: Dims):
-    n, alpha = dims.n, dims.alpha
-    coeffs = [SignedLog.from_fraction(c, ctx) for c in _min_eig_fracs(dims)]
-    out = np.zeros_like(xs)
-    ratios = np.ones_like(xs)
-    if not ctx.extended:
-        signs = np.array([c.sign for c in coeffs], dtype=float)
-        logs = np.array([float(c.logmag) if c.sign else 0.0 for c in coeffs])
-        degs = np.arange(len(coeffs), dtype=float)
-        mask = signs != 0
-        for i, x in enumerate(xs):
-            if x > 0:
-                t = logs + (degs + alpha) * math.log(x) - n * x
-                out[i], ratios[i] = _signed_sum(signs[mask], t[mask])
-        return out, ratios
-    for i, x in enumerate(xs):
-        if x > 0:
-            lx = ctx.log(ctx.real(x))
-            terms = [c.scaled_by_log((d + alpha) * lx - n * ctx.real(x))
-                     for d, c in enumerate(coeffs) if c.sign]
-            out[i] = float(signed_log_sum(terms).to_real())
-    return out, ratios
+def _lambda_min_law(dims: Dims) -> tuple:
+    """The smallest-eigenvalue law, one piece at rate n."""
+    if dims.n < 2:
+        raise ValueError("n must be >= 2")
+    powers, fracs = zip(*((d + dims.alpha, c) for d, c in enumerate(_min_eig_fracs(dims)) if c))
+    return (_ExpPiece(dims.n, powers, fracs),)
 
 
 def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto",
                         dps: int = DEFAULT_DPS) -> np.ndarray:
     """Density of the smallest eigenvalue on a grid of points."""
-    if dims.n < 2:
-        raise ValueError("n must be >= 2")
-    return _evaluate(functools.partial(_lambda_min_values, dims=dims), xs, precision,
-                     dps, "lambda-min density")
+    return _evaluate(functools.partial(_exp_law_values, _lambda_min_law(dims)), xs,
+                     precision, dps, "lambda-min density")
 
 
 def _kd_nested_table(dims: Dims) -> _EdgePowerTable:
@@ -645,6 +722,34 @@ def _divide_by_one_plus_x(coeffs) -> list:
     return out
 
 
+def _ke_rows(dims: Dims):
+    """(den, rows): the determinant rows over one common denominator den.
+
+    rows lists (d, scale, row, g) for every nonzero row d, whose polynomial
+    in z is scale / den * sum_e row[e] z^e.  In w = 1 - z it is
+    w^alpha Q_d(w); g holds the integer coefficients of (1 - w)^2 Q_d(w),
+    on the same scale.  ArithmeticError if a row does not divide by w^alpha.
+    """
+    alpha = dims.alpha
+    shift, nums = _ke_det(dims)
+    dmax = len(nums) - 1
+    den = math.factorial(dmax) * math.factorial(dmax + shift)
+    rows = []
+    for d, row in enumerate(nums):
+        if not any(row):
+            continue
+        cw = [(-1) ** e * c for e, c in enumerate(_shift_by_one(row))]
+        if any(cw[:alpha]):
+            raise ArithmeticError("determinant row not divisible by (1 - z)^alpha")
+        g = [0] * (len(cw) - alpha + 2)
+        for j, c in enumerate(cw[alpha:]):
+            g[j] += c
+            g[j + 1] -= 2 * c
+            g[j + 2] += c
+        rows.append((d, den // (math.factorial(d) * math.factorial(d + shift)), row, g))
+    return den, rows
+
+
 def _ke_pieces(dims: Dims) -> tuple:
     """The kappa-e law as two exact pieces: A(T) at edge n - 1 on (n - 1, n]
     and D(S) at edge n on (n, inf), T = y - n + 1, S = y - n.
@@ -660,27 +765,16 @@ def _ke_pieces(dims: Dims) -> tuple:
     """
     def build(dims):
         n, alpha, mn = dims.n, dims.alpha, dims.mn
-        shift, nums = _ke_det(dims)
         top = mn - 1
-        dmax = len(nums) - 1
-        den = math.factorial(dmax) * math.factorial(dmax + shift)
+        den, rows = _ke_rows(dims)
         a: dict = {}   # (mn-1)!/k! a[k] / den is the coefficient of T^k
         b: dict = {}   # (mn-1)!/k! b[k] / den is the coefficient of S^k in B
-        for d, row in enumerate(nums):
-            if not any(row):
-                continue
-            scale = den // (math.factorial(d) * math.factorial(d + shift))
+        for d, scale, row, g in rows:
             p_neg = [(-1) ** e * c for e, c in enumerate(row)]     # p_d(-x)
-            cw = [(-1) ** e * c for e, c in enumerate(_shift_by_one(row))]
-            if any(cw[:alpha]):
-                raise ArithmeticError(
-                    "kappa-e table: determinant row not divisible by (1 - z)^alpha")
             base = mn - 5 - d
-            for q, c in enumerate(cw[alpha:]):
+            for j, c in enumerate(g):
                 if c:
-                    for i, sgn in ((0, 1), (1, -2), (2, 1)):
-                        k = base + q + i + 1
-                        a[k] = a.get(k, 0) + sgn * scale * c * math.factorial(q + i)
+                    a[base + j + 1] = a.get(base + j + 1, 0) + scale * c * math.factorial(j)
             for _ in range(alpha):
                 p_neg = _divide_by_one_plus_x(p_neg)
             for j, c in enumerate(p_neg):
@@ -785,108 +879,52 @@ def pdf_via_lambda2_connection(y: float, dims: Dims, precision: str = "auto",
 _KE_SPLIT = 0.5  # z below: z-power table; z above: w-power table
 
 
-def _ke_realized(dims: Dims, basis: str):
-    """Dense (signs, logs, dpow, epow) arrays for one bivariate table:
-    basis "z" in powers of z, basis "w" in powers of w = 1 - z."""
-    def build(dims):
-        c, _, _ = _ke_bivariate_fracs(dims) if basis == "z" else _ke_bivariate_w_fracs(dims)
-        items = list(c.items())
-        return (np.array([1.0 if f > 0 else -1.0 for _, f in items]),
-                np.array([float(DOUBLE.log_int(abs(f.numerator)) - DOUBLE.log_int(f.denominator))
-                          for _, f in items]),
-                np.array([d for (d, _), _ in items], dtype=float),
-                np.array([e for (_, e), _ in items], dtype=float))
-    return _cached("realized-" + basis, dims, build)
+def _lambda2_law(dims: Dims, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> tuple:
+    """The second-smallest-eigenvalue law as two exact pieces, at rates
+    n - 1 and n.
 
-
-def _lambda2_z_integral(x: float, dims: Dims, rtol: float) -> float:
-    """z-integral of the second-smallest-eigenvalue kernel at x > 0, in double.
-
-    Below _KE_SPLIT it runs over the z-power table, above it over the
-    w = 1 - z table, where the (1 - z)^(-alpha) weight cancels exactly.
+    Its density is x^3 exp(-(n-1) x) sum_d x^d int_0^1 (1 - w)^2 Q_d(w)
+    exp(-w x) dw, row d of the determinant being w^alpha Q_d(w).  With
+    int_0^1 w^j exp(-w x) dw = j! / x^(j+1) (1 - exp(-x) sum_{i<=j} x^i / i!),
+    a term g_j w^j of (1 - w)^2 Q_d(w) gives g_j j! x^(d+2-j) at rate n - 1
+    and -g_j j! / i! x^(d+2-j+i), i <= j, at rate n.  Every coefficient is
+    an integer over one common denominator; a power below alpha raises
+    ArithmeticError.
     """
-    alpha = dims.alpha
-    signs_z, logs_z, dpow_z, epow_z = _ke_realized(dims, "z")
-    signs_w, logs_w, dpow_w, epow_w = _ke_realized(dims, "w")
-    lx = math.log(x)
+    _check_kappa_e_dims(dims, alpha_cap)
 
-    def integrand_z(zs):
-        zs = np.asarray(zs, dtype=float)
-        lz = np.log(zs)
-        t = (logs_z + dpow_z * lx)[None, :] + np.outer(lz, epow_z)
-        weight = 2.0 * lz - alpha * np.log1p(-zs) - (1.0 - zs) * x
-        shift = t.max(axis=1)
-        acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_z)
-        return acc * np.exp(shift + weight)
-
-    def integrand_w(ws):
-        ws = np.asarray(ws, dtype=float)
-        lw = np.log(ws)
-        t = (logs_w + dpow_w * lx)[None, :] + np.outer(lw, epow_w - alpha)
-        weight = 2.0 * np.log1p(-ws) - ws * x
-        shift = t.max(axis=1)
-        acc = np.einsum("ij,j->i", np.exp(t - shift[:, None]), signs_w)
-        return acc * np.exp(shift + weight)
-
-    return (integrate_finite(integrand_z, 0.0, _KE_SPLIT, rtol=rtol,
-                             order_cap=512, max_depth=30, vectorized=True)
-            + integrate_finite(integrand_w, 0.0, _KE_SPLIT, rtol=rtol,
-                               order_cap=512, max_depth=30, vectorized=True))
+    def build(dims):
+        n, alpha = dims.n, dims.alpha
+        den, rows = _ke_rows(dims)
+        near: dict = {}
+        far: dict = {}
+        for d, scale, _, g in rows:
+            for j, c in enumerate(g):
+                if not c:
+                    continue
+                k = d + 2 - j
+                if k < alpha:
+                    raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
+                near[k] = near.get(k, 0) + scale * c * math.factorial(j)
+                for i in range(j + 1):
+                    far[k + i] = far.get(k + i, 0) - scale * c * math.perm(j, j - i)
+        pieces = []
+        for rate, nums in ((n - 1, near), (n, far)):
+            powers = tuple(k for k in sorted(nums) if nums[k])
+            pieces.append(_ExpPiece(rate, powers, tuple(Fraction(nums[k], den) for k in powers)))
+        return tuple(pieces)
+    return _cached("lambda-2", dims, build)
 
 
 def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto", dps: int = DEFAULT_DPS,
-                     alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E, rtol: float = 1e-9) -> np.ndarray:
+                     alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> np.ndarray:
     """Density of the second-smallest eigenvalue on a grid.
 
-    There is no coefficient table to measure cancellation on, so 'auto'
-    runs in double; 'extended' evaluates the determinant at every node.
+    The two pieces cancel near x = 0; 'auto' measures that and evaluates
+    those points again at dps digits, or more where dps are not enough.
     """
-    _check_kappa_e_dims(dims, alpha_cap)
-    ctx = resolve_context(precision, dps)
-    xs = np.asarray(xs, dtype=float)
-    n, alpha = dims.n, dims.alpha
-    out = np.zeros_like(xs)
-    size = alpha + 2
-    if not ctx.extended:
-        for idx, x in enumerate(xs):
-            if x > 0:
-                out[idx] = x**3 * math.exp(-(n - 1) * x) * _lambda2_z_integral(x, dims, rtol)
-        return out
-    with ctx.workprec():
-        for idx, x in enumerate(xs):
-            if x <= 0:
-                continue
-
-            def integrand(z):
-                mat = []
-                for i in range(1, size + 1):
-                    row = []
-                    for j in (1, 2):
-                        deg = n + i - j - 2
-                        row.append(laguerre_eval(deg, j + 1, -x * z, ctx)
-                                   if deg >= 0 else SignedLog.zero())
-                    for k in range(3, size + 1):
-                        deg = n + i - k
-                        row.append(laguerre_eval(deg, k - 1, -x, ctx)
-                                   if deg >= 0 else SignedLog.zero())
-                    mat.append(row)
-                det = det_signedlog(mat)
-                if det.sign == 0:
-                    return 0.0
-                lw = 2 * ctx.log(ctx.real(z)) - alpha * ctx.log(ctx.real(1.0 - z)) \
-                    - (1.0 - z) * ctx.real(x)
-                return float(det.sign * _exp_to_float(det.logmag + lw))
-
-            zint = integrate_finite(integrand, 0.0, 1.0, rtol=rtol, order_cap=512, max_depth=30)
-            out[idx] = float(_exp_to_float(
-                3 * ctx.log(ctx.real(x)) - (n - 1) * ctx.real(x) + ctx.log(ctx.real(zint))
-            )) if zint > 0 else 0.0
-    return out
-
-
-def _exp_to_float(x) -> float:
-    """exp of an mpmath log value as a double; underflow becomes 0.0."""
-    return float(mpmath.exp(x))
+    return _evaluate(functools.partial(_exp_law_values, _lambda2_law(dims, alpha_cap)), xs,
+                     precision, dps, "lambda-2 density")
 
 
 def mgf_kappa_e(s: float, dims: Dims, rtol: float = 1e-9,
@@ -992,73 +1030,32 @@ def r_closed(n: int, a: float, b: float, alpha: int) -> float:
 # cumulative distributions
 
 
-def cdf_kappa_d_interp(dims: Dims, y_max: float):
+def cdf_kappa_d_interp(dims: Dims, y_max: float | None = None):
     """Exact vectorized CDF of the kappa-d metric: a finite binomial sum in
-    t = 1 - n/y.  y_max no longer limits anything; the CDF holds on all of
-    (0, inf]."""
+    t = 1 - n/y, on all of (0, inf].  y_max limits nothing; it is accepted
+    for callers that still pass it."""
     return _law_cdf(_kd_law(dims))
 
 
-def cdf_kappa_e_interp(dims: Dims, y_max: float):
+def cdf_kappa_e_interp(dims: Dims):
     """Exact vectorized CDF of the kappa-e metric, the sum of the near
-    piece's CDF at min(y, n) and the tail piece's.  y_max no longer limits
-    anything."""
+    piece's CDF at min(y, n) and the tail piece's."""
     return _law_cdf(_ke_law(dims))
 
 
-def cdf_lambda_min_interp(dims: Dims, x_max: float):
-    """Exact vectorized CDF of the smallest eigenvalue.
-
-    The density sum_d c_d x^(d+alpha) exp(-n x) is a mixture of Gamma(k + 1,
-    rate n) laws with weights b_k = c_d k! / n^(k+1), k = d + alpha, all
-    positive, so P(X > x) = sum_i pois_i(n x) sum_{k >= i} b_k.  x_max no
-    longer limits anything.
-    """
-    if dims.n < 2:
-        raise ValueError("n must be >= 2")
-    n, alpha = dims.n, dims.alpha
-    weights = [Fraction(0)] * alpha + [c * math.factorial(d + alpha) / Fraction(n) ** (d + alpha + 1)
-                                       for d, c in enumerate(_min_eig_fracs(dims))]
-    if any(b < 0 for b in weights):
+def cdf_lambda_min_interp(dims: Dims):
+    """Exact vectorized CDF of the smallest eigenvalue, a finite Poisson sum
+    whose Gamma weights must all be positive."""
+    law = _lambda_min_law(dims)
+    if any(c < 0 for c in law[0].fracs):
         raise ArithmeticError("lambda-min table: negative mixture weight")
-    upper, run = [], Fraction(0)
-    for b in reversed(weights):
-        run += b
-        upper.append(float(run))
-    upper = np.array(upper[::-1])
-
-    def cdf(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        out[xs == np.inf] = 1.0
-        live = (xs > 0) & (xs < np.inf)
-        out[live] = 1.0 - poisson_mix(n * xs[live], upper, 0)
-        return out
-
-    return cdf
+    return _exp_law_cdf(law)
 
 
-def _cum_panels(pdf_grid_fn, knots: np.ndarray, order: int = 12) -> np.ndarray:
-    """Cumulative integral of a pdf at the given knots, panelwise GL."""
-    from .numkit import gauss_legendre_rule
-
-    rule = gauss_legendre_rule(order)
-    los = knots[:-1]
-    his = knots[1:]
-    half = 0.5 * (his - los)
-    mids = 0.5 * (his + los)
-    xs = (mids[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    vals = pdf_grid_fn(xs).reshape(len(los), order)
-    panel = (vals @ rule.weights) * half
-    return np.concatenate([[0.0], np.cumsum(panel)])
-
-
-def cdf_lambda2_interp(dims: Dims, x_max: float, knots: int = 320, **pdf_kwargs):
-    """Vectorized CDF of the second-smallest eigenvalue on [0, x_max],
-    interpolated from panelwise quadrature of its density."""
-    xs = np.linspace(0.0, x_max, knots)
-    cum = _cum_panels(lambda g: pdf_lambda2_grid(g, dims, **pdf_kwargs), xs, order=8)
-    return lambda q: np.interp(np.asarray(q, dtype=float), xs, cum)
+def cdf_lambda2_interp(dims: Dims):
+    """Exact vectorized CDF of the second-smallest eigenvalue, a finite
+    Poisson sum over its two pieces with signed weights."""
+    return _exp_law_cdf(_lambda2_law(dims))
 
 
 def normalization_kappa_d(dims: Dims, **pdf_kwargs) -> float:

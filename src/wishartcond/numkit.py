@@ -292,7 +292,7 @@ def log_factorials(nmax: int) -> np.ndarray:
 
 def poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0) -> np.ndarray:
     """u^power sum_k coeffs[k] pois_{k+offset}(u) for u > 0, one k at a time,
-    with pois_i(u) = e^{-u} u^i / i!.
+    with pois_i(u) = e^{-u} u^i / i!; coeffs may have either sign.
 
     The factor u^power goes into each exponent, so that huge u gives 0, not
     inf times 0."""
@@ -300,7 +300,7 @@ def poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0)
     lf = log_factorials(len(coeffs) + offset)
     out = np.zeros_like(us)
     for k, c in enumerate(coeffs):
-        if c > 0:
+        if c != 0:
             i = k + offset
             out += c * np.exp((i + power) * lu - us - lf[i])
     return out

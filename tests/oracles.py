@@ -1,14 +1,16 @@
-"""Closed alpha = 0 forms of the second-smallest-eigenvalue laws.
+"""Independent references for the second-smallest-eigenvalue laws.
 
-They come from a different derivation than the library's tables (a double
-sum over Laguerre coefficients, with no determinant expansion) and serve
-the tests as independent references.
+The closed alpha = 0 forms come from a double sum over Laguerre
+coefficients, with no determinant expansion.  The general-alpha density is
+the z-integral of the Laguerre determinant, evaluated at each quadrature
+node in mpmath.  Neither shares code with the library's tables.
 """
 
 import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from wishartcond.exact import DEFAULT_DPS, Dims, _EdgePowerTable, _evaluate, _law_values
@@ -89,4 +91,47 @@ def pdf_lambda2_closed_alpha0_grid(xs, dims: Dims) -> np.ndarray:
         # partial exp series minus exp(-x) = -(series tail)
         acc = sum(cij * -_exp_tail(i + j + 3, x) for i, j, cij in coeffs)
         out[idx] = lead * math.exp(-(n - 1) * x) * acc
+    return out
+
+
+def _laguerre_mp(deg: int, rho: int, t):
+    """L_deg^(rho)(t) in mpmath, summed term by term; deg < 0 gives 0."""
+    total = mpmath.mpf(0)
+    term = mpmath.mpf(math.comb(deg + rho, deg)) if deg >= 0 else 0
+    for j in range(deg + 1):
+        total += term
+        term *= -t * (deg - j) / ((j + 1) * (rho + j + 1))
+    return total
+
+
+def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np.ndarray:
+    """Second-smallest-eigenvalue density as the integral
+
+        x^3 exp(-(n-1) x) int_0^1 det M(x z, x) z^2 (1-z)^(-alpha) exp(-(1-z) x) dz,
+
+    row i of M being L_{n+i-3}^(2)(-x z), L_{n+i-4}^(3)(-x z) and
+    L_{n+i-k}^(k-1)(-x) for k = 3..alpha+2.  The determinant is taken at
+    every node of an order-point Gauss-Legendre rule at dps digits; the
+    integrand is a polynomial times exp in z, so the rule is exact to
+    double precision.
+    """
+    n, alpha = dims.n, dims.alpha
+    size = alpha + 2
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    out = np.zeros(len(xs))
+    with mpmath.workdps(dps):
+        for idx, x in enumerate(xs):
+            if x <= 0:
+                continue
+            x = mpmath.mpf(x)
+            fixed = [[_laguerre_mp(n + i - k, k - 1, -x) for k in range(3, size + 1)]
+                     for i in range(1, size + 1)]
+            total = mpmath.mpf(0)
+            for node, weight in zip(nodes, weights):
+                z = (1 + mpmath.mpf(node)) / 2
+                mat = mpmath.matrix([[_laguerre_mp(n + i - j - 2, j + 1, -x * z) for j in (1, 2)]
+                                     + fixed[i - 1] for i in range(1, size + 1)])
+                total += (weight * mpmath.det(mat) * z ** 2 * (1 - z) ** (-alpha)
+                          * mpmath.exp(-(1 - z) * x))
+            out[idx] = float(x ** 3 * mpmath.exp(-(n - 1) * x) * total / 2)
     return out

@@ -10,6 +10,7 @@ from oracles import (
     ke_closed_alpha0_law,
     pdf_kappa_e_closed_alpha0_grid,
     pdf_lambda2_closed_alpha0_grid,
+    pdf_lambda2_det_oracle,
 )
 from wishartcond.exact import (
     METRIC_KAPPA_D,
@@ -18,6 +19,7 @@ from wishartcond.exact import (
     _kd_law,
     _ke_bivariate_w_fracs,
     _ke_pieces,
+    _lambda2_law,
     _law_values,
     _min_eig_fracs,
     cdf_kappa_d_interp,
@@ -168,6 +170,60 @@ class TestLambda2:
             b = pdf_lambda2_closed_alpha0_grid(xs, d)
             assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-8
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_determinant_oracle(self, n):
+        xs = np.array([1e-3, 0.03, 0.5, 2.0, 10.0])
+        for alpha in range(4):
+            dims = Dims(n, alpha)
+            assert pdf_lambda2_grid(xs, dims) == pytest.approx(
+                pdf_lambda2_det_oracle(xs, dims, order=48), rel=1e-12), alpha
+
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 0), Dims(3, 1), Dims(4, 2),
+                                      Dims(6, 1), Dims(5, 3), Dims(8, 2), Dims(13, 1)])
+    def test_total_mass_is_exactly_one(self, dims):
+        assert sum(c * math.factorial(k) / Fraction(rate) ** (k + 1)
+                   for rate, powers, fracs in _lambda2_law(dims)
+                   for k, c in zip(powers, fracs)) == 1
+
+    @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 1), Dims(4, 2), Dims(6, 1),
+                                      Dims(13, 1), Dims(5, 3)])
+    def test_cdf_matches_gammainc(self, dims):
+        xs = np.array([0.001, 0.05, 0.3, 1.0, 3.0, 8.0])
+        got = cdf_lambda2_interp(dims)(xs)
+        with mpmath.workdps(30):
+            want = [float(sum(mpmath.mpf(c.numerator) / c.denominator
+                              * mpmath.gammainc(k + 1, 0, rate * x) / mpmath.mpf(rate) ** (k + 1)
+                              for rate, powers, fracs in _lambda2_law(dims)
+                              for k, c in zip(powers, fracs)))
+                    for x in xs]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_build_checks_divisibility(self, monkeypatch):
+        # a determinant row that does not vanish at z = 1 breaks divisibility
+        from wishartcond import exact
+
+        shift, nums = exact._ke_det(Dims(4, 1))
+        broken = [list(row) for row in nums]
+        broken[-1][0] += 1
+        monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
+        monkeypatch.setattr(exact, "_KE_CACHE", {})
+        with pytest.raises(ArithmeticError):
+            exact._lambda2_law(Dims(4, 1))
+
+    def test_no_quadrature(self, monkeypatch):
+        from wishartcond import exact
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_finite called")
+
+        monkeypatch.setattr(exact, "integrate_finite", refuse)
+        monkeypatch.setattr(exact, "_KE_CACHE", {})
+        dims = Dims(5, 2)
+        xs = np.array([0.001, 0.4, 3.0])
+        for precision in ("auto", "double", "extended"):
+            assert np.all(pdf_lambda2_grid(xs, dims, precision=precision) > 0.0)
+        assert np.all(np.diff(cdf_lambda2_interp(dims)(xs)) > 0.0)
+
 
 class TestConnections:
     def test_min_route(self):
@@ -216,7 +272,7 @@ class TestCdfs:
         # n=2, alpha=0: f(y) = 6 (y-2)^2 / y^4, so
         # F(y) = 1 - 6/y + 12/y^2 - 8/y^3, including its slow 6/y tail
         d = Dims(2, 0)
-        cdf = cdf_kappa_d_interp(d, 50.0)
+        cdf = cdf_kappa_d_interp(d)
         ys = np.linspace(2.2, 50.0, 150)
         want = 1.0 - 6.0 / ys + 12.0 / ys ** 2 - 8.0 / ys ** 3
         assert np.max(np.abs(cdf(ys) - want)) < 1e-5
@@ -226,14 +282,14 @@ class TestCdfs:
 
     def test_lambda_min_cdf(self):
         d = Dims(3, 1)
-        cdf = cdf_lambda_min_interp(d, 6.0)
+        cdf = cdf_lambda_min_interp(d)
         assert cdf(np.array([6.0]))[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_kappa_e_and_lambda2_cdfs(self):
         d = Dims(4, 0)
         for builder, hi, floor in ((cdf_kappa_e_interp, 40.0, 0.98),
                                    (cdf_lambda2_interp, 8.0, 0.999)):
-            cdf = builder(d, hi)
+            cdf = builder(d)
             xs = np.linspace(0.0, hi, 100)
             vals = cdf(xs)
             assert np.all(np.diff(vals) >= -1e-12)
@@ -401,8 +457,8 @@ class TestKappaEPieces:
             for alpha in range(4):
                 near, tail = _ke_pieces(Dims(n, alpha))
                 assert all(f > 0 for f in tail.fracs), (n, alpha)
-                _, ratios = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), DOUBLE)
-                assert ratios.max() <= 2.0, (n, alpha)
+                _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), DOUBLE)
+                assert lost.max() <= math.log10(2.0), (n, alpha)
 
     def test_kappa_d_tables_one_signed(self):
         # the production table (from the smallest-eigenvalue polynomial) is
@@ -467,7 +523,7 @@ class TestExactCdfs:
     ])
     def test_matches_betainc(self, builder, dims, ys):
         law = _kd_law(dims) if builder is cdf_kappa_d_interp else _ke_pieces(dims)
-        got = builder(dims, 1.0)(ys)
+        got = builder(dims)(ys)
         with mpmath.workdps(30):
             want = np.array([float(_mp_cdf(law, y)) for y in ys])
         assert np.max(np.abs(got - want)) <= 1e-11
@@ -475,7 +531,7 @@ class TestExactCdfs:
     def test_limits(self):
         for builder, dims in ((cdf_kappa_d_interp, Dims(4, 2)), (cdf_kappa_e_interp, Dims(4, 2)),
                               (cdf_lambda_min_interp, Dims(4, 2))):
-            vals = builder(dims, 1.0)(np.array([-1.0, 0.0, 2.0, 3.0, 1e12, np.inf]))
+            vals = builder(dims)(np.array([-1.0, 0.0, 2.0, 3.0, 1e12, np.inf]))
             assert vals[0] == vals[1] == 0.0
             assert vals[-1] == pytest.approx(1.0, abs=1e-15)
             assert np.all(np.diff(vals) >= 0.0)
@@ -483,7 +539,7 @@ class TestExactCdfs:
     def test_lambda_min_cdf_matches_gammainc(self):
         dims = Dims(6, 2)
         xs = np.array([0.01, 0.1, 0.3, 1.0, 3.0])
-        got = cdf_lambda_min_interp(dims, 1.0)(xs)
+        got = cdf_lambda_min_interp(dims)(xs)
         with mpmath.workdps(30):
             want = [float(sum(mpmath.mpf(c.numerator) / c.denominator
                               * mpmath.gammainc(d + 3, 0, 6 * x) / mpmath.mpf(6) ** (d + 3)
@@ -509,8 +565,33 @@ class TestMgfAgainstMpmath:
 
 
 class TestLambda2Precision:
-    def test_double_matches_extended_at_n13(self):
-        dims = Dims(13, 1)
-        xs = np.array([0.05, 1.0])
-        assert pdf_lambda2_grid(xs, dims) == pytest.approx(
-            pdf_lambda2_grid(xs, dims, precision="extended"), rel=1e-12)
+    def test_double_matches_extended_at_n13(self, caplog):
+        # the two pieces cancel near x = 0: 'auto' measures that, evaluates
+        # those points again at 40 digits and keeps the rest in double
+        xs = np.geomspace(1e-3, 4.0, 30)
+        for dims in (Dims(13, 1), Dims(13, 3)):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="wishartcond"):
+                got = pdf_lambda2_grid(xs, dims)
+            ext = pdf_lambda2_grid(xs, dims, precision="extended")
+            assert got == pytest.approx(ext, rel=1e-12)
+            redone = int(caplog.text.split("lambda-2 density: ")[1].split(" of")[0])
+            assert 0 < redone < len(xs)
+            dbl = pdf_lambda2_grid(xs, dims, precision="double")
+            assert dbl[-10:] == pytest.approx(ext[-10:], rel=1e-12)
+
+    def test_auto_adds_digits_while_cancellation_persists(self, caplog):
+        # below x = 1e-4 the pieces cancel by more than 27 digits, so 40
+        # digits leave fewer than 13 and the points go again at 80
+        dims = Dims(5, 3)
+        xs = np.array([1e-6, 1e-5])
+        with caplog.at_level(logging.INFO, logger="wishartcond"):
+            got = pdf_lambda2_grid(xs, dims)
+        assert "2 points evaluated again at 80 digits" in caplog.text
+        assert "160 digits" not in caplog.text
+        with mpmath.workdps(120):
+            want = [float(sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.mpf(x) ** k
+                              * mpmath.exp(-rate * mpmath.mpf(x))
+                              for rate, powers, fracs in _lambda2_law(dims)
+                              for k, c in zip(powers, fracs))) for x in xs]
+        assert got == pytest.approx(want, rel=1e-13)

@@ -109,6 +109,14 @@ class TestCombinatorics:
         # huge u gives 0, not inf times 0
         assert poisson_mix(np.array([1e300]), coeffs, 0, power=2)[0] == 0.0
 
+    def test_poisson_mix_signed(self):
+        # negative weights count; only zeros are skipped
+        us = np.array([0.3, 2.0, 9.0])
+        coeffs = np.array([1.5, -0.75, 0.0, -2.25, 0.5])
+        want = [sum(c * math.exp(-u) * u ** (k + 1) / math.factorial(k + 1)
+                    for k, c in enumerate(coeffs)) for u in us]
+        assert poisson_mix(us, coeffs, 1) == pytest.approx(want, rel=1e-13)
+
     def test_log_factorials(self):
         table = log_factorials(6)
         for k in range(7):
