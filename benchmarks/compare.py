@@ -14,9 +14,10 @@ sides run the perfbench of their own tree, with its own run length.
 
 For every end-to-end metric the output holds each side's values, median and
 quartiles, and how many pairs the head won (lower is better for all of
-them), together with the seeds, the failed checks, and the environment
-block of the first run.  Results for other workloads already in --out are
-kept.
+them), together with the seeds, the failed checks, the passes each run
+made and the jobs in one pass (the failed share is len(failed) over the sum
+of passes times jobs_per_pass), and the environment block of the first
+run.  Results for other workloads already in --out are kept.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ def main(argv=None) -> int:
         trees = {"base": _export(args.base, base_dir), "head": ROOT}
         values = {side: {m: [] for m in METRICS} for side in trees}
         failed = {side: [] for side in trees}
+        passes = {side: [] for side in trees}
+        jobs_per_pass = {side: [] for side in trees}
         seeds, environment = [], None
         for i in range(PAIRS):
             seed = args.seed + i
@@ -87,6 +90,8 @@ def main(argv=None) -> int:
                 for m in METRICS:
                     values[side][m].append(result["metrics"][m]["value"])
                 failed[side] += [f"seed {seed}: {f}" for f in details["failures"]]
+                passes[side].append(details["passes"])
+                jobs_per_pass[side].append(details["jobs_per_pass"])
                 print(f"pair {i + 1}/{PAIRS} {side} seed={seed} "
                       f"wall_s={result['metrics']['wall_s']['value']:.3f} "
                       f"failed={result['failed']} ({time.monotonic() - started:.0f} s)",
@@ -99,8 +104,10 @@ def main(argv=None) -> int:
         "pairs": PAIRS, "seeds": seeds,
         "order": "base first in even pairs (0-based), head first in odd pairs",
         "base": {"revision": _revision(args.base), "failed": failed["base"],
+                 "passes": passes["base"], "jobs_per_pass": jobs_per_pass["base"],
                  **{m: _summary(values["base"][m]) for m in METRICS}},
         "head": {"revision": "checkout", "failed": failed["head"],
+                 "passes": passes["head"], "jobs_per_pass": jobs_per_pass["head"],
                  **{m: _summary(values["head"][m]) for m in METRICS}},
         "head_wins": {m: sum(h < b for h, b in zip(values["head"][m], values["base"][m]))
                       for m in METRICS},

@@ -311,7 +311,12 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None):
     dims = _need_dims(cfg)
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
+    started = time.perf_counter()
     draws = mc_collect(cfg.metric, dims, cfg.samples, cfg.seed, workers=_workers())
+    sample_s = time.perf_counter() - started
+    cost = {"sample_s": sample_s, "draws_per_s": cfg.samples / sample_s}
+    log.debug("mc_collect %s n=%d alpha=%d: sample_s=%.4f draws_per_s=%.0f",
+              cfg.metric, dims.n, dims.alpha, sample_s, cost["draws_per_s"])
     if cfg.kind == "asymptotic":
         if cfg.metric not in (METRIC_KAPPA_D, METRIC_KAPPA_E):
             raise UsageError("asymptotic comparison exists for kappa-d and kappa-e only")
@@ -329,7 +334,7 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None):
         meta = {"kind": "exact"}
     report = build_report(cfg.metric, dims, draws, cfg.seed, cdf,
                           bins=cfg.bins, threshold=threshold)
-    report.meta.update(meta)
+    report.meta.update(meta, **cost)
     return report
 
 

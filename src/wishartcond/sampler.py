@@ -36,6 +36,7 @@ from .exact import (
 )
 
 _INV64 = 2.0 ** -64
+_MASK64 = 2 ** 64 - 1
 _PIVMIN = 1e-290
 # raw words held at once per worker while drawing Gamma variates (8 MiB)
 _VARIATE_BLOCK_WORDS = 1 << 20
@@ -66,9 +67,25 @@ class ComplexMatrix:
         return self.entries.shape[1]
 
 
-def _raw_block(seed: int, index: int, count: int) -> np.ndarray:
-    bg = np.random.Philox(key=[seed & (2 ** 64 - 1), index & (2 ** 64 - 1)])
-    return bg.random_raw(count)
+def _keyed_raw(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """count raw words of the Philox stream keyed (seed, k), one row per
+    k in start..stop-1: the words of a fresh ``Philox(key=[seed, k])``.
+
+    One generator is re-keyed per row, far cheaper than building one per row.
+    The key is a uint64 array, so every seed reduced mod 2**64 is exact.
+    """
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bg = np.random.Philox(key=key)
+    out = np.empty((stop - start, count), dtype=np.uint64)
+    for row, k in enumerate(range(start, stop)):
+        key[1] = k & _MASK64
+        bg.state = state
+        out[row] = bg.random_raw(count)
+    return out
 
 
 def _uniform(raw: np.ndarray) -> np.ndarray:
@@ -86,14 +103,9 @@ def _box_muller(raw: np.ndarray) -> np.ndarray:
     return r * np.cos(ang) + 1j * (r * np.sin(ang))
 
 
-def _normal_block(seed: int, index: int, count: int) -> np.ndarray:
-    """count iid complex standard normals from the (seed, index) stream."""
-    return _box_muller(_raw_block(seed, index, 2 * count))
-
-
 def sample_matrix(dims: Dims, seed: int, index: int = 0) -> ComplexMatrix:
     """The index-th matrix draw of the given shape under this seed."""
-    z = _normal_block(seed, index, dims.mn)
+    z = _box_muller(_keyed_raw(seed, index, index + 1, 2 * dims.mn)[0])
     return ComplexMatrix(z.reshape(dims.m, dims.n))
 
 
@@ -154,10 +166,7 @@ def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
     block = max(1, _VARIATE_BLOCK_WORDS // mn)
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        raw = np.empty((hi - lo, mn), dtype=np.uint64)
-        for k in range(lo, hi):
-            raw[k - lo] = _raw_block(seed, k, mn)
-        logu = np.log(_uniform(raw))
+        logu = np.log(_uniform(_keyed_raw(seed, lo, hi, mn)))
         gam[lo - start:hi - start] = -np.add.reduceat(logu, offsets, axis=1)
     a2, b2 = gam[:, :n], gam[:, n:]
     d = a2.copy()
@@ -168,29 +177,24 @@ def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
 def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
                   debug: bool) -> np.ndarray:
     d, e2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
-    lam1 = _kth_smallest(d, e2, 1)
-    lam2 = _kth_smallest(d, e2, 2) if dims.n >= 2 else None
-    bad = ~np.isfinite(lam1) | (lam1 <= 0)
-    if lam2 is not None:
-        bad |= ~np.isfinite(lam2)
+    # only the order statistic the metric reads is bisected
+    kth = 2 if metric in (METRIC_KAPPA_E, METRIC_LAMBDA_2) else 1
+    lam = _kth_smallest(d, e2, kth)
+    bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
         idx = start + int(np.argmax(bad))
         raise SamplerError(f"eigensolver failed for sample index {idx}")
     if debug:
-        _debug_check(d, e2, tr, lam1, lam2, start)
-    if metric == METRIC_KAPPA_D:
-        return tr / lam1
-    if metric == METRIC_KAPPA_E:
-        return tr / lam2
-    if metric == METRIC_LAMBDA_MIN:
-        return lam1
-    return lam2
+        _debug_check(d, e2, tr, lam, kth, start)
+    return tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
 
 
-def _debug_check(d, e2, tr, lam1, lam2, start: int):
-    # LAPACK on each dense tridiagonal: agreement with the bisection values
-    # and with the trace
+def _debug_check(d, e2, tr, lam, kth: int, start: int):
+    # LAPACK on each dense tridiagonal: agreement with the trace and with
+    # both bisection values, the one computed and the other order statistic
     k, n = d.shape
+    lam1 = lam if kth == 1 else _kth_smallest(d, e2, 1)
+    lam2 = lam if kth == 2 else (_kth_smallest(d, e2, 2) if n >= 2 else None)
     diag = np.arange(n)
     T = np.zeros((k, n, n))
     T[:, diag, diag] = d

@@ -4,6 +4,9 @@ The closed alpha = 0 forms come from a double sum over Laguerre
 coefficients, with no determinant expansion.  The general-alpha density is
 the z-integral of the Laguerre determinant, evaluated at each quadrature
 node in mpmath.  Neither shares code with the library's tables.
+
+The sampler's reference stream builds one Philox generator per draw, as
+the sampler did before it re-keyed a single generator.
 """
 
 import functools
@@ -135,3 +138,10 @@ def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np
                           * mpmath.exp(-(1 - z) * x))
             out[idx] = float(x ** 3 * mpmath.exp(-(n - 1) * x) * total / 2)
     return out
+
+
+def philox_raw_reference(seed: int, index: int, count: int) -> np.ndarray:
+    """count raw words of draw index's stream: a fresh Philox4x64-10 keyed
+    (seed, index), both reduced mod 2**64."""
+    key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(count)

@@ -178,6 +178,17 @@ class TestMcCommand:
         # the alpha = 0 limit is one Gamma law: its table leaves nothing out
         assert res["meta"]["cdf_error_bound"] == 0.0
 
+    def test_reports_sampling_cost(self, tmp_path, caplog):
+        out = tmp_path / "mc.json"
+        with caplog.at_level("DEBUG", logger="wishartcond"):
+            assert cli.main(["mc", "--metric", "kappa-e", "--n", "4", "--alpha", "1",
+                             "--samples", "400", "--out", str(out)]) == EXIT_OK
+        meta = json.loads(out.read_text())["results"]["meta"]
+        assert meta["sample_s"] > 0
+        assert meta["draws_per_s"] == pytest.approx(400 / meta["sample_s"])
+        assert any("mc_collect kappa-e n=4 alpha=1: sample_s=" in r.getMessage()
+                   for r in caplog.records)
+
     def test_thread_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         out = tmp_path / "mc.json"
@@ -197,10 +208,15 @@ class TestFigureCommand:
             assert path.exists()
             first[suffix] = path.read_bytes()
         assert cli.main(args) == EXIT_OK
-        for suffix, blob in first.items():
-            assert (tmp_path / f"fig{suffix}").read_bytes() == blob
-
+        for suffix in ("_curve.csv", "_hist.csv"):
+            assert (tmp_path / f"fig{suffix}").read_bytes() == first[suffix]
+        # the report matches apart from the sampling time, which is measured
         payload = json.loads(first["_report.json"])
+        again = json.loads((tmp_path / "fig_report.json").read_text())
+        for report in (payload, again):
+            meta = report["results"]["meta"]
+            assert meta.pop("sample_s") > 0 and meta.pop("draws_per_s") > 0
+        assert again == payload
         res = payload["results"]
         assert res["n"] == 10 and res["alpha"] == 0
         assert res["ks_threshold"] == 0.03

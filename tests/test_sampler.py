@@ -1,23 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import philox_raw_reference
 
+from wishartcond import sampler
 from wishartcond.exact import (
     METRIC_KAPPA_D,
     METRIC_KAPPA_E,
     METRIC_LAMBDA_2,
     METRIC_LAMBDA_MIN,
+    METRICS,
     Dims,
 )
 from wishartcond.sampler import (
+    _VARIATE_BLOCK_WORDS,
     ComplexMatrix,
     McReport,
     SamplerError,
+    _keyed_raw,
+    _kth_smallest,
+    _uniform,
     build_report,
     ks_compare,
     ks_threshold,
     mc_collect,
     sample_matrix,
 )
+
+_KTH = {METRIC_KAPPA_D: 1, METRIC_LAMBDA_MIN: 1, METRIC_KAPPA_E: 2, METRIC_LAMBDA_2: 2}
 
 
 class TestMatrixDraws:
@@ -81,6 +92,98 @@ class TestMcCollect:
             mc_collect(METRIC_KAPPA_D, Dims(3, 0), 0, seed=1)
         with pytest.raises(ValueError):
             mc_collect(METRIC_KAPPA_E, Dims(1, 0), 10, seed=1)
+
+
+def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
+    """mc_collect's values for these indices, each draw's Gamma variates
+    built on its own from a freshly constructed Philox generator."""
+    n = dims.n
+    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
+    offsets = np.cumsum([0] + lengths[:-1])
+    gam = np.stack([
+        -np.add.reduceat(np.log(_uniform(philox_raw_reference(seed, k, dims.mn))), offsets)
+        for k in indices])
+    a2, b2 = gam[:, :n], gam[:, n:]
+    d = a2.copy()
+    d[:, 1:] += b2
+    lam = _kth_smallest(d, a2[:, :-1] * b2, _KTH[metric])
+    return gam.sum(axis=1) / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
+
+
+class TestKeyedStream:
+    @pytest.mark.parametrize("count", [20, 2550])
+    def test_matches_per_draw_generator(self, count):
+        for seed in (11, -7, 2 ** 63 + 5):
+            want = np.stack([philox_raw_reference(seed, k, count) for k in range(1000, 1006)])
+            assert np.array_equal(_keyed_raw(seed, 1000, 1006, count), want)
+
+    def test_seeds_below_2_63_keep_their_words(self):
+        # the list key that numpy converts exactly below 2**63
+        for seed in (0, 1, 209, 2 ** 62 + 3, 2 ** 63 - 1):
+            want = np.random.Philox(key=[seed, 4]).random_raw(20)
+            assert np.array_equal(_keyed_raw(seed, 4, 5, 20)[0], want)
+
+    def test_distinct_seeds_give_distinct_streams(self):
+        for a, b in ((-1, -2), (-1, -7), (-2, -7), (2 ** 63 + 5, 2 ** 63 + 6)):
+            assert not np.array_equal(_keyed_raw(a, 0, 1, 8), _keyed_raw(b, 0, 1, 8))
+        assert np.array_equal(_keyed_raw(-1, 0, 1, 8), _keyed_raw(2 ** 64 - 1, 0, 1, 8))
+
+    def test_negative_seeds_draw_distinct_values_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [mc_collect(METRIC_KAPPA_D, Dims(3, 0), 50, seed=s) for s in (-1, -2, -7)]
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(draws[0], draws[2])
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_mc_collect_matches_per_draw_path(self, metric):
+        dims = Dims(50, 1)
+        block = _VARIATE_BLOCK_WORDS // dims.mn
+        assert block == 411
+        # indices 405..424 cross the variate block at 411 and the chunk at 416
+        got = mc_collect(metric, dims, 425, seed=5, chunk=416)[405:]
+        assert np.array_equal(got, _reference_draws(metric, dims, 5, range(405, 425)))
+
+
+class TestOneOrderStatistic:
+    @staticmethod
+    def _spy(monkeypatch, wrap=lambda lam, kth: lam):
+        calls = []
+
+        def spy(d, e2, kth):
+            calls.append(kth)
+            return wrap(_kth_smallest(d, e2, kth), kth)
+
+        monkeypatch.setattr(sampler, "_kth_smallest", spy)
+        return calls
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_bisects_only_the_needed_eigenvalue(self, metric, monkeypatch):
+        calls = self._spy(monkeypatch)
+        mc_collect(metric, Dims(4, 1), 50, seed=3, chunk=20)
+        assert calls == [_KTH[metric]] * 3
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("poison", [np.nan, 0.0])
+    def test_bad_value_reports_its_index(self, metric, poison, monkeypatch):
+        def poisoned(lam, kth):
+            lam[7] = poison
+            return lam
+
+        self._spy(monkeypatch, poisoned)
+        with pytest.raises(SamplerError, match=r"sample index 7$"):
+            mc_collect(metric, Dims(3, 0), 40, seed=1, chunk=20)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_debug_checks_both_eigenvalues(self, metric, monkeypatch):
+        other = 3 - _KTH[metric]
+        calls = self._spy(monkeypatch)
+        mc_collect(metric, Dims(4, 1), 30, seed=3, debug=True)
+        assert sorted(set(calls)) == [1, 2]
+        # a wrong value of the eigenvalue the metric does not read is caught
+        self._spy(monkeypatch, lambda lam, kth: lam * 1.01 if kth == other else lam)
+        with pytest.raises(SamplerError, match="disagree"):
+            mc_collect(metric, Dims(4, 1), 30, seed=3, debug=True)
 
 
 class TestKs:
