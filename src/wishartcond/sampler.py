@@ -1,7 +1,7 @@
 """Monte Carlo ground truth for the analytic densities.
 
-Sampling is deterministic by construction: draw index i under seed s uses
-its own counter-based (Philox) stream keyed by (s, i), so the same draw
+Sampling is deterministic by construction: draw i under seed s owns a fixed
+range of counters in the one Philox stream keyed by s, so the same draw
 comes out bit-identical whether the batch runs on one worker or eight, and
 any single draw can be regenerated in isolation.
 
@@ -35,8 +35,7 @@ from .exact import (
     Dims,
 )
 
-_INV64 = 2.0 ** -64
-_MASK64 = 2 ** 64 - 1
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent bits of 1.0
 _PIVMIN = 1e-290
 # raw words held at once per worker while drawing Gamma variates (8 MiB)
 _VARIATE_BLOCK_WORDS = 1 << 20
@@ -67,37 +66,36 @@ class ComplexMatrix:
         return self.entries.shape[1]
 
 
-def _keyed_raw(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """count raw words of the Philox stream keyed (seed, k), one row per
-    k in start..stop-1: the words of a fresh ``Philox(key=[seed, k])``.
+def _row_words(count: int) -> int:
+    """Stream words a draw of count words owns: whole 4-word Philox blocks."""
+    return 4 * -(-count // 4)
 
-    One generator is re-keyed per row, far cheaper than building one per row.
-    The key is a uint64 array, so every seed reduced mod 2**64 is exact.
-    """
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": key},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    bg = np.random.Philox(key=key)
-    out = np.empty((stop - start, count), dtype=np.uint64)
-    for row, k in enumerate(range(start, stop)):
-        key[1] = k & _MASK64
-        bg.state = state
-        out[row] = bg.random_raw(count)
-    return out
+
+def _keyed_raw(seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """count raw words per draw k in start..stop-1, one row each: the words
+    [k w, k w + count), w = ``_row_words(count)``, of the Philox4x64-10
+    stream keyed (seed mod 2**64, 0).  Draw k starts on Philox block k w / 4,
+    so one generator at the first row's counter makes the whole block."""
+    w = _row_words(count)
+    bg = np.random.Philox(key=seed % 2 ** 64, counter=start * w // 4)
+    return bg.random_raw((stop - start) * w).reshape(-1, w)[:, :count]
 
 
 def _uniform(raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words to uniforms in (0, 1], so that log(u) is finite."""
-    return (raw.astype(np.float64) + 1.0) * _INV64
+    """Raw 64-bit words to uniforms in (0, 1], so that log(u) is finite, in
+    place: the top 52 bits of a word fill the mantissa of x in [1, 2), and
+    u = 2 - x.  Returns the float64 view of ``raw``."""
+    raw >>= 12
+    raw |= _ONE_BITS
+    u = raw.view(np.float64)
+    return np.subtract(2.0, u, out=u)
 
 
 def _box_muller(raw: np.ndarray) -> np.ndarray:
-    """Interleaved raw 64-bit words to complex standard normals."""
+    """Interleaved raw 64-bit words, used up in place, to complex standard normals."""
     # u1 in (0, 1] keeps the log finite; u2 in [0, 1)
     u1 = _uniform(raw[..., 0::2])
-    u2 = raw[..., 1::2].astype(np.float64) * _INV64
+    u2 = 1.0 - _uniform(raw[..., 1::2])  # x - 1, exactly
     r = np.sqrt(-np.log(u1))
     ang = (2.0 * math.pi) * u2
     return r * np.cos(ang) + 1j * (r * np.sin(ang))
@@ -153,20 +151,21 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
 def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
     """(d, e2, trace) of B B^T for draws start..stop-1 of the bidiagonal model.
 
-    Draw k sums -log(u) over fixed segments of the m*n uniforms from its
-    (seed, k) stream: lengths m, m-1, ..., m-n+1 give the squared diagonal
-    a_i^2 ~ Gamma(m - i), lengths n-1, ..., 1 the squared subdiagonal
-    b_i^2 ~ Gamma(n - 1 - i).  Each Erlang sum is an exact Gamma variate.
+    Draw k sums -log(u) over fixed segments of its m*n uniforms: lengths m,
+    m-1, ..., m-n+1 give the squared diagonal a_i^2 ~ Gamma(m - i), lengths
+    n-1, ..., 1 the squared subdiagonal b_i^2 ~ Gamma(n - 1 - i).  Each
+    Erlang sum is an exact Gamma variate.
     """
     n, mn = dims.n, dims.mn
     lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
     offsets = np.cumsum([0] + lengths[:-1])
     gam = np.empty((stop - start, len(lengths)))
     # rows are independent, so the block size changes memory, not values
-    block = max(1, _VARIATE_BLOCK_WORDS // mn)
+    block = max(1, _VARIATE_BLOCK_WORDS // _row_words(mn))
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        logu = np.log(_uniform(_keyed_raw(seed, lo, hi, mn)))
+        logu = _uniform(_keyed_raw(seed, lo, hi, mn))
+        np.log(logu, out=logu)
         gam[lo - start:hi - start] = -np.add.reduceat(logu, offsets, axis=1)
     a2, b2 = gam[:, :n], gam[:, n:]
     d = a2.copy()

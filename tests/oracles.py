@@ -141,7 +141,9 @@ def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np
 
 
 def philox_raw_reference(seed: int, index: int, count: int) -> np.ndarray:
-    """count raw words of draw index's stream: a fresh Philox4x64-10 keyed
-    (seed, index), both reduced mod 2**64."""
-    key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw(count)
+    """count raw words of draw index under seed: the words of a fresh
+    Philox4x64-10 keyed (seed mod 2**64, 0), run from its start up to and
+    through the draw, then sliced at the draw's whole-block offset."""
+    w = 4 * -(-count // 4)
+    key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw((index + 1) * w)[index * w:index * w + count]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from wishartcond.sampler import (
     SamplerError,
     _keyed_raw,
     _kth_smallest,
+    _row_words,
     _uniform,
     build_report,
     ks_compare,
@@ -111,16 +113,18 @@ def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
 
 
 class TestKeyedStream:
-    @pytest.mark.parametrize("count", [20, 2550])
+    # counts that are no multiple of 4 leave the rest of a draw's last block unused
+    @pytest.mark.parametrize("count", [20, 2550, 1, 9, 10, 15])
     def test_matches_per_draw_generator(self, count):
         for seed in (11, -7, 2 ** 63 + 5):
             want = np.stack([philox_raw_reference(seed, k, count) for k in range(1000, 1006)])
             assert np.array_equal(_keyed_raw(seed, 1000, 1006, count), want)
 
     def test_seeds_below_2_63_keep_their_words(self):
-        # the list key that numpy converts exactly below 2**63
+        # the list key that numpy converts exactly below 2**63: draw 4 of
+        # 20 words is words 80..99 of that one stream
         for seed in (0, 1, 209, 2 ** 62 + 3, 2 ** 63 - 1):
-            want = np.random.Philox(key=[seed, 4]).random_raw(20)
+            want = np.random.Philox(key=[seed, 0]).random_raw(100)[80:]
             assert np.array_equal(_keyed_raw(seed, 4, 5, 20)[0], want)
 
     def test_distinct_seeds_give_distinct_streams(self):
@@ -138,11 +142,68 @@ class TestKeyedStream:
     @pytest.mark.parametrize("metric", METRICS)
     def test_mc_collect_matches_per_draw_path(self, metric):
         dims = Dims(50, 1)
-        block = _VARIATE_BLOCK_WORDS // dims.mn
-        assert block == 411
-        # indices 405..424 cross the variate block at 411 and the chunk at 416
+        block = _VARIATE_BLOCK_WORDS // _row_words(dims.mn)
+        assert block == 410
+        # indices 405..424 cross the variate block at 410 and the chunk at 416
         got = mc_collect(metric, dims, 425, seed=5, chunk=416)[405:]
         assert np.array_equal(got, _reference_draws(metric, dims, 5, range(405, 425)))
+
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(2, 3), Dims(3, 2)])
+    def test_unpadded_widths_are_schedule_invariant(self, dims, monkeypatch):
+        # m*n = 9, 10, 15: each draw leaves 3, 2 or 1 words of its blocks unused
+        assert dims.mn % 4 in (1, 2, 3)
+        base = mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5)
+        assert np.array_equal(base, _reference_draws(METRIC_KAPPA_E, dims, 2 ** 63 + 5, range(40)))
+        assert np.array_equal(base, mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5,
+                                               workers=2, chunk=7))
+        # a variate block of 3 draws, crossed by chunks of 7
+        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 3 * _row_words(dims.mn) + 1)
+        assert np.array_equal(base, mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5,
+                                               chunk=7))
+
+    def test_variate_block_stays_within_its_memory(self, monkeypatch):
+        dims = Dims(50, 1)
+        block = _VARIATE_BLOCK_WORDS // _row_words(dims.mn)
+        rows = []
+
+        def spy(seed, start, stop, count):
+            rows.append(stop - start)
+            return _keyed_raw(seed, start, stop, count)
+
+        # blocks are sized on the padded width, not on m*n
+        monkeypatch.setattr(sampler, "_keyed_raw", spy)
+        sampler._laguerre_tridiagonal(dims, 5, 0, block + 1)
+        assert rows == [block, 1]
+        # one block of raw words (8 MiB), made into uniforms in place: a
+        # second buffer of the block's size would take the peak past 16 MiB
+        tracemalloc.start()
+        try:
+            sampler._laguerre_tridiagonal(dims, 5, 0, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
+
+
+class TestUniform:
+    def test_extreme_words(self):
+        # the top 52 bits count: the low 12 are dropped, the top bit is worth 1/2
+        words = [0, 2 ** 64 - 1, 2 ** 12 - 1, 2 ** 12, 2 ** 63]
+        u = _uniform(np.array(words, dtype=np.uint64))
+        assert list(u) == [1.0, 2.0 ** -52, 1.0, 1.0 - 2.0 ** -52, 0.5]
+
+    def test_box_muller_angle_starts_at_zero(self):
+        # u2 = x - 1: word 0 is angle 0, word 2**62 a quarter turn
+        z = sampler._box_muller(np.array([2 ** 64 - 1, 0, 2 ** 64 - 1, 2 ** 62], dtype=np.uint64))
+        r = np.sqrt(52.0 * np.log(2.0))
+        assert z[0] == pytest.approx(r, rel=1e-15) and z[0].imag == 0.0
+        assert z[1].imag == pytest.approx(r, rel=1e-15) and abs(z[1].real) < 1e-15
+
+    def test_range_and_finite_logs(self):
+        u = _uniform(_keyed_raw(9, 0, 1000, 50))
+        assert u.shape == (1000, 50)
+        assert np.all((u > 0.0) & (u <= 1.0))
+        assert np.all(np.isfinite(np.log(u)))
 
 
 class TestOneOrderStatistic:
