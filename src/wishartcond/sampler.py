@@ -14,13 +14,20 @@ Two sampling paths:
 * ``mc_collect``: the bidiagonal beta = 2 Laguerre model (Dumitriu and
   Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law of
   B B^T, with B n x n lower bidiagonal and independent Gamma squared
-  entries.  Sturm bisection on the tridiagonal B B^T gives the one or two
-  smallest eigenvalues; the trace is the sum of the squared entries.
+  entries; the trace is the sum of the squared entries.  The one eigenvalue
+  the metric reads (the smallest or the second smallest) comes from
+  Laguerre steps on the LDL^T (Sturm) recurrence of the tridiagonal B B^T,
+  on the lanes still moving.  Two Sturm counts at x -/+ 4 eps ||T|| certify
+  each value to that absolute tolerance, as LAPACK dstebz's ABSTOL does;
+  the few lanes that fail are finished by Sturm bisection.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,8 +44,17 @@ from .exact import (
 
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent bits of 1.0
 _PIVMIN = 1e-290
+_EPS = np.finfo(float).eps
+# Laguerre sweeps per search, and probes for a point between lambda_1 and
+# lambda_2, before a lane is left to certification and bisection
+_LAGUERRE_SWEEPS = 40
+_GAP_PROBES = 60
 # raw words held at once per worker while drawing Gamma variates (8 MiB)
 _VARIATE_BLOCK_WORDS = 1 << 20
+
+log = logging.getLogger("wishartcond")
+# per thread: (Laguerre sweeps per lane, fallback lanes) of the last search
+_search_stats = threading.local()
 
 
 class SamplerError(RuntimeError):
@@ -108,44 +124,191 @@ def sample_matrix(dims: Dims, seed: int, index: int = 0) -> ComplexMatrix:
 
 
 # ---------------------------------------------------------------------------
-# bidiagonal Laguerre model + Sturm bisection
+# bidiagonal Laguerre model + certified Laguerre search for one eigenvalue
+#
+# Every function below works on the tridiagonals in column-major form: D is
+# (n, lanes) and E2 (n - 1, lanes), so one column of the LDL^T recurrence is
+# one contiguous row.  Only elementwise operations touch a lane, so a lane's
+# value depends on its own (d, e2) row alone, never on its batch.
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below x, per batch member."""
-    q = d[:, 0] - x
+def _sturm_counts(D: np.ndarray, E2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues strictly below x, per lane (x may carry leading
+    axes, which broadcast against the lanes)."""
+    q = D[0] - x
     q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
     cnt = (q < 0).astype(np.int64)
-    for i in range(1, d.shape[1]):
-        q = d[:, i] - x - e2[:, i - 1] / q
+    for i in range(1, D.shape[0]):
+        q = D[i] - x - E2[i - 1] / q
         q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
         cnt += q < 0
     return cnt
 
 
-def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
-    """kth smallest eigenvalue (1-based) of each tridiagonal in the stack."""
-    n = d.shape[1]
-    if n == 1:
-        return d[:, 0].copy()
-    e = np.sqrt(e2)
-    r = np.zeros_like(d)
-    r[:, :-1] += e
-    r[:, 1:] += e
-    lo = (d - r).min(axis=1)
-    hi = (d + r).max(axis=1)
+def _bisect(D, E2, kth: int) -> np.ndarray:
+    """kth smallest eigenvalue by Sturm bisection from the Gershgorin interval."""
+    e = np.sqrt(E2)
+    r = np.zeros_like(D)
+    r[:-1] += e
+    r[1:] += e
+    lo = (D - r).min(axis=0)
+    hi = (D + r).max(axis=0)
     hi = hi + 1e-12 * np.maximum(np.abs(hi), 1.0)
-    # each lane freezes on its own tolerance, so a sample's bisection path
-    # never depends on what else shares the batch
+    # each lane freezes on its own tolerance
     for _ in range(130):
         live = hi - lo > 1e-14 * np.maximum(np.abs(hi), 1e-30)
         if not np.any(live):
             break
         mid = 0.5 * (lo + hi)
-        below = _sturm_counts(d, e2, mid) >= kth
+        below = _sturm_counts(D, E2, mid) >= kth
         hi = np.where(live & below, mid, hi)
         lo = np.where(live & ~below, mid, lo)
     return 0.5 * (lo + hi)
+
+
+def _laguerre_sums(Q, E2, x):
+    """(count below x, G, H) per lane, G = sum 1/(x - l_j), H = sum 1/(x - l_j)^2.
+
+    Q holds the diagonal on entry and the pivots q_i on return.  With
+    t = e_{i-1}^2 / q_{i-1}, the pivot q_i = d_i - x - t has the
+    log-derivative r_i = q_i'/q_i = (t r_{i-1} - 1) / q_i, and
+    s_i = -r_i' = r_i^2 + t (s_{i-1} + r_{i-1}^2) / q_i; G = sum r_i and
+    H = sum s_i, since det(T - x) is the product of the pivots.  No pivot
+    guard: a zero pivot makes G or H non-finite, and the lane stops there.
+    """
+    Q -= x
+    q = Q[0]
+    r = -1.0 / q
+    rsq = r * r
+    g = r.copy()
+    h = rsq.copy()
+    s = rsq.copy()
+    t, u = np.empty_like(x), np.empty_like(x)
+    for i in range(1, Q.shape[0]):
+        np.divide(E2[i - 1], q, out=t)
+        q = np.subtract(Q[i], t, out=Q[i])
+        s += rsq
+        s *= t
+        s /= q
+        np.multiply(t, r, out=u)
+        u -= 1.0
+        np.divide(u, q, out=r)
+        np.multiply(r, r, out=rsq)
+        s += rsq
+        g += r
+        h += s
+    return np.count_nonzero(Q < 0, axis=0), g, h
+
+
+def _laguerre_search(D, E2, x, kth: int, atol, rtol: float = 0.0, pole=None):
+    """Laguerre steps from x, a point between the (kth - 1)th and the kth
+    eigenvalue, toward the kth, and the lane-sweeps taken.
+
+    The Sturm count tells which side of the kth eigenvalue x is on: below
+    it the step is k / (R - G), above it -k / (R + G), R = sqrt((k-1)(k H -
+    G^2)).  For a real-rooted polynomial either step stays on its side of
+    the root and converges cubically; rounding, or a pole a little off its
+    root, may carry x across, and the next step comes back.  With a pole,
+    the known lower root is divided out first (k = n - 1); where that
+    cancels more than six digits of H, the Newton step -1/G is taken
+    instead.  A lane leaves the live set when its step is not finite or
+    falls to atol + rtol |x|.
+    """
+    n, lanes = D.shape
+    k = n - 1 if pole is not None else n
+    ids = np.arange(lanes)
+    out = x.copy()
+    sweeps = 0
+    for _ in range(_LAGUERRE_SWEEPS):
+        m = len(ids)
+        if m == 0:
+            break
+        sweeps += m
+        x = out[ids]
+        cnt, G, H = _laguerre_sums(D[:, ids], E2[:, ids], x)
+        if pole is not None:
+            p = 1.0 / (x - pole[ids])
+            G -= p
+            p *= p
+            trusted = H - p > 1e-6 * H
+            H -= p
+        root = np.sqrt((k - 1) * np.maximum(k * H - G * G, 0.0))
+        step = np.where(cnt < kth, k / (root - G), -k / (root + G))
+        if pole is not None:
+            step = np.where(trusted, step, -1.0 / G)
+        stay = np.isfinite(step)
+        xn = np.where(stay, x + step, x)
+        out[ids] = xn
+        lim = atol[ids] + rtol * np.abs(xn)
+        ids = ids[stay & (np.abs(step) > lim)]
+    return out, sweeps
+
+
+def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
+    """kth smallest eigenvalue (1-based, kth <= 2) of each tridiagonal in the
+    stack, rows d (lanes, n) and squared off-diagonals e2 (lanes, n - 1).
+
+    lambda_1 comes from Laguerre steps from 0, below the spectrum of a
+    positive definite B B^T.  For lambda_2, a coarse lambda_1 first; then
+    the probe 2 lambda_1, bisected on the lanes whose count is not exactly
+    1, gives a point in (lambda_1, lambda_2), and Laguerre steps with
+    lambda_1 divided out go on from there.  Two Sturm counts certify each
+    result x: fewer than kth eigenvalues below x - delta, at least kth below
+    x + delta, with delta = 4 eps ||T|| for the largest Gershgorin row sum
+    ||T|| (the absolute tolerance of LAPACK dstebz).  The lanes that fail are
+    bisected from their Gershgorin interval.  Sweep and fallback counts go to
+    ``_search_stats.last`` for the chunk log line.
+    """
+    lanes, n = d.shape
+    if n == 1:
+        _search_stats.last = (0.0, 0)
+        return d[:, 0].copy()
+    D = np.ascontiguousarray(d.T)
+    E2 = np.ascontiguousarray(e2.T)
+    # ||T|| as the largest Gershgorin row sum
+    rad = np.abs(D)
+    e = np.sqrt(E2)
+    rad[:-1] += e
+    rad[1:] += e
+    atol = _EPS * rad.max(axis=0)
+    del rad, e
+    with np.errstate(all="ignore"):
+        if kth == 1:
+            x, sweeps = _laguerre_search(D, E2, np.zeros(lanes), 1, atol)
+        else:
+            lam1, sweeps = _laguerre_search(D, E2, np.zeros(lanes), 1, atol, rtol=1e-3)
+            x = _gap_point(D, E2, lam1)
+            x, more = _laguerre_search(D, E2, x, 2, atol, pole=lam1)
+            sweeps += more
+        delta = 4.0 * atol
+        cnt = _sturm_counts(D, E2, np.stack([x - delta, x + delta]))
+    bad = ~((cnt[0] < kth) & (cnt[1] >= kth))
+    fallbacks = int(np.count_nonzero(bad))
+    if fallbacks:
+        x[bad] = _bisect(D[:, bad], E2[:, bad], kth)
+    _search_stats.last = (sweeps / lanes, fallbacks)
+    return x
+
+
+def _gap_point(D, E2, lam1) -> np.ndarray:
+    """A point with exactly one eigenvalue below it, from lam1 <~ lambda_1:
+    2 lam1, then bisection (doubling while unbounded) on the lanes whose
+    count is not 1.  Lanes with no such point (lambda_1 = lambda_2) get NaN."""
+    x = 2.0 * lam1
+    lo = lam1.copy()
+    hi = np.full_like(x, np.inf)
+    ids = np.arange(len(x))
+    for _ in range(_GAP_PROBES):
+        cnt = _sturm_counts(D[:, ids], E2[:, ids], x[ids])
+        off = cnt != 1
+        ids, cnt = ids[off], cnt[off]
+        if len(ids) == 0:
+            return x
+        lo[ids] = np.where(cnt == 0, x[ids], lo[ids])
+        hi[ids] = np.where(cnt >= 2, x[ids], hi[ids])
+        x[ids] = np.where(hi[ids] < np.inf, 0.5 * (lo[ids] + hi[ids]), 2.0 * x[ids])
+    x[ids] = np.nan
+    return x
 
 
 def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
@@ -168,17 +331,29 @@ def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
         np.log(logu, out=logu)
         gam[lo - start:hi - start] = -np.add.reduceat(logu, offsets, axis=1)
     a2, b2 = gam[:, :n], gam[:, n:]
-    d = a2.copy()
+    # column-major, as the eigenvalue search reads them
+    d = np.array(a2, order="F")
     d[:, 1:] += b2
-    return d, a2[:, :-1] * b2, gam.sum(axis=1)
+    return d, np.multiply(a2[:, :-1], b2, order="F"), gam.sum(axis=1)
 
 
 def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
                   debug: bool) -> np.ndarray:
+    timed = log.isEnabledFor(logging.DEBUG)
+    if timed:
+        started = time.perf_counter()
     d, e2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
-    # only the order statistic the metric reads is bisected
+    # only the order statistic the metric reads is searched for
     kth = 2 if metric in (METRIC_KAPPA_E, METRIC_LAMBDA_2) else 1
+    if timed:
+        drawn = time.perf_counter()
     lam = _kth_smallest(d, e2, kth)
+    if timed:
+        sweeps, fallbacks = _search_stats.last
+        log.debug("mc chunk %d-%d %s n=%d: variates %.4f s, eigenvalue search %.4f s, "
+                  "%.2f Laguerre sweeps per lane, %d fallback lanes", start, stop - 1,
+                  metric, dims.n, drawn - started, time.perf_counter() - drawn,
+                  sweeps, fallbacks)
     bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
         idx = start + int(np.argmax(bad))
@@ -190,7 +365,9 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
 
 def _debug_check(d, e2, tr, lam, kth: int, start: int):
     # LAPACK on each dense tridiagonal: agreement with the trace and with
-    # both bisection values, the one computed and the other order statistic
+    # both searched values, the one computed and the other order statistic,
+    # to 16 n eps lambda_max (the search and the trace sum stay below 3 n eps
+    # lambda_max against LAPACK at n = 4 and 50)
     k, n = d.shape
     lam1 = lam if kth == 1 else _kth_smallest(d, e2, 1)
     lam2 = lam if kth == 2 else (_kth_smallest(d, e2, 2) if n >= 2 else None)
@@ -201,7 +378,7 @@ def _debug_check(d, e2, tr, lam, kth: int, start: int):
     T[:, diag[1:], diag[:-1]] = e
     T[:, diag[:-1], diag[1:]] = e
     vals = np.linalg.eigvalsh(T)
-    tol = 1e-8 * np.maximum(vals[:, -1], 1e-300)
+    tol = 16 * n * _EPS * np.maximum(vals[:, -1], 1e-300)
     bad = (np.abs(vals[:, 0] - lam1) > tol) | (np.abs(vals.sum(axis=1) - tr) > tol)
     if lam2 is not None:
         bad |= np.abs(vals[:, 1] - lam2) > tol

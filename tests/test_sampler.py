@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 import warnings
 
@@ -245,6 +246,122 @@ class TestOneOrderStatistic:
         self._spy(monkeypatch, lambda lam, kth: lam * 1.01 if kth == other else lam)
         with pytest.raises(SamplerError, match="disagree"):
             mc_collect(metric, Dims(4, 1), 30, seed=3, debug=True)
+
+
+def _lapack(d, e2):
+    """Eigenvalues of each tridiagonal, from LAPACK on its dense form."""
+    k, n = d.shape
+    diag = np.arange(n)
+    T = np.zeros((k, n, n))
+    T[:, diag, diag] = d
+    e = np.sqrt(e2)
+    T[:, diag[1:], diag[:-1]] = e
+    T[:, diag[:-1], diag[1:]] = e
+    return np.linalg.eigvalsh(T)
+
+
+def _search(d, e2, kth):
+    """_kth_smallest's values, with its (sweeps per lane, fallback lanes)."""
+    lam = _kth_smallest(np.asarray(d, dtype=float), np.asarray(e2, dtype=float), kth)
+    return lam, sampler._search_stats.last
+
+
+_CLOSE_D, _CLOSE_E2 = [[1.0, 1.0 + 2e-7, 50.0, 90.0]], [[1e-16, 1e-8, 1.0]]
+
+
+class TestEigenSearch:
+    EPS = np.finfo(float).eps
+
+    def _assert_close(self, lam, vals, kth):
+        n = vals.shape[1]
+        bound = 16 * n * self.EPS * np.abs(vals).max(axis=1)
+        assert np.all(np.abs(lam - vals[:, kth - 1]) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 50])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("kth", [1, 2])
+    def test_matches_lapack(self, n, alpha, kth):
+        d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, alpha), 40 + alpha, 0, 512)
+        lam, (sweeps, fallbacks) = _search(d, e2, kth)
+        self._assert_close(lam, _lapack(d, e2), kth)
+        # every lane certified on the Laguerre path, in a few sweeps
+        assert fallbacks == 0
+        assert sweeps < (5 if kth == 1 else 8)
+
+    @pytest.mark.parametrize("d, e2", [
+        ([[2.0, 3.0]], [[1.0]]),
+        ([[3.0, 1.0, 2.0]], [[0.0, 0.0]]),             # decoupled
+        ([[1.0, 2.0]], [[1e-300]]),                    # hits the pivot guard at x = 1
+        (_CLOSE_D, _CLOSE_E2),                         # lambda_2 / lambda_1 - 1 < 1e-6
+    ])
+    @pytest.mark.parametrize("kth", [1, 2])
+    def test_edge_rows(self, d, e2, kth):
+        vals = _lapack(np.array(d), np.array(e2))
+        lam, (_, fallbacks) = _search(d, e2, kth)
+        self._assert_close(lam, vals, kth)
+        assert fallbacks == 0
+
+    def test_widely_split_pair_needs_no_fallback(self):
+        # lambda_2 / lambda_1 ~ 6e4: dividing lambda_1 out of H near it cancels
+        # every digit, so the search must take Newton steps there
+        d, e2, _ = sampler._laguerre_tridiagonal(Dims(50, 0), 8, 22, 23)
+        vals = _lapack(d, e2)
+        assert vals[0, 1] / vals[0, 0] > 1e4
+        lam, (_, fallbacks) = _search(d, e2, 2)
+        self._assert_close(lam, vals, 2)
+        assert fallbacks == 0
+
+    def test_single_row_dimension(self):
+        lam, stats = _search([[3.0], [0.5]], np.zeros((2, 0)), 1)
+        assert list(lam) == [3.0, 0.5] and stats == (0.0, 0)
+
+    def test_close_pair_is_close(self):
+        vals = _lapack(np.array(_CLOSE_D), np.array(_CLOSE_E2))
+        assert 0 < vals[0, 1] / vals[0, 0] - 1 < 1e-6
+
+    @pytest.mark.parametrize("d, e2, kth", [
+        ([[1.0, 5.0, 1.0]], [[0.0, 0.0]], 2),      # double eigenvalue: no point has count 1
+        ([[0.0, 2.0, 3.0]], [[0.5, 0.5]], 1),      # zero pivot at the start x = 0: no step
+    ])
+    def test_failed_certification_falls_back_to_bisection(self, d, e2, kth):
+        d, e2 = np.array(d), np.array(e2)
+        vals = _lapack(d, e2)
+        # the failing row among well-behaved ones: only it is bisected
+        good, good_e2, _ = sampler._laguerre_tridiagonal(Dims(3, 1), 8, 0, 5)
+        rows, rows_e2 = np.vstack([good[:2], d, good[2:]]), np.vstack([good_e2[:2], e2, good_e2[2:]])
+        lam, (_, fallbacks) = _search(rows, rows_e2, kth)
+        assert fallbacks == 1
+        self._assert_close(lam[2:3], vals, kth)
+        assert np.array_equal(np.delete(lam, 2), _search(good, good_e2, kth)[0])
+
+    @pytest.mark.parametrize("n", [4, 50])
+    @pytest.mark.parametrize("kth", [1, 2])
+    def test_row_alone_equals_row_in_batch(self, n, kth):
+        d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 3, 0, 4096)
+        batch = _kth_smallest(d, e2, kth)
+        for i in (0, 1234, 4095):
+            alone = _kth_smallest(d[i:i + 1].copy(), e2[i:i + 1].copy(), kth)
+            assert np.array_equal(alone, batch[i:i + 1])
+
+    def test_debug_check_catches_a_last_digits_error(self, monkeypatch):
+        # 1e-9 relative on lambda_2 is far inside the old 1e-8 lambda_max bound
+        def spy(d, e2, kth):
+            lam = search(d, e2, kth)
+            return lam * (1 + 1e-9) if kth == 2 else lam
+
+        search = _kth_smallest
+        monkeypatch.setattr(sampler, "_kth_smallest", spy)
+        with pytest.raises(SamplerError, match="disagree"):
+            mc_collect(METRIC_KAPPA_D, Dims(4, 1), 30, seed=3, debug=True)
+
+    def test_chunk_log_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="wishartcond")
+        mc_collect(METRIC_KAPPA_E, Dims(4, 1), 50, seed=3, chunk=20)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
+        assert len(lines) == 3
+        assert lines[2].startswith("mc chunk 40-49 kappa-e n=4: variates ")
+        assert lines[2].endswith(" Laguerre sweeps per lane, 0 fallback lanes")
+        assert "eigenvalue search" in lines[2]
 
 
 class TestKs:
