@@ -1,9 +1,10 @@
 """Monte Carlo ground truth for the analytic densities.
 
 Sampling is deterministic by construction: draw i under seed s owns a fixed
-range of counters in the one Philox stream keyed by s, so the same draw
-comes out bit-identical whether the batch runs on one worker or eight, and
-any single draw can be regenerated in isolation.
+range of counters in the Philox stream keyed by s (and a fixed counter of a
+second key for each rare exhausted Gamma variate), so the same draw comes
+out bit-identical whether the batch runs on one worker or eight, and any
+single draw can be regenerated in isolation.
 
 Two sampling paths:
 
@@ -14,7 +15,13 @@ Two sampling paths:
 * ``mc_collect``: the bidiagonal beta = 2 Laguerre model (Dumitriu and
   Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law of
   B B^T, with B n x n lower bidiagonal and independent Gamma squared
-  entries; the trace is the sum of the squared entries.  The one eigenvalue
+  entries; the trace is the sum of the squared entries.  A Gamma shape up
+  to ``_ERLANG_MAX_SHAPE`` (8) is an Erlang sum of that many uniforms; a
+  larger one is a Marsaglia-Tsang variate from four words of the row (a
+  Box-Muller pair for the normals of two tries and their two uniforms), and
+  the rare variate whose both tries are rejected is an Erlang sum from a
+  second stream keyed (seed mod 2^64) + 2^64.  A draw reads m n words while
+  m <= 8, and 407 at (50, 1), where m n is 2550.  The one eigenvalue
   the metric reads (the smallest or the second smallest) comes from
   Laguerre steps on the LDL^T (Sturm) recurrence of the tridiagonal B B^T,
   on the lanes still moving.  Two Sturm counts at x -/+ 4 eps ||T|| certify
@@ -49,12 +56,19 @@ _EPS = np.finfo(float).eps
 # lambda_2, before a lane is left to certification and bisection
 _LAGUERRE_SWEEPS = 40
 _GAP_PROBES = 60
-# raw words held at once per worker while drawing Gamma variates (8 MiB)
-_VARIATE_BLOCK_WORDS = 1 << 20
+# raw words held at once per worker while drawing Gamma variates (1 MiB)
+_VARIATE_BLOCK_WORDS = 1 << 17
+# largest Gamma shape drawn as an Erlang sum of uniforms; larger shapes take
+# Marsaglia-Tsang tries
+_ERLANG_MAX_SHAPE = 8
+# tridiagonals per dense LAPACK stack in debug mode (5 MiB at n = 50)
+_DEBUG_ROWS = 256
 
 log = logging.getLogger("wishartcond")
 # per thread: (Laguerre sweeps per lane, fallback lanes) of the last search
 _search_stats = threading.local()
+# per thread: (Marsaglia-Tsang variates, second tries, exhausted) of the last rows
+_variate_stats = threading.local()
 
 
 class SamplerError(RuntimeError):
@@ -107,13 +121,23 @@ def _uniform(raw: np.ndarray) -> np.ndarray:
     return np.subtract(2.0, u, out=u)
 
 
+def _box_muller_polar(u: np.ndarray, w: np.ndarray, var: float):
+    """Box-Muller on two arrays of uniforms in (0, 1] from ``_uniform``, used
+    up in place: (r, angle) with r cos(angle) and r sin(angle) independent
+    normals of variance var."""
+    # u in (0, 1] keeps the log finite; the angle starts from 1 - w in [0, 1)
+    np.log(u, out=u)
+    u *= -2.0 * var
+    np.sqrt(u, out=u)
+    np.subtract(1.0, w, out=w)  # x - 1 of the word's x in [1, 2), exactly
+    w *= 2.0 * math.pi
+    return u, w
+
+
 def _box_muller(raw: np.ndarray) -> np.ndarray:
     """Interleaved raw 64-bit words, used up in place, to complex standard normals."""
-    # u1 in (0, 1] keeps the log finite; u2 in [0, 1)
-    u1 = _uniform(raw[..., 0::2])
-    u2 = 1.0 - _uniform(raw[..., 1::2])  # x - 1, exactly
-    r = np.sqrt(-np.log(u1))
-    ang = (2.0 * math.pi) * u2
+    u = _uniform(raw)
+    r, ang = _box_muller_polar(u[..., 0::2], u[..., 1::2], 0.5)
     return r * np.cos(ang) + 1j * (r * np.sin(ang))
 
 
@@ -311,25 +335,121 @@ def _gap_point(D, E2, lam1) -> np.ndarray:
     return x
 
 
-def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
-    """(d, e2, trace) of B B^T for draws start..stop-1 of the bidiagonal model.
+def _variate_layout(dims: Dims):
+    """(shapes, nd, ns, offsets, words) of one draw's row.
 
-    Draw k sums -log(u) over fixed segments of its m*n uniforms: lengths m,
-    m-1, ..., m-n+1 give the squared diagonal a_i^2 ~ Gamma(m - i), lengths
-    n-1, ..., 1 the squared subdiagonal b_i^2 ~ Gamma(n - 1 - i).  Each
-    Erlang sum is an exact Gamma variate.
+    shapes are the 2n - 1 Gamma shapes: m, m-1, ..., m-n+1 for the squared
+    diagonal of B, then n-1, ..., 1 for the squared subdiagonal.  The first
+    nd diagonal and the first ns subdiagonal shapes exceed
+    ``_ERLANG_MAX_SHAPE``.  The row holds the other shapes' Erlang segments
+    in column order (offsets are their starts), then, for the nd + ns large
+    shapes, four groups of as many words: the Box-Muller pair whose cos and
+    sin normals drive the first and the second Marsaglia-Tsang try, and the
+    two tries' uniforms.
     """
-    n, mn = dims.n, dims.mn
-    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
-    offsets = np.cumsum([0] + lengths[:-1])
-    gam = np.empty((stop - start, len(lengths)))
+    n = dims.n
+    shapes = np.array([dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)])
+    large = shapes > _ERLANG_MAX_SHAPE
+    nd, ns = int(large[:n].sum()), int(large[n:].sum())
+    lengths = shapes[~large]
+    return shapes, nd, ns, np.cumsum(lengths) - lengths, int(lengths.sum()) + 4 * (nd + ns)
+
+
+def _mt_accept(x, v, u, d):
+    """Marsaglia-Tsang acceptance of d v, v = (1 + c x)^3, as a Gamma(d + 1/3)
+    variate: v > 0 and log u < x^2 / 2 + d - d v + d log v.  v <= 0 makes
+    the bound NaN or -inf, which rejects."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lv = np.log(v)
+    lv -= v
+    lv += 1.0
+    lv *= d
+    lv += 0.5 * x * x
+    return np.log(u) < lv
+
+
+def _mt_try(x, u, d, c):
+    """One Marsaglia-Tsang try per lane: (accepted, d (1 + c x)^3)."""
+    v = c * x
+    v += 1.0
+    y = v * v
+    y *= v
+    ok = _mt_accept(x, y, u, d)
+    y *= d
+    return ok, y
+
+
+def _exhausted_gamma(seed: int, index: int, variate: int, shape: int) -> float:
+    """Gamma(shape) for a variate whose two Marsaglia-Tsang tries were both
+    rejected: an Erlang sum of shape uniforms from the Philox stream keyed
+    (seed mod 2**64) + 2**64, run from the counter (index << 128) +
+    (variate << 64) that the draw and the variate fix."""
+    bg = np.random.Philox(key=seed % 2 ** 64 + 2 ** 64, counter=(index << 128) + (variate << 64))
+    return float(-np.log(_uniform(bg.random_raw(shape))).sum())
+
+
+def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
+    """The 2n - 1 Gamma variates of draws start..stop-1, one row each:
+    shapes m, m-1, ..., m-n+1 for the squared diagonal of B, then n-1, ..., 1
+    for the squared subdiagonal.
+
+    A shape up to ``_ERLANG_MAX_SHAPE`` is the Erlang sum -sum log(u) over
+    its own segment of the row; with m at most that, the row is the m n
+    uniforms in column order.  A larger shape takes
+    Marsaglia and Tsang's tries (ACM TOMS 26 (2000) 363), the second only
+    where the first is rejected, and an Erlang sum from ``_exhausted_gamma``
+    where both are.  Each is an exact Gamma variate.  Counts of both tries
+    and of the exhaustions go to ``_variate_stats.last``.
+    """
+    shapes, nd, ns, offsets, words = _variate_layout(dims)
+    n, nl = dims.n, nd + ns
+    ne = words - 4 * nl
+    cols = np.r_[0:nd, n:n + ns]  # the large shapes' columns
+    d = shapes[cols] - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    gam = np.empty((stop - start, len(shapes)))
+    retries = exhausted = 0
     # rows are independent, so the block size changes memory, not values
-    block = max(1, _VARIATE_BLOCK_WORDS // _row_words(mn))
+    block = max(1, _VARIATE_BLOCK_WORDS // _row_words(words))
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        logu = _uniform(_keyed_raw(seed, lo, hi, mn))
-        np.log(logu, out=logu)
-        gam[lo - start:hi - start] = -np.add.reduceat(logu, offsets, axis=1)
+        raw = _keyed_raw(seed, lo, hi, words)
+        # the second tries' words are rarely read, and made into uniforms then
+        u = _uniform(raw[:, :ne + 3 * nl])
+        out = gam[lo - start:hi - start]
+        if ne:
+            logu = np.log(u[:, :ne], out=u[:, :ne])
+            red = np.add.reduceat(logu, offsets, axis=1)
+            if not nl:
+                # every column an Erlang sum: one contiguous write
+                np.negative(red, out=out)
+                continue
+            np.negative(red[:, :n - nd], out=out[:, nd:n])
+            np.negative(red[:, n - nd:], out=out[:, n + ns:])
+        r, ang = _box_muller_polar(u[:, ne:ne + nl], u[:, ne + nl:ne + 2 * nl], 1.0)
+        x = np.cos(ang)
+        x *= r
+        ok, y = _mt_try(x, u[:, ne + 2 * nl:ne + 3 * nl], d, c)
+        np.logical_not(ok, out=ok)
+        i, j = np.divmod(np.flatnonzero(ok), nl)
+        if len(i):
+            x = r[i, j] * np.sin(ang[i, j])
+            ok, y[i, j] = _mt_try(x, _uniform(raw[i, ne + 3 * nl + j]), d[j], c[j])
+            retries += len(i)
+            exhausted += len(i) - int(np.count_nonzero(ok))
+            for row, t in zip(i[~ok].tolist(), j[~ok].tolist()):
+                y[row, t] = _exhausted_gamma(seed, lo + row, int(cols[t]), int(shapes[cols[t]]))
+        out[:, :nd] = y[:, :nd]
+        out[:, n:n + ns] = y[:, nd:]
+    _variate_stats.last = ((stop - start) * nl, retries, exhausted)
+    return gam
+
+
+def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
+    """(d, e2, trace) of B B^T for draws start..stop-1 of the bidiagonal
+    model, B's squared entries drawn by ``_gamma_rows``."""
+    n = dims.n
+    gam = _gamma_rows(dims, seed, start, stop)
     a2, b2 = gam[:, :n], gam[:, n:]
     # column-major, as the eigenvalue search reads them
     d = np.array(a2, order="F")
@@ -349,10 +469,12 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
         drawn = time.perf_counter()
     lam = _kth_smallest(d, e2, kth)
     if timed:
+        tries, retries, exhausted = _variate_stats.last
         sweeps, fallbacks = _search_stats.last
-        log.debug("mc chunk %d-%d %s n=%d: variates %.4f s, eigenvalue search %.4f s, "
-                  "%.2f Laguerre sweeps per lane, %d fallback lanes", start, stop - 1,
-                  metric, dims.n, drawn - started, time.perf_counter() - drawn,
+        log.debug("mc chunk %d-%d %s n=%d: variates %.4f s (%d Marsaglia-Tsang, %d second "
+                  "tries, %d exhausted), eigenvalue search %.4f s, %.2f Laguerre sweeps "
+                  "per lane, %d fallback lanes", start, stop - 1, metric, dims.n,
+                  drawn - started, tries, retries, exhausted, time.perf_counter() - drawn,
                   sweeps, fallbacks)
     bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
@@ -367,24 +489,30 @@ def _debug_check(d, e2, tr, lam, kth: int, start: int):
     # LAPACK on each dense tridiagonal: agreement with the trace and with
     # both searched values, the one computed and the other order statistic,
     # to 16 n eps lambda_max (the search and the trace sum stay below 3 n eps
-    # lambda_max against LAPACK at n = 4 and 50)
+    # lambda_max against LAPACK at n = 4 and 50).  The dense stack is built
+    # _DEBUG_ROWS tridiagonals at a time, so its memory stays near the chunk's.
     k, n = d.shape
     lam1 = lam if kth == 1 else _kth_smallest(d, e2, 1)
     lam2 = lam if kth == 2 else (_kth_smallest(d, e2, 2) if n >= 2 else None)
     diag = np.arange(n)
-    T = np.zeros((k, n, n))
-    T[:, diag, diag] = d
     e = np.sqrt(e2)
-    T[:, diag[1:], diag[:-1]] = e
-    T[:, diag[:-1], diag[1:]] = e
-    vals = np.linalg.eigvalsh(T)
-    tol = 16 * n * _EPS * np.maximum(vals[:, -1], 1e-300)
-    bad = (np.abs(vals[:, 0] - lam1) > tol) | (np.abs(vals.sum(axis=1) - tr) > tol)
-    if lam2 is not None:
-        bad |= np.abs(vals[:, 1] - lam2) > tol
-    if np.any(bad):
-        raise SamplerError(
-            f"eigenvalue paths disagree at sample index {start + int(np.argmax(bad))}")
+    # only the three diagonals are written, so one zeroed stack serves every block
+    stack = np.zeros((min(k, _DEBUG_ROWS), n, n))
+    for lo in range(0, k, _DEBUG_ROWS):
+        hi = min(lo + _DEBUG_ROWS, k)
+        T = stack[:hi - lo]
+        T[:, diag, diag] = d[lo:hi]
+        T[:, diag[1:], diag[:-1]] = e[lo:hi]
+        T[:, diag[:-1], diag[1:]] = e[lo:hi]
+        vals = np.linalg.eigvalsh(T)
+        tol = 16 * n * _EPS * np.maximum(vals[:, -1], 1e-300)
+        bad = ((np.abs(vals[:, 0] - lam1[lo:hi]) > tol)
+               | (np.abs(vals.sum(axis=1) - tr[lo:hi]) > tol))
+        if lam2 is not None:
+            bad |= np.abs(vals[:, 1] - lam2[lo:hi]) > tol
+        if np.any(bad):
+            raise SamplerError("eigenvalue paths disagree at sample index "
+                               f"{start + lo + int(np.argmax(bad))}")
 
 
 def mc_collect(metric: str, dims: Dims, count: int, seed: int,

@@ -6,7 +6,10 @@ the z-integral of the Laguerre determinant, evaluated at each quadrature
 node in mpmath.  Neither shares code with the library's tables.
 
 The sampler's reference stream builds one Philox generator per draw, as
-the sampler did before it re-keyed a single generator.
+the sampler did before it re-keyed a single generator, and the Erlang
+reference builds every Gamma variate of a draw as a sum over its own
+segment of m n uniforms, the row the sampler draws while every shape is at
+most its Erlang bound.
 """
 
 import functools
@@ -18,6 +21,7 @@ import numpy as np
 
 from wishartcond.exact import DEFAULT_DPS, Dims, _EdgePowerTable, _evaluate, _law_values
 from wishartcond.numkit import pochhammer_int
+from wishartcond.sampler import _uniform
 
 
 def _closed_pairs(n: int):
@@ -147,3 +151,14 @@ def philox_raw_reference(seed: int, index: int, count: int) -> np.ndarray:
     w = 4 * -(-count // 4)
     key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
     return np.random.Philox(key=key).random_raw((index + 1) * w)[index * w:index * w + count]
+
+
+def erlang_variates_reference(dims: Dims, seed: int, index: int) -> np.ndarray:
+    """The 2n - 1 Gamma variates of draw index as Erlang sums -sum log(u)
+    over consecutive segments of its m n uniforms: lengths m, m-1, ...,
+    m-n+1 for the squared diagonal of B, then n-1, ..., 1."""
+    n = dims.n
+    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
+    offsets = np.cumsum([0] + lengths[:-1])
+    logu = np.log(_uniform(philox_raw_reference(seed, index, dims.mn)))
+    return -np.add.reduceat(logu, offsets)

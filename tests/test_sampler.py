@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import philox_raw_reference
+from oracles import erlang_variates_reference, philox_raw_reference
 
 from wishartcond import sampler
 from wishartcond.exact import (
@@ -88,6 +88,27 @@ class TestMcCollect:
         got = mc_collect(METRIC_KAPPA_D, Dims(3, 0), 40, seed=2, debug=True)
         assert got.shape == (40,)
 
+    @pytest.mark.parametrize("dims", [Dims(50, 1), Dims(50, 2)])
+    @pytest.mark.parametrize("metric", [METRIC_KAPPA_D, METRIC_KAPPA_E])
+    def test_debug_mode_at_n50(self, dims, metric):
+        # LAPACK agrees with both searched eigenvalues and the trace; the
+        # dense stacks are checked in blocks, crossed here by the chunk
+        got = mc_collect(metric, dims, 600, seed=4, chunk=550, debug=True)
+        assert np.array_equal(got, mc_collect(metric, dims, 600, seed=4))
+
+    def test_debug_check_memory(self):
+        # a dense (4096, 50, 50) stack would be 78 MiB; checked in blocks of
+        # _DEBUG_ROWS, debug mode stays within a few MiB of the sampler itself
+        peaks = []
+        for debug in (False, True):
+            tracemalloc.start()
+            try:
+                mc_collect(METRIC_KAPPA_D, Dims(50, 1), 4096, seed=5, debug=debug)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 8 * 2 ** 20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_collect("wat", Dims(3, 0), 10, seed=1)
@@ -97,20 +118,61 @@ class TestMcCollect:
             mc_collect(METRIC_KAPPA_E, Dims(1, 0), 10, seed=1)
 
 
-def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
-    """mc_collect's values for these indices, each draw's Gamma variates
-    built on its own from a freshly constructed Philox generator."""
+def _reference_variates(dims: Dims, seed: int, index: int) -> np.ndarray:
+    """Draw index's Gamma variates, built on their own from a freshly
+    constructed Philox generator: Erlang sums for shapes up to
+    ``_ERLANG_MAX_SHAPE``, then for each larger shape the first
+    Marsaglia-Tsang try on its Box-Muller cos normal, the second on its sin
+    normal, and an Erlang sum on the exhaustion stream after both."""
+    K = sampler._ERLANG_MAX_SHAPE
+    if dims.m <= K:
+        return erlang_variates_reference(dims, seed, index)
     n = dims.n
-    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
-    offsets = np.cumsum([0] + lengths[:-1])
-    gam = np.stack([
-        -np.add.reduceat(np.log(_uniform(philox_raw_reference(seed, k, dims.mn))), offsets)
-        for k in indices])
+    shapes = np.array([dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)])
+    small, large = np.flatnonzero(shapes <= K), np.flatnonzero(shapes > K)
+    e, v = int(shapes[small].sum()), len(large)
+    u = _uniform(philox_raw_reference(seed, index, e + 4 * v))
+    gam = np.empty(len(shapes))
+    if e:
+        lengths = shapes[small]
+        gam[small] = -np.add.reduceat(np.log(u[:e]), np.cumsum(lengths) - lengths)
+    r = np.sqrt(-2.0 * np.log(u[e:e + v]))
+    ang = (1.0 - u[e + v:e + 2 * v]) * (2.0 * np.pi)
+    d = shapes[large] - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    tries = []
+    for x, w in ((r * np.cos(ang), u[e + 2 * v:e + 3 * v]), (r * np.sin(ang), u[e + 3 * v:])):
+        y = 1.0 + c * x
+        y = y * y * y
+        tries.append((sampler._mt_accept(x, y, w, d), d * y))
+    (ok1, y1), (ok2, y2) = tries
+    gam[large] = np.where(ok1, y1, y2)
+    for t in np.flatnonzero(~ok1 & ~ok2):
+        bg = np.random.Philox(key=np.array([seed % 2 ** 64, 1], dtype=np.uint64),
+                              counter=np.array([0, large[t], index, 0], dtype=np.uint64))
+        gam[large[t]] = -np.log(_uniform(bg.random_raw(shapes[large[t]]))).sum()
+    return gam
+
+
+def _row_width(dims: Dims) -> int:
+    """Words a draw of the bidiagonal model reads from its stream."""
+    return sampler._variate_layout(dims)[-1]
+
+
+def _tridiagonal(gam: np.ndarray, n: int):
+    """(d, e2, trace) of B B^T from rows of Gamma variates."""
     a2, b2 = gam[:, :n], gam[:, n:]
     d = a2.copy()
     d[:, 1:] += b2
-    lam = _kth_smallest(d, a2[:, :-1] * b2, _KTH[metric])
-    return gam.sum(axis=1) / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
+    return d, a2[:, :-1] * b2, gam.sum(axis=1)
+
+
+def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
+    """mc_collect's values for these indices, from ``_reference_variates``."""
+    d, e2, tr = _tridiagonal(np.stack([_reference_variates(dims, seed, k) for k in indices]),
+                             dims.n)
+    lam = _kth_smallest(d, e2, _KTH[metric])
+    return tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
 
 
 class TestKeyedStream:
@@ -143,11 +205,11 @@ class TestKeyedStream:
     @pytest.mark.parametrize("metric", METRICS)
     def test_mc_collect_matches_per_draw_path(self, metric):
         dims = Dims(50, 1)
-        block = _VARIATE_BLOCK_WORDS // _row_words(dims.mn)
-        assert block == 410
-        # indices 405..424 cross the variate block at 410 and the chunk at 416
-        got = mc_collect(metric, dims, 425, seed=5, chunk=416)[405:]
-        assert np.array_equal(got, _reference_draws(metric, dims, 5, range(405, 425)))
+        block = _VARIATE_BLOCK_WORDS // _row_words(_row_width(dims))
+        assert block == 321
+        # indices 310..329 cross the variate block at 321 and the chunk at 325
+        got = mc_collect(metric, dims, 330, seed=5, chunk=325)[310:]
+        assert np.array_equal(got, _reference_draws(metric, dims, 5, range(310, 330)))
 
     @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(2, 3), Dims(3, 2)])
     def test_unpadded_widths_are_schedule_invariant(self, dims, monkeypatch):
@@ -164,26 +226,115 @@ class TestKeyedStream:
 
     def test_variate_block_stays_within_its_memory(self, monkeypatch):
         dims = Dims(50, 1)
-        block = _VARIATE_BLOCK_WORDS // _row_words(dims.mn)
+        block = _VARIATE_BLOCK_WORDS // _row_words(_row_width(dims))
         rows = []
 
         def spy(seed, start, stop, count):
             rows.append(stop - start)
             return _keyed_raw(seed, start, stop, count)
 
-        # blocks are sized on the padded width, not on m*n
+        # blocks are sized on the padded width of the row
         monkeypatch.setattr(sampler, "_keyed_raw", spy)
         sampler._laguerre_tridiagonal(dims, 5, 0, block + 1)
         assert rows == [block, 1]
-        # one block of raw words (8 MiB), made into uniforms in place: a
-        # second buffer of the block's size would take the peak past 16 MiB
+        # a whole 4096-draw chunk peaks at its variates, d and e2 (6.2 MiB);
+        # the raw words and temporaries scale with the block (1 MiB), and
+        # temporaries as wide as the chunk would take the peak past 12 MiB
         tracemalloc.start()
         try:
-            sampler._laguerre_tridiagonal(dims, 5, 0, block)
+            sampler._laguerre_tridiagonal(dims, 5, 0, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2 ** 20
+
+
+def _gamma_cdf(x, a: int) -> np.ndarray:
+    """Gamma(a) CDF for integer a: 1 - exp(-x) sum_{j < a} x^j / j!."""
+    x = np.asarray(x, dtype=float)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for j in range(1, a):
+        term = term * x / j
+        total += term
+    return 1.0 - np.exp(-x) * total
+
+
+class TestGammaVariates:
+    K = sampler._ERLANG_MAX_SHAPE
+
+    def test_columns_match_the_gamma_law(self):
+        # diagonal column i of (50, 1) has shape 51 - i
+        dims, count = Dims(50, 1), 100_000
+        shapes = (self.K, self.K + 1, 20, 51)
+        cols = [51 - a for a in shapes]
+        got = np.concatenate([sampler._gamma_rows(dims, 13, lo, lo + 20_000)[:, cols]
+                              for lo in range(0, count, 20_000)])
+        for a, col in zip(shapes, got.T):
+            assert ks_compare(col, lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count), a
+        # the Marsaglia-Tsang columns rarely need a second try
+        tries, retries, exhausted = sampler._variate_stats.last
+        assert tries == 20_000 * 84 and retries < 0.004 * tries and exhausted <= retries
+
+    @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 2), Dims(1, K - 1), Dims(3, K - 3),
+                                      Dims(K, 0)])
+    def test_small_shapes_keep_the_erlang_row(self, dims):
+        # m <= K: every variate is an Erlang sum over the row of m n uniforms
+        assert dims.m <= self.K and _row_width(dims) == dims.mn
+        want = np.stack([erlang_variates_reference(dims, 7, k) for k in range(300, 340)])
+        assert np.array_equal(sampler._gamma_rows(dims, 7, 300, 340), want)
+        assert sampler._variate_stats.last == (0, 0, 0)
+
+    def test_row_width(self):
+        # (50, 1): Erlang sums for diagonal shapes 2..8 and subdiagonal 1..8
+        # (71 words), four words for each of the other 84 variates
+        assert _row_width(Dims(50, 1)) == 71 + 4 * 84
+        assert _row_width(Dims(1, self.K)) == 4
+
+    @pytest.mark.parametrize("metric", [METRIC_KAPPA_D, METRIC_KAPPA_E])
+    def test_rejections_follow_the_row(self, metric, monkeypatch):
+        # reject about half of the tries that would pass: second tries and
+        # exhaustions then come up often, on schedule-free positions
+        accept = sampler._mt_accept
+        monkeypatch.setattr(sampler, "_mt_accept",
+                            lambda x, v, u, d: accept(x, v, u, d) & (u < 0.5))
+        dims = Dims(10, 0)
+        base = mc_collect(metric, dims, 300, seed=2 ** 63 + 5)
+        _, retries, exhausted = sampler._variate_stats.last
+        assert retries > 100 and exhausted > 50
+        assert np.array_equal(base[280:], _reference_draws(metric, dims, 2 ** 63 + 5,
+                                                           range(280, 300)))
+        assert np.array_equal(base, mc_collect(metric, dims, 300, seed=2 ** 63 + 5,
+                                               workers=2, chunk=37))
+        # a variate block of 3 draws, crossed by chunks of 37
+        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 3 * _row_width(dims) + 1)
+        assert np.array_equal(base, mc_collect(metric, dims, 300, seed=2 ** 63 + 5, chunk=37))
+
+    @pytest.mark.parametrize("exhaust", [False, True])
+    def test_later_tries_stay_exact(self, exhaust, monkeypatch):
+        # every first try rejected, and with exhaust every second one too:
+        # the variates come from the second tries or the exhaustion stream
+        accept = sampler._mt_accept
+
+        def rejecting(x, v, u, d):
+            ok = accept(x, v, u, d)
+            if exhaust or x.ndim == 2:
+                ok[:] = False
+            return ok
+
+        monkeypatch.setattr(sampler, "_mt_accept", rejecting)
+        # (10, 0): diagonal shapes 10 and 9 and subdiagonal shape 9 are large
+        dims, count = Dims(10, 0), 10_000
+        gam = sampler._gamma_rows(dims, 3, 0, count)
+        tries, retries, exhausted = sampler._variate_stats.last
+        assert tries == retries == 3 * count
+        assert exhausted == 3 * count if exhaust else exhausted < 0.004 * tries
+        for col, a in ((0, 10), (1, 9), (10, 9)):
+            assert ks_compare(gam[:, col], lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count)
+        again = sampler._gamma_rows(dims, 3, 9_990, 10_010)
+        assert np.array_equal(again[:10], gam[9_990:])
+        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 7 * _row_width(dims))
+        assert np.array_equal(sampler._gamma_rows(dims, 3, 9_990, 10_000), gam[9_990:])
 
 
 class TestUniform:
@@ -303,8 +454,9 @@ class TestEigenSearch:
 
     def test_widely_split_pair_needs_no_fallback(self):
         # lambda_2 / lambda_1 ~ 6e4: dividing lambda_1 out of H near it cancels
-        # every digit, so the search must take Newton steps there
-        d, e2, _ = sampler._laguerre_tridiagonal(Dims(50, 0), 8, 22, 23)
+        # every digit, so the search must take Newton steps there (the row
+        # of draw 22 under seed 8 when every variate was an Erlang sum)
+        d, e2, _ = _tridiagonal(erlang_variates_reference(Dims(50, 0), 8, 22)[None], 50)
         vals = _lapack(d, e2)
         assert vals[0, 1] / vals[0, 0] > 1e4
         lam, (_, fallbacks) = _search(d, e2, 2)
@@ -354,6 +506,19 @@ class TestEigenSearch:
         with pytest.raises(SamplerError, match="disagree"):
             mc_collect(METRIC_KAPPA_D, Dims(4, 1), 30, seed=3, debug=True)
 
+    def test_debug_check_reads_every_block(self, monkeypatch):
+        # a wrong value past the first dense block of _DEBUG_ROWS draws
+        def spy(d, e2, kth):
+            lam = search(d, e2, kth)
+            lam[300] *= 1.01
+            return lam
+
+        search = _kth_smallest
+        monkeypatch.setattr(sampler, "_kth_smallest", spy)
+        assert sampler._DEBUG_ROWS < 300
+        with pytest.raises(SamplerError, match="disagree at sample index 300$"):
+            mc_collect(METRIC_KAPPA_D, Dims(4, 1), 400, seed=3, debug=True)
+
     def test_chunk_log_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="wishartcond")
         mc_collect(METRIC_KAPPA_E, Dims(4, 1), 50, seed=3, chunk=20)
@@ -362,6 +527,12 @@ class TestEigenSearch:
         assert lines[2].startswith("mc chunk 40-49 kappa-e n=4: variates ")
         assert lines[2].endswith(" Laguerre sweeps per lane, 0 fallback lanes")
         assert "eigenvalue search" in lines[2]
+        # n = 4 draws only Erlang sums; (10, 0) has three large shapes a draw
+        assert " s (0 Marsaglia-Tsang, 0 second tries, 0 exhausted), " in lines[2]
+        caplog.clear()
+        mc_collect(METRIC_KAPPA_E, Dims(10, 0), 50, seed=3, chunk=20)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
+        assert " s (60 Marsaglia-Tsang, " in lines[0] and " s (30 Marsaglia-Tsang, " in lines[2]
 
 
 class TestKs:
