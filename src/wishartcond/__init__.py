@@ -12,8 +12,6 @@ from .asymptotic import (
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
-    normalization_v_kappa_d,
-    normalization_v_kappa_e,
     pdf_v_kappa_d_grid,
     pdf_v_kappa_e_grid,
 )
@@ -31,10 +29,6 @@ from .exact import (
     cdf_lambda_min_interp,
     mgf_kappa_d,
     mgf_kappa_e,
-    normalization_kappa_d,
-    normalization_kappa_e,
-    normalization_lambda2,
-    normalization_lambda_min,
     pdf_kappa_d,
     pdf_kappa_d_grid,
     pdf_kappa_e,

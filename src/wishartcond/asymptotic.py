@@ -36,10 +36,6 @@ The probability 1 - sum_k b_k that the truncation leaves out bounds the
 error of every CDF value (cdf_v_error_bound), and mu u^2 times it bounds
 the error of the density, whose relative accuracy holds up to u =
 _u_reach, where the density has fallen below e^{-50} of its peak.
-
-The kappa-e density keeps a ``mode``: 'auto' and 'integral' both use the
-table, and 'closed' evaluates the independent three-term hypergeometric
-form of the alpha = 0 law.
 """
 
 from __future__ import annotations
@@ -54,15 +50,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkit import FPoly, fpoly_det, fpoly_split_det, pfq, poisson_mix, stirling2
+from .numkit import FPoly, fpoly_det, fpoly_split_det, poisson_mix, stirling2
 
 log = logging.getLogger("wishartcond")
 
 KAPPA_D_ALPHA_CAP = 6
 KAPPA_E_ALPHA_CAP = 4
-
-# past this u the alpha = 0 hypergeometric form is zero at double precision
-_U_ZERO = 1200.0
 
 
 @dataclass(frozen=True)
@@ -233,55 +226,14 @@ def cdf_v_kappa_d_alpha0(v: float, mu: float) -> float:
     return math.exp(-1.0 / (mu * v))
 
 
-def _ke_closed_alpha0(vs: np.ndarray, mu: float) -> np.ndarray:
-    """Three-term hypergeometric form of the alpha = 0 limit."""
-    out = np.zeros(len(vs))
-    for idx, v in enumerate(vs):
-        u = 1.0 / (mu * v)
-        if not 0.0 < u < _U_ZERO:
-            continue
-        c = 4.0 * u
-        bracket = (16.0 * pfq((3.0, 3.5), (4.0, 4.0, 6.0), c, rtol=1e-14)
-                   - c * pfq((3.5,), (5.0, 7.0), c, rtol=1e-14)
-                   + 0.75 * c * pfq((3.5, 4.0, 4.0), (3.0, 5.0, 5.0, 7.0), c, rtol=1e-14))
-        out[idx] = math.exp(math.log(mu) + 5.0 * math.log(u) - u
-                            + math.log(bracket) - math.log(576.0))
-    return out
-
-
-def pdf_v_kappa_e_grid(vs, p: ScaledParams, mode: str = "auto") -> np.ndarray:
-    """Limiting density of trace / second-smallest eigenvalue, scaled by mu n^3.
-
-    mode 'auto' and 'integral' evaluate the exact mixture table, whose
-    weights are the z-integral done exactly; 'closed' is the alpha = 0
-    hypergeometric form.
-    """
-    if mode == "closed":
-        if p.alpha != 0:
-            raise ValueError("closed mode covers alpha = 0 only")
-        vs = np.asarray(vs, dtype=float)
-        out = np.zeros(vs.shape)
-        flat, vflat = out.reshape(-1), vs.reshape(-1)
-        pos = vflat > 0
-        flat[pos] = _ke_closed_alpha0(vflat[pos], p.mu)
-        return out
-    if mode not in ("auto", "integral"):
-        raise ValueError("mode must be 'auto', 'integral' or 'closed'")
+def pdf_v_kappa_e_grid(vs, p: ScaledParams) -> np.ndarray:
+    """Limiting density of trace / second-smallest eigenvalue, scaled by
+    mu n^3, from the exact mixture table (the z-integral done exactly)."""
     return _pdf(vs, p, "kappa-e")
 
 
 # ---------------------------------------------------------------------------
-# normalization and CDFs
-
-
-def normalization_v_kappa_d(p: ScaledParams) -> float:
-    """Total mass of the kappa-d limit table: 1 up to its tail mass."""
-    return math.fsum(_table("kappa-d", p.alpha).weights)
-
-
-def normalization_v_kappa_e(p: ScaledParams) -> float:
-    """Total mass of the kappa-e limit table: 1 up to its tail mass."""
-    return math.fsum(_table("kappa-e", p.alpha).weights)
+# CDFs
 
 
 def cdf_v_kappa_d_interp(p: ScaledParams):

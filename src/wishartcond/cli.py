@@ -26,13 +26,13 @@ import mpmath
 import numpy as np
 
 from .asymptotic import (
+    KAPPA_D_ALPHA_CAP,
+    KAPPA_E_ALPHA_CAP,
     ScaledParams,
     cdf_v_error_bound,
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
-    normalization_v_kappa_d,
-    normalization_v_kappa_e,
     pdf_v_kappa_d_grid,
     pdf_v_kappa_e_grid,
 )
@@ -42,6 +42,7 @@ from .exact import (
     METRIC_KAPPA_E,
     METRIC_LAMBDA_MIN,
     METRICS,
+    PRECISIONS,
     DensityCurve,
     Dims,
     cdf_kappa_d_interp,
@@ -50,10 +51,6 @@ from .exact import (
     cdf_lambda_min_interp,
     mgf_kappa_d,
     mgf_kappa_e,
-    normalization_kappa_d,
-    normalization_kappa_e,
-    normalization_lambda2,
-    normalization_lambda_min,
     pdf_kappa_d,
     pdf_kappa_d_grid,
     pdf_kappa_e,
@@ -62,10 +59,6 @@ from .exact import (
     pdf_lambda_min_grid,
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
-    q_closed,
-    q_integral_oracle,
-    r_closed,
-    r_integral_oracle,
 )
 from .sampler import (
     SamplerError,
@@ -424,21 +417,22 @@ def _st_kd_modes():
             assert gap < 1e-10, f"n={n} alpha={alpha} gap={gap:.2e}"
 
 
-def _st_exact_normalizations():
-    dims = Dims(3, 1)
-    for name, fn in (("kappa-d", normalization_kappa_d),
-                     ("kappa-e", normalization_kappa_e),
-                     ("lambda-min", normalization_lambda_min),
-                     ("lambda-2", normalization_lambda2)):
-        total = fn(dims)
-        assert abs(total - 1.0) < 1e-6, f"{name}: {total!r}"
+def _st_exact_total_mass():
+    # each CDF at +inf is its table's exact total mass, rounded once
+    for n, alpha in ((3, 1), (5, 2), (13, 1), (20, 2)):
+        dims = Dims(n, alpha)
+        for metric in METRICS:
+            total = _exact_cdf(metric, dims)(np.array([np.inf]))[0]
+            assert abs(total - 1.0) <= 2 * np.finfo(float).eps, \
+                f"{metric} n={n} alpha={alpha}: {total!r}"
 
 
-def _st_asymptotic_normalizations():
-    for alpha in (0, 1):
-        for name, total in (("kappa-d", normalization_v_kappa_d(ScaledParams(1.0, alpha))),
-                            ("kappa-e", normalization_v_kappa_e(ScaledParams(1.0, alpha)))):
-            assert abs(total - 1.0) < 1e-6, f"{name} alpha={alpha}: {total!r}"
+def _st_limit_tables():
+    # building a table raises on a negative exact weight
+    for metric, cap in ((METRIC_KAPPA_D, KAPPA_D_ALPHA_CAP), (METRIC_KAPPA_E, KAPPA_E_ALPHA_CAP)):
+        for alpha in range(cap + 1):
+            tail = cdf_v_error_bound(metric, ScaledParams(1.0, alpha))
+            assert 0.0 <= tail < 1e-30, f"{metric} alpha={alpha}: tail {tail!r}"
 
 
 def _st_kd_limit_bessel():
@@ -510,26 +504,16 @@ def _st_connection_identities():
                 assert gap < 1e-8, f"kappa-e n={n} alpha={alpha} y={y - 1.0}: {gap:.2e}"
 
 
-def _st_proof_integrals():
-    for n, alpha, z in ((2, 1, 0.3), (3, 2, 0.7)):
-        gap = _rel_gap(q_closed(n, alpha, z), q_integral_oracle(n, alpha, z))
-        assert gap < 1e-6, f"q n={n} alpha={alpha} z={z}: {gap:.2e}"
-    for n, a, b, alpha in ((2, 1.2, 0.8, 1), (3, 0.9, 1.4, 2)):
-        gap = _rel_gap(r_closed(n, a, b, alpha), r_integral_oracle(n, a, b, alpha))
-        assert gap < 1e-6, f"r n={n} a={a} b={b} alpha={alpha}: {gap:.2e}"
-
-
 _SELFTEST_CHECKS = (
     ("kappa-d nested sums vs closed form", _st_kd_modes),
-    ("exact densities integrate to 1", _st_exact_normalizations),
-    ("asymptotic densities integrate to 1", _st_asymptotic_normalizations),
+    ("exact CDFs reach 1 at +inf", _st_exact_total_mass),
+    ("limit tables: weights >= 0, tail < 1e-30", _st_limit_tables),
     ("asymptotic kappa-d table vs Bessel closed forms", _st_kd_limit_bessel),
     ("alpha=0 limit CDF identity", _st_limit_cdf_identity),
     ("integer determinant lemmas", _st_integer_lemmas),
     ("sampler determinism and moments", _st_sampler_moments),
     ("Monte Carlo vs exact CDF at n=3", _st_mc_exact_agreement),
     ("connection identities", _st_connection_identities),
-    ("proof-integral closed forms vs quadrature", _st_proof_integrals),
 )
 
 
@@ -567,8 +551,7 @@ def _add_shared(sub, *, dims=True, mu=False, precision=False, output=True):
     if mu:
         sub.add_argument("--mu", type=float, help="scale constant of the limit variable")
     if precision:
-        sub.add_argument("--precision", choices=("auto", "double", "extended"),
-                         default="auto")
+        sub.add_argument("--precision", choices=PRECISIONS, default="auto")
     if output:
         sub.add_argument("--out", help="output path (default: stdout)")
         sub.add_argument("--format", choices=("csv", "json"), default=None)

@@ -1,21 +1,14 @@
-"""Determinants, Vandermonde products and multi-index iteration.
+"""Integer determinants, Vandermonde products and multi-index iteration.
 
-The exact densities are built from determinants of two flavours:
-
-* exact integer determinants (fraction-free elimination), used by the
-  falling-product identities that collapse the nested finite sums;
-* determinants of matrices whose entries are sign/log-magnitude scalars,
-  handled by factoring the largest magnitude out of each row first.
-
-The nested sums themselves run over integer lattice boxes, walked in
-odometer order by ``iter_index_boxes``.
+Exact integer determinants (fraction-free Bareiss elimination) check the
+falling-product identities that collapse the nested finite sums of the
+kappa-d density.  The nested sums themselves run over integer lattice
+boxes, walked in odometer order by ``iter_index_boxes``.
 """
 
 from __future__ import annotations
 
 import itertools
-
-from .numkit import SignedLog, _exp, _log
 
 
 # ---------------------------------------------------------------------------
@@ -72,68 +65,6 @@ def det_int(mat) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
-
-
-def _eliminate(rows, size):
-    """Partial-pivot elimination on mutable rows of backend scalars.
-
-    Returns (parity, pivots) with parity the permutation sign, or None as
-    pivots when the matrix is numerically singular.
-    """
-    parity = 1
-    pivots = []
-    for k in range(size):
-        p = max(range(k, size), key=lambda r: abs(rows[r][k]))
-        if rows[p][k] == 0:
-            return parity, None
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            parity = -parity
-        piv = rows[k][k]
-        pivots.append(piv)
-        for i in range(k + 1, size):
-            factor = rows[i][k] / piv
-            if factor != 0:
-                for j in range(k + 1, size):
-                    rows[i][j] = rows[i][j] - factor * rows[k][j]
-    return parity, pivots
-
-
-def det_signedlog(mat) -> SignedLog:
-    """Determinant of a matrix of SignedLog entries.
-
-    The largest log-magnitude of each row is factored out, the scaled matrix
-    (entries in [-1, 1]) is eliminated in the backend arithmetic, and the row
-    factors are added back in the log domain.
-    """
-    size = len(mat)
-    for row in mat:
-        if len(row) != size:
-            raise ValueError("matrix must be square")
-    if size == 0:
-        return SignedLog.one()
-    shifts = []
-    scaled = []
-    for row in mat:
-        live = [c.logmag for c in row if c.sign != 0]
-        if not live:
-            return SignedLog.zero()
-        m = live[0]
-        for lm in live[1:]:
-            if lm > m:
-                m = lm
-        shifts.append(m)
-        scaled.append([c.sign * (0 if c.sign == 0 else _exp(c.logmag - m)) for c in row])
-    parity, pivots = _eliminate(scaled, size)
-    if pivots is None:
-        return SignedLog.zero()
-    sign = parity
-    logmag = sum(shifts[1:], shifts[0])
-    for piv in pivots:
-        if piv < 0:
-            sign = -sign
-        logmag = logmag + _log(abs(piv))
-    return SignedLog(sign, logmag)
 
 
 # ---------------------------------------------------------------------------

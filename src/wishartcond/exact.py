@@ -35,14 +35,15 @@ finite Poisson sums.
 Precision 'auto' evaluates every table in double and measures the
 digits lost to cancellation, log10 of sum |term| / |sum term|, in the
 same pass; only the points that lose more than 3 (13 of 16 left) are
-evaluated again at DEFAULT_DPS digits, and again at twice the digits
-while they keep fewer than 13.  The two second-smallest-eigenvalue pieces
-cancel near x = 0, so those points go to DEFAULT_DPS digits or more.
+evaluated again as sums of mpmath floats at DEFAULT_DPS digits, and again
+at twice the digits while they keep fewer than 13.  The two
+second-smallest-eigenvalue pieces cancel near x = 0, so those points go
+to DEFAULT_DPS digits or more.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
 push the eigenvalue densities through the inverse-Laplace pair
-exp(-a s) s^(-k) -> (y - a)^(k-1) / Gamma(k) on y > a; they order the
-computation differently and serve as cross-checks.
+exp(-a s) s^(-k) -> (y - a)^(k-1) / Gamma(k) on y > a, in double; they
+order the computation differently and serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -54,22 +55,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
-from .detkit import det_signedlog, iter_index_boxes, vandermonde_int
-from .numkit import (
-    DOUBLE,
-    FPoly,
-    NumericContext,
-    SignedLog,
-    fpoly_det,
-    fpoly_split_det,
-    integrate_finite,
-    laguerre_eval,
-    pochhammer_int,
-    poisson_mix,
-    signed_log_sum,
-)
+from .detkit import iter_index_boxes, vandermonde_int
+from .numkit import FPoly, fpoly_det, fpoly_split_det, integrate_finite, pochhammer_int, poisson_mix
 
 log = logging.getLogger("wishartcond")
 
@@ -79,14 +69,17 @@ METRIC_LAMBDA_MIN = "lambda-min"
 METRIC_LAMBDA_2 = "lambda-2"
 METRICS = (METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_MIN, METRIC_LAMBDA_2)
 
-DEFAULT_ALPHA_CAP_KAPPA_D = 4
-DEFAULT_ALPHA_CAP_KAPPA_E = 3
+PRECISIONS = ("auto", "double", "extended")
 DEFAULT_DPS = 40
+# largest alpha of the nested-sum kappa-d table and of the kappa-e laws
+_NESTED_SUM_ALPHA_CAP = 4
+_KAPPA_E_ALPHA_CAP = 3
+# relative tolerance of every quadrature: the mgfs and the lambda-2 route
+_RTOL = 1e-9
 # digits lost to cancellation above which 'auto' evaluates a point again
 _LOST_LIMIT = 3.0
 # digits past which 'auto' gives up on a point that still cancels
 _MAX_DPS = 10_000
-_LN10 = math.log(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +131,18 @@ class DensityCurve:
             raise ValueError("grid and values must have one value per point")
 
 
-def resolve_context(precision: str = "auto", dps: int = DEFAULT_DPS) -> NumericContext:
-    """Numeric backend of a first pass: double for 'auto' and 'double'."""
-    if precision in ("auto", "double"):
-        return DOUBLE
-    if precision == "extended":
-        return NumericContext(dps)
-    raise ValueError("precision must be 'auto', 'double' or 'extended'")
-
-
-def _evaluate(values_fn, xs, precision: str, dps: int, what: str) -> np.ndarray:
-    """values_fn(xs, ctx) -> (values, digits lost to cancellation) at the
-    chosen precision; under 'auto', points that lose more than _LOST_LIMIT
-    of the 16 digits of a double are evaluated again at dps digits, and
-    again at twice the digits while they keep fewer than 16 - _LOST_LIMIT."""
+def _evaluate(values_fn, xs, precision: str, what: str) -> np.ndarray:
+    """values_fn(xs, dps) -> (values, digits lost to cancellation), in double
+    for dps None and at dps digits otherwise.  'extended' runs at
+    DEFAULT_DPS; under 'auto', points that lose more than _LOST_LIMIT of
+    the 16 digits of a double are evaluated again at DEFAULT_DPS digits,
+    and again at twice the digits while they keep fewer than
+    16 - _LOST_LIMIT."""
+    if precision not in PRECISIONS:
+        raise ValueError("precision must be 'auto', 'double' or 'extended'")
     xs = np.asarray(xs, dtype=float)
-    ctx = resolve_context(precision, dps)
-    with ctx.workprec():
-        values, lost = values_fn(xs, ctx)
+    dps = DEFAULT_DPS
+    values, lost = values_fn(xs, dps if precision == "extended" else None)
     if precision == "auto" and xs.size:
         redo = lost > _LOST_LIMIT
         log.info("%s: %d of %d points evaluated again at %d digits, worst "
@@ -164,9 +151,7 @@ def _evaluate(values_fn, xs, precision: str, dps: int, what: str) -> np.ndarray:
         while redo.any():
             if dps > _MAX_DPS:
                 raise ArithmeticError(f"{what}: cancellation leaves no digits at {dps // 2} digits")
-            ext = NumericContext(dps)
-            with ext.workprec():
-                values[redo], lost[redo] = values_fn(xs[redo], ext)
+            values[redo], lost[redo] = values_fn(xs[redo], dps)
             redo &= lost > _LOST_LIMIT + dps - 16
             dps *= 2
             if redo.any():
@@ -185,46 +170,48 @@ def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     return acc * math.exp(shift), math.log10(float(scaled.sum()) / abs(acc))
 
 
-def _signed_log_lost_sum(parts) -> tuple[float, float]:
-    """(sum of SignedLog parts as a double, log10 of sum |.| / |sum .|) at
-    the parts' own precision; no parts give (0.0, 0.0)."""
-    total = signed_log_sum(parts)
-    if not total.sign:
-        return 0.0, (math.inf if any(p.sign for p in parts) else 0.0)
-    mags = signed_log_sum([SignedLog(1, p.logmag) for p in parts if p.sign])
-    return float(total.to_real()), float(mags.logmag - total.logmag) / _LN10
+def _mp_sum(terms: list, scale=1) -> tuple[float, float]:
+    """(scale times the sum of mpmath terms, as a double; log10 of
+    sum |.| / |sum .|); no terms give (0.0, 0.0)."""
+    total = mpmath.fsum(terms)
+    if not total:
+        return 0.0, (math.inf if any(terms) else 0.0)
+    return (float(total * scale),
+            float(mpmath.log10(mpmath.fsum(terms, absolute=True) / abs(total))))
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
 # inverse Laplace kernel
 
 
-def laplace_inv_shifted_power(a: float, k: float, y: float,
-                              ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Inverse transform of exp(-a s) s^(-k) at y: (y-a)^(k-1)/Gamma(k), y > a."""
-    if k <= 0:
-        raise ValueError("power must be positive")
-    if y < a or (y == a and k > 1):
-        return SignedLog.zero()
-    if y == a:  # k == 1 exactly at the edge
-        return SignedLog(1, -ctx.lgamma(k))
-    return SignedLog(1, (k - 1) * ctx.log(ctx.real(y - a)) - ctx.lgamma(k))
+def _laplace_density(terms, mn: int, y: float) -> float:
+    """Gamma(mn) y^(-mn) sum_j c_j L^{-1}{exp(-a_j s) s^(d_j - mn + 1)}(y).
 
-
-def density_from_laplace_terms(terms, mn: int, y: float,
-                               ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Gamma(mn) y^(-mn) * sum_j c_j * L^{-1}{exp(-a_j s) s^(d_j - mn + 1)}(y).
-
-    `terms` is an iterable of (shift, s_power, coeff) triples describing a
-    Laplace-domain function sum_j c_j exp(-a_j s) s^(d_j); this is the shared
-    step that turns an eigenvalue density into a trace-ratio density.
+    terms holds (a_j, d_j, sign c_j, log |c_j|) for a Laplace-domain
+    function sum_j c_j exp(-a_j s) s^(d_j); the pair exp(-a s) s^(-k) ->
+    (y - a)^(k-1) / Gamma(k) on y > a turns an eigenvalue density into a
+    trace-ratio density term by term.  The terms are scaled by the largest
+    and added by math.fsum, in double.
     """
-    parts = []
-    for shift, s_power, coeff in terms:
-        k = mn - 1 - s_power
-        parts.append(coeff * laplace_inv_shifted_power(shift, k, y, ctx))
-    total = signed_log_sum(parts)
-    return total.scaled_by_log(ctx.lgamma(mn) - mn * ctx.log(ctx.real(y)))
+    live = []
+    for a, d, sign, lc in terms:
+        k = mn - 1 - d
+        if y > a:
+            live.append((sign, lc + (k - 1) * math.log(y - a) - math.lgamma(k)))
+        elif y == a and k == 1:
+            live.append((sign, lc))
+    if not live:
+        return 0.0
+    top = max(lt for _, lt in live)
+    total = math.fsum(sign * math.exp(lt - top) for sign, lt in live)
+    if total == 0.0:
+        return 0.0
+    return math.copysign(
+        math.exp(top + math.log(abs(total)) + math.lgamma(mn) - mn * math.log(y)), total)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +242,21 @@ def _sign(x) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+def _log_int(n: int) -> float:
+    """log n for a positive integer of any size."""
+    shift = n.bit_length() - 53
+    if shift <= 0:
+        return math.log(n)
+    return math.log(n >> shift) + shift * _LN2
+
+
+def _sign_log(q: Fraction) -> tuple[int, float]:
+    """(sign, log |q|) of a rational of any size; (0, 0.0) at zero."""
+    if not q:
+        return 0, 0.0
+    return _sign(q), _log_int(abs(q.numerator)) - _log_int(q.denominator)
+
+
 @dataclass(frozen=True)
 class _EdgePowerTable:
     """One piece of a law: sum_j fracs[j] (y - edge)^powers[j] y^(-mn) on
@@ -269,12 +271,8 @@ class _EdgePowerTable:
     @functools.cached_property
     def double_terms(self):
         """(powers, signs, log |fracs|) as arrays."""
-        signs = np.array([_sign(f) for f in self.fracs], dtype=float)
-        logs = np.array(
-            [0.0 if f == 0 else float(DOUBLE.log_int(abs(f.numerator)) - DOUBLE.log_int(f.denominator))
-             for f in self.fracs]
-        )
-        return np.array(self.powers, dtype=float), signs, logs
+        signs, logs = zip(*map(_sign_log, self.fracs))
+        return np.array(self.powers, dtype=float), np.array(signs, dtype=float), np.array(logs)
 
     @functools.cached_property
     def t_density(self) -> list:
@@ -305,13 +303,13 @@ class _EdgePowerTable:
         return terms, float(Fraction(run, common))
 
 
-def _law_values(law, ys: np.ndarray, ctx: NumericContext):
+def _law_values(law, ys: np.ndarray, dps: int | None):
     """Density of a law on a grid, with the digits each point loses to
-    cancellation."""
+    cancellation: in double, or at dps digits."""
     mn = law[0].mn
     out = np.zeros_like(ys)
     lost = np.zeros_like(ys)
-    if not ctx.extended:
+    if dps is None:
         edges = np.concatenate([np.full(len(t.powers), float(t.edge)) for t in law])
         his = np.concatenate([np.full(len(t.powers), t.hi) for t in law])
         powers, signs, logs = (np.concatenate(parts)
@@ -323,12 +321,12 @@ def _law_values(law, ys: np.ndarray, ctx: NumericContext):
             t = logs[mask] + powers[mask] * np.log(y - edges[mask]) - mn * math.log(y)
             out[i], lost[i] = _signed_sum(signs[mask], t)
         return out, lost
-    terms = [(t.edge, t.hi, p, SignedLog.from_fraction(f, ctx))
-             for t in law for p, f in zip(t.powers, t.fracs) if f]
-    for i, y in enumerate(ys):
-        out[i], lost[i] = _signed_log_lost_sum(
-            [c.scaled_by_log(p * ctx.log(ctx.real(y - edge)) - mn * ctx.log(ctx.real(y)))
-             for edge, hi, p, c in terms if edge < y <= hi])
+    with mpmath.workdps(dps):
+        terms = [(t.edge, t.hi, p, _mpf(f)) for t in law for p, f in zip(t.powers, t.fracs) if f]
+        for i, y in enumerate(ys):
+            out[i], lost[i] = _mp_sum([c * mpmath.mpf(y - edge) ** p
+                                       for edge, hi, p, c in terms if edge < y <= hi],
+                                      mpmath.mpf(y) ** -mn)
     return out, lost
 
 
@@ -359,7 +357,7 @@ def _law_cdf(law):
     return cdf
 
 
-def _law_mgf(law, s: float, rtol: float) -> float:
+def _law_mgf(law, s: float) -> float:
     """E[exp(-s Y)]: one quadrature in t per piece, exactly 1.0 at s = 0."""
     if s < 0:
         raise ValueError("s must be >= 0 (the trace ratio has a heavy right tail)")
@@ -372,7 +370,7 @@ def _law_mgf(law, s: float, rtol: float) -> float:
                              -s * piece.edge / (1.0 - ts))
 
         total += integrate_finite(integrand, 0.0, 1.0 - piece.edge / piece.hi,
-                                  rtol=rtol, vectorized=True)
+                                  rtol=_RTOL, vectorized=True)
     return total
 
 
@@ -393,27 +391,28 @@ class _ExpPiece(NamedTuple):
     fracs: tuple
 
 
-def _exp_law_values(law, xs: np.ndarray, ctx: NumericContext):
+def _exp_law_values(law, xs: np.ndarray, dps: int | None):
     """Density of an eigenvalue law on a grid, with the digits each point
-    loses to cancellation."""
-    terms = [(rate, k, SignedLog.from_fraction(c, ctx))
-             for rate, powers, fracs in law for k, c in zip(powers, fracs) if c]
+    loses to cancellation: in double, or at dps digits."""
     out = np.zeros_like(xs)
     lost = np.zeros_like(xs)
-    if not ctx.extended:
+    if dps is None:
         rates, powers, signs, logs = (np.array(col, dtype=float) for col in zip(
-            *((rate, k, c.sign, c.logmag) for rate, k, c in terms)))
+            *((rate, k, *_sign_log(c)) for rate, powers, fracs in law
+              for k, c in zip(powers, fracs) if c)))
         for i, x in enumerate(xs):
             if x > 0:
                 t = logs + powers * math.log(x) - rates * x
                 out[i], lost[i] = _signed_sum(signs, t)
         return out, lost
-    for i, x in enumerate(xs):
-        if x > 0:
-            xr = ctx.real(x)
-            lx = ctx.log(xr)
-            out[i], lost[i] = _signed_log_lost_sum(
-                [c.scaled_by_log(k * lx - rate * xr) for rate, k, c in terms])
+    with mpmath.workdps(dps):
+        terms = [(rate, k, _mpf(c)) for rate, powers, fracs in law
+                 for k, c in zip(powers, fracs) if c]
+        for i, x in enumerate(xs):
+            if x > 0:
+                xr = mpmath.mpf(x)
+                decay = {rate: mpmath.exp(-rate * xr) for rate, _, _ in law}
+                out[i], lost[i] = _mp_sum([c * xr ** k * decay[rate] for rate, k, c in terms])
     return out, lost
 
 
@@ -482,11 +481,10 @@ def _lambda_min_law(dims: Dims) -> tuple:
     return (_ExpPiece(dims.n, powers, fracs),)
 
 
-def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto",
-                        dps: int = DEFAULT_DPS) -> np.ndarray:
+def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
     """Density of the smallest eigenvalue on a grid of points."""
     return _evaluate(functools.partial(_exp_law_values, _lambda_min_law(dims)), xs,
-                     precision, dps, "lambda-min density")
+                     precision, "lambda-min density")
 
 
 def _kd_nested_table(dims: Dims) -> _EdgePowerTable:
@@ -562,8 +560,7 @@ _KD_TABLE_CACHE: dict = {}
 _KD_BUILDERS = {"auto": _kd_min_table, "theorem": _kd_nested_table, "closed": _kd_closed_table}
 
 
-def _kd_law(dims: Dims, mode: str = "auto",
-            alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_D) -> tuple:
+def _kd_law(dims: Dims, mode: str = "auto") -> tuple:
     """The kappa-d law, one piece.  'auto' builds it from the smallest-
     eigenvalue polynomial; 'theorem' (nested sums) and 'closed' (alpha <= 1)
     are the independent constructions it is checked against."""
@@ -571,31 +568,25 @@ def _kd_law(dims: Dims, mode: str = "auto",
         raise ValueError("n must be >= 2")
     if mode not in _KD_BUILDERS:
         raise ValueError("mode must be 'auto', 'theorem' or 'closed'")
-    if mode == "theorem" and dims.alpha > alpha_cap:
-        raise ValueError(
-            f"alpha={dims.alpha} above the nested-sum cap {alpha_cap}; raise alpha_cap "
-            "if the term count is acceptable")
+    if mode == "theorem" and dims.alpha > _NESTED_SUM_ALPHA_CAP:
+        raise ValueError(f"alpha={dims.alpha} above the nested-sum cap {_NESTED_SUM_ALPHA_CAP}")
     key = (dims.n, dims.alpha, mode)
     if key not in _KD_TABLE_CACHE:
         _KD_TABLE_CACHE[key] = (_KD_BUILDERS[mode](dims),)
     return _KD_TABLE_CACHE[key]
 
 
-def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto",
-                     dps: int = DEFAULT_DPS, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_D) -> np.ndarray:
+def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto") -> np.ndarray:
     """Density of trace / smallest eigenvalue on a grid.  Support is y > n."""
-    law = _kd_law(dims, mode, alpha_cap)
-    return _evaluate(functools.partial(_law_values, law), ys, precision, dps,
+    return _evaluate(functools.partial(_law_values, _kd_law(dims, mode)), ys, precision,
                      "kappa-d density")
 
 
-def pdf_kappa_d(y: float, dims: Dims, mode: str = "auto", precision: str = "auto",
-                dps: int = DEFAULT_DPS, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_D) -> float:
-    return float(pdf_kappa_d_grid(np.array([y]), dims, mode, precision, dps, alpha_cap)[0])
+def pdf_kappa_d(y: float, dims: Dims, mode: str = "auto", precision: str = "auto") -> float:
+    return float(pdf_kappa_d_grid(np.array([y]), dims, mode, precision)[0])
 
 
-def pdf_via_min_connection(y: float, dims: Dims, precision: str = "auto",
-                           dps: int = DEFAULT_DPS) -> float:
+def pdf_via_min_connection(y: float, dims: Dims) -> float:
     """kappa-d density through the smallest-eigenvalue route.
 
     The smallest-eigenvalue density is a polynomial times exp(-n x); pushing
@@ -605,22 +596,18 @@ def pdf_via_min_connection(y: float, dims: Dims, precision: str = "auto",
     """
     if dims.n < 2:
         raise ValueError("n must be >= 2")
-    ctx = resolve_context(precision, dps)
-    n, alpha = dims.n, dims.alpha
-    with ctx.workprec():
-        terms = [(n, d + alpha, SignedLog.from_fraction(c, ctx))
-                 for d, c in enumerate(_min_eig_fracs(dims)) if c]
-        val = density_from_laplace_terms(terms, dims.mn, y, ctx)
-        return float(val.to_real()) if val.sign else 0.0
+    terms = [(dims.n, d + dims.alpha, *_sign_log(c))
+             for d, c in enumerate(_min_eig_fracs(dims)) if c]
+    return _laplace_density(terms, dims.mn, y)
 
 
-def mgf_kappa_d(s: float, dims: Dims, rtol: float = 1e-9) -> float:
+def mgf_kappa_d(s: float, dims: Dims) -> float:
     """Moment generating function E[exp(-s * kappa_d^2)] for s >= 0.
 
     At s = 0 this is the total mass of the law and returns exactly 1.0.
-    For s > 0 the value comes from quadrature and carries its ``rtol``.
+    For s > 0 the value comes from quadrature to a relative 1e-9.
     """
-    return _law_mgf(_kd_law(dims), s, rtol)
+    return _law_mgf(_kd_law(dims), s)
 
 
 # ---------------------------------------------------------------------------
@@ -692,13 +679,11 @@ def _ke_bivariate_w_fracs(dims: Dims):
     return _cached("w", dims, build)
 
 
-def _check_kappa_e_dims(dims: Dims, alpha_cap: int):
+def _check_kappa_e_dims(dims: Dims):
     if dims.n < 3:
         raise ValueError("the second-smallest-eigenvalue metrics need n >= 3")
-    if dims.alpha > alpha_cap:
-        raise ValueError(
-            f"alpha={dims.alpha} above the kappa-e cap {alpha_cap}; raise alpha_cap if "
-            "the determinant size is acceptable")
+    if dims.alpha > _KAPPA_E_ALPHA_CAP:
+        raise ValueError(f"alpha={dims.alpha} above the kappa-e cap {_KAPPA_E_ALPHA_CAP}")
 
 
 def _shift_by_one(coeffs) -> list:
@@ -804,25 +789,22 @@ def _ke_pieces(dims: Dims) -> tuple:
     return _cached("pieces", dims, build)
 
 
-def _ke_law(dims: Dims, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> tuple:
-    _check_kappa_e_dims(dims, alpha_cap)
+def _ke_law(dims: Dims) -> tuple:
+    _check_kappa_e_dims(dims)
     return _ke_pieces(dims)
 
 
-def pdf_kappa_e_grid(ys, dims: Dims, precision: str = "auto", dps: int = DEFAULT_DPS,
-                     alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> np.ndarray:
+def pdf_kappa_e_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
     """Density of trace / second-smallest eigenvalue.  Support is y > n - 1."""
-    return _evaluate(functools.partial(_law_values, _ke_law(dims, alpha_cap)), ys,
-                     precision, dps, "kappa-e density")
+    return _evaluate(functools.partial(_law_values, _ke_law(dims)), ys, precision,
+                     "kappa-e density")
 
 
-def pdf_kappa_e(y: float, dims: Dims, precision: str = "auto", dps: int = DEFAULT_DPS,
-                alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> float:
-    return float(pdf_kappa_e_grid(np.array([y]), dims, precision, dps, alpha_cap)[0])
+def pdf_kappa_e(y: float, dims: Dims, precision: str = "auto") -> float:
+    return float(pdf_kappa_e_grid(np.array([y]), dims, precision)[0])
 
 
-def pdf_via_lambda2_connection(y: float, dims: Dims, precision: str = "auto",
-                               dps: int = DEFAULT_DPS, rtol: float = 1e-9) -> float:
+def pdf_via_lambda2_connection(y: float, dims: Dims) -> float:
     """kappa-e density through the second-smallest-eigenvalue route.
 
     The eigenvalue density is, for each fixed z, a polynomial in s times
@@ -830,56 +812,38 @@ def pdf_via_lambda2_connection(y: float, dims: Dims, precision: str = "auto",
     and the z integral is taken last.  Slower than the direct pipeline but
     orders the computation differently, which is the point.
     """
-    _check_kappa_e_dims(dims, DEFAULT_ALPHA_CAP_KAPPA_E)
-    ctx = resolve_context(precision, dps)
-    n, alpha = dims.n, dims.alpha
-    mn = dims.mn
+    _check_kappa_e_dims(dims)
+    n, alpha, mn = dims.n, dims.alpha, dims.mn
     if y <= n - 1:
         return 0.0
-    with ctx.workprec():
-        cz, _, _ = _ke_bivariate_fracs(dims)
-        cw, _, _ = _ke_bivariate_w_fracs(dims)
-        by_d_z: dict = {}
-        for (d, e), f in cz.items():
-            by_d_z.setdefault(d, []).append((e, SignedLog.from_fraction(f, ctx)))
-        by_d_w: dict = {}
-        for (d, e), f in cw.items():
-            by_d_w.setdefault(d, []).append((e, SignedLog.from_fraction(f, ctx)))
-        z0 = n - y if y < n else 0.0
-        total = 0.0
+    z_terms = [(d, e, *_sign_log(f)) for (d, e), f in _ke_bivariate_fracs(dims)[0].items()]
+    w_terms = [(d, e, *_sign_log(f)) for (d, e), f in _ke_bivariate_w_fracs(dims)[0].items()]
 
-        def f_at_z(z):
-            lz = ctx.log(ctx.real(z))
-            lwt = 2 * lz - alpha * ctx.log(ctx.real(1.0 - z))
-            terms = []
-            for d, entries in by_d_z.items():
-                coeff = signed_log_sum([c_sl.scaled_by_log(e * lz) for e, c_sl in entries])
-                terms.append((n - z, d + 3, coeff.scaled_by_log(lwt)))
-            val = density_from_laplace_terms(terms, mn, y, ctx)
-            return float(val.to_real()) if val.sign else 0.0
+    def f_at_z(z):
+        lz = math.log(z)
+        lwt = 2 * lz - alpha * math.log(1.0 - z)
+        return _laplace_density([(n - z, d + 3, sign, lc + e * lz + lwt)
+                                 for d, e, sign, lc in z_terms], mn, y)
 
-        def f_at_w(w):
-            lw = ctx.log(ctx.real(w))
-            lwt = 2 * ctx.log(ctx.real(1.0 - w)) - alpha * lw
-            terms = []
-            for d, entries in by_d_w.items():
-                coeff = signed_log_sum([c_sl.scaled_by_log(e * lw) for e, c_sl in entries])
-                terms.append((n - 1 + w, d + 3, coeff.scaled_by_log(lwt)))
-            val = density_from_laplace_terms(terms, mn, y, ctx)
-            return float(val.to_real()) if val.sign else 0.0
+    def f_at_w(w):
+        lw = math.log(w)
+        lwt = 2 * math.log(1.0 - w) - alpha * lw
+        return _laplace_density([(n - 1 + w, d + 3, sign, lc + e * lw + lwt)
+                                 for d, e, sign, lc in w_terms], mn, y)
 
-        if z0 < _KE_SPLIT:
-            total += integrate_finite(f_at_z, z0, _KE_SPLIT, rtol=rtol,
-                                      order_cap=512, max_depth=30)
-        total += integrate_finite(f_at_w, 0.0, min(_KE_SPLIT, 1.0 - z0),
-                                  rtol=rtol, order_cap=512, max_depth=30)
-        return total
+    z0 = n - y if y < n else 0.0
+    total = 0.0
+    if z0 < _KE_SPLIT:
+        total += integrate_finite(f_at_z, z0, _KE_SPLIT, rtol=_RTOL, order_cap=512, max_depth=30)
+    total += integrate_finite(f_at_w, 0.0, min(_KE_SPLIT, 1.0 - z0), rtol=_RTOL,
+                              order_cap=512, max_depth=30)
+    return total
 
 
 _KE_SPLIT = 0.5  # z below: z-power table; z above: w-power table
 
 
-def _lambda2_law(dims: Dims, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> tuple:
+def _lambda2_law(dims: Dims) -> tuple:
     """The second-smallest-eigenvalue law as two exact pieces, at rates
     n - 1 and n.
 
@@ -891,7 +855,7 @@ def _lambda2_law(dims: Dims, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> tupl
     an integer over one common denominator; a power below alpha raises
     ArithmeticError.
     """
-    _check_kappa_e_dims(dims, alpha_cap)
+    _check_kappa_e_dims(dims)
 
     def build(dims):
         n, alpha = dims.n, dims.alpha
@@ -916,114 +880,24 @@ def _lambda2_law(dims: Dims, alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> tupl
     return _cached("lambda-2", dims, build)
 
 
-def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto", dps: int = DEFAULT_DPS,
-                     alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> np.ndarray:
+def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
     """Density of the second-smallest eigenvalue on a grid.
 
     The two pieces cancel near x = 0; 'auto' measures that and evaluates
-    those points again at dps digits, or more where dps are not enough.
+    those points again at DEFAULT_DPS digits, or more where those are not
+    enough.
     """
-    return _evaluate(functools.partial(_exp_law_values, _lambda2_law(dims, alpha_cap)), xs,
-                     precision, dps, "lambda-2 density")
+    return _evaluate(functools.partial(_exp_law_values, _lambda2_law(dims)), xs,
+                     precision, "lambda-2 density")
 
 
-def mgf_kappa_e(s: float, dims: Dims, rtol: float = 1e-9,
-                alpha_cap: int = DEFAULT_ALPHA_CAP_KAPPA_E) -> float:
+def mgf_kappa_e(s: float, dims: Dims) -> float:
     """Moment generating function E[exp(-s * kappa_e^2)] for s >= 0.
 
     At s = 0 this is the total mass of the law and returns exactly 1.0.
-    For s > 0 the value comes from quadrature and carries its ``rtol``.
+    For s > 0 the value comes from quadrature to a relative 1e-9.
     """
-    return _law_mgf(_ke_law(dims, alpha_cap), s, rtol)
-
-
-# ---------------------------------------------------------------------------
-# multi-eigenvalue moment integrals (tiny-n oracles and their closed forms)
-#
-# q_integral(n, alpha, z)  = int over [0, inf)^n of
-#     Delta_n^2(y) prod y_j^2 exp(-y_j) (z - y_j)^alpha dy
-# r_integral(n, a, b, alpha) adds the factor prod (a - y_j)^2 (b - y_j)^alpha.
-# Direct tensor-product Gauss-Laguerre is exact for these polynomial-times-
-# weight integrands at tiny n and serves as the oracle; the closed forms
-# reduce them to determinants of Laguerre values.
-
-
-def _laggauss_grid(n: int, order: int = 24):
-    nodes, weights = np.polynomial.laguerre.laggauss(order)
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    w = weights
-    for _ in range(n - 1):
-        w = np.multiply.outer(w, weights)
-    return grids, w
-
-
-def q_integral_oracle(n: int, alpha: int, z: float) -> float:
-    """Direct n-dimensional quadrature; exact for polynomial integrands."""
-    if n > 3:
-        raise ValueError("oracle is for tiny n only")
-    grids, w = _laggauss_grid(n)
-    integrand = np.ones_like(w)
-    for i in range(n):
-        integrand = integrand * grids[i] ** 2 * (z - grids[i]) ** alpha
-    for i in range(n):
-        for j in range(i + 1, n):
-            integrand = integrand * (grids[j] - grids[i]) ** 2
-    return float((integrand * w).sum())
-
-
-def q_closed(n: int, alpha: int, z: float) -> float:
-    """Closed determinant form of the same multi-eigenvalue integral."""
-    base = 1
-    for j in range(n):
-        base *= math.factorial(1 + j) * math.factorial(2 + j)
-    if alpha == 0:
-        return float(base)
-    frac = Fraction((-1) ** (n * alpha) * base)
-    for j in range(alpha):
-        frac *= Fraction(math.factorial(n + j), math.factorial(j))
-    mat = [[laguerre_eval(n + k - l, 2 + l, z) for l in range(alpha)]
-           for k in range(alpha)]
-    det = det_signedlog(mat)
-    return float((SignedLog.from_fraction(frac) * det).to_real())
-
-
-def r_integral_oracle(n: int, a: float, b: float, alpha: int) -> float:
-    if n > 3:
-        raise ValueError("oracle is for tiny n only")
-    grids, w = _laggauss_grid(n)
-    integrand = np.ones_like(w)
-    for i in range(n):
-        integrand = integrand * grids[i] ** 2 * (a - grids[i]) ** 2 * (b - grids[i]) ** alpha
-    for i in range(n):
-        for j in range(i + 1, n):
-            integrand = integrand * (grids[j] - grids[i]) ** 2
-    return float((integrand * w).sum())
-
-
-def r_closed(n: int, a: float, b: float, alpha: int) -> float:
-    if a == b:
-        raise ValueError("need distinct a and b")
-    frac = Fraction((-1) ** (n * alpha))
-    for j in range(n):
-        frac *= math.factorial(j + 1) * math.factorial(j + 2)
-    for j in range(alpha + 2):
-        frac *= math.factorial(n + j)
-    for j in range(alpha):
-        frac /= math.factorial(j)
-    size = alpha + 2
-    mat = []
-    for i in range(1, size + 1):
-        row = []
-        for j in (1, 2):
-            deg = n + i - j
-            row.append(laguerre_eval(deg, j + 1, a) if deg >= 0 else SignedLog.zero())
-        for k in range(3, size + 1):
-            deg = n + i - k + 2
-            row.append(laguerre_eval(deg, k - 1, b) if deg >= 0 else SignedLog.zero())
-        mat.append(row)
-    det = det_signedlog(mat)
-    scale = SignedLog.from_real(a - b).pow_int(-2 * alpha)
-    return float((SignedLog.from_fraction(frac) * scale * det).to_real())
+    return _law_mgf(_ke_law(dims), s)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,56 +930,3 @@ def cdf_lambda2_interp(dims: Dims):
     """Exact vectorized CDF of the second-smallest eigenvalue, a finite
     Poisson sum over its two pieces with signed weights."""
     return _exp_law_cdf(_lambda2_law(dims))
-
-
-def normalization_kappa_d(dims: Dims, **pdf_kwargs) -> float:
-    """Total mass of the kappa-d density (should be 1)."""
-    n = dims.n
-
-    def pdf_t(tt):
-        tt = np.asarray(tt, dtype=float)
-        ys = n / (1.0 - tt)
-        return pdf_kappa_d_grid(ys, dims, **pdf_kwargs) * n / (1.0 - tt) ** 2
-
-    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-10, vectorized=True)
-
-
-def normalization_kappa_e(dims: Dims, **pdf_kwargs) -> float:
-    edge = dims.n - 1
-
-    def pdf_t(tt):
-        tt = np.asarray(tt, dtype=float)
-        ys = edge / (1.0 - tt)
-        return pdf_kappa_e_grid(ys, dims, **pdf_kwargs) * edge / (1.0 - tt) ** 2
-
-    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-8, vectorized=True)
-
-
-def _decay_cutoff(p: float, decay: float, margin: float = 50.0) -> float:
-    """Upper limit X with x^p exp(-decay x) below exp(-margin) of its peak.
-
-    Integrating the smooth integrand on (0, X) directly is much cheaper than
-    mapping the half line, which trades the tail for endpoint log powers.
-    """
-    if decay <= 0:
-        raise ValueError("decay must be positive")
-    peak = p / decay if p > 0 else 0.0
-    log_peak = p * math.log(peak) - p if p > 0 else 0.0
-    x = max(peak, 1.0) * 1.5 + 1.0
-    while p * math.log(x) - decay * x > log_peak - margin:
-        x *= 1.3
-    return x
-
-
-def normalization_lambda_min(dims: Dims, **pdf_kwargs) -> float:
-    cutoff = _decay_cutoff(float(dims.mn), float(dims.n))
-    return integrate_finite(
-        lambda xs: pdf_lambda_min_grid(xs, dims, **pdf_kwargs),
-        0.0, cutoff, rtol=1e-10, vectorized=True)
-
-
-def normalization_lambda2(dims: Dims, **pdf_kwargs) -> float:
-    cutoff = _decay_cutoff(float(dims.mn), float(max(dims.n - 1, 1)))
-    return integrate_finite(
-        lambda xs: pdf_lambda2_grid(xs, dims, **pdf_kwargs),
-        0.0, cutoff, rtol=1e-8, vectorized=True)

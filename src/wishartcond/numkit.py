@@ -1,29 +1,15 @@
-"""Log-domain scalar arithmetic, special functions and quadrature.
+"""Exact combinatorics, exact polynomials and quadrature.
 
-Everything downstream (exact densities, asymptotic densities, moment
-generating functions) is assembled from products of factorials, powers and
-polynomial coefficients whose magnitudes overflow double precision long
-before the assembled density does.  The primitives here therefore work with
-sign / log-magnitude pairs (``SignedLog``) and only exponentiate once a full
-term has been combined.
-
-Two numeric backends are supported through :class:`NumericContext`:
-
-* double precision (the default), with compensated summation for the
-  alternating sums that appear in the density formulas;
-* an extended software-float backend (mpmath), used where a sum cancels
-  too much to keep its digits in double.
-
-The special functions are the ones the densities are built from: exact
-integer rising factorials, Stirling numbers and Laguerre coefficients, a
-Laguerre evaluation in sign/log form and a generalized hypergeometric
-series.  Exact polynomials (``FPoly``) keep integer numerators over
+The densities are finite sums whose coefficients are exact rationals,
+built from integer rising factorials, Stirling numbers and Laguerre
+coefficients.  Exact polynomials (``FPoly``) keep integer numerators over
 factorial denominators; products, truncated products and determinants of
 them stay exact without rational arithmetic.
 
-The quadrature routine is adaptive Gauss-Legendre: order doubling first,
-panel bisection when doubling stalls.  poisson_mix sums a Poisson mixture
-one term at a time, in logs.
+poisson_mix sums a Poisson mixture one term at a time, in logs, so that
+factorials and powers far outside the double range never form.  The
+quadrature routine is adaptive Gauss-Legendre: order doubling first,
+panel bisection when doubling stalls.
 """
 
 from __future__ import annotations
@@ -31,15 +17,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
-
-_LN2 = math.log(2.0)
 
 
 class ConvergenceError(ArithmeticError):
@@ -48,209 +30,6 @@ class ConvergenceError(ArithmeticError):
 
 class QuadratureError(ConvergenceError):
     """Adaptive quadrature exhausted its refinement budget."""
-
-
-# ---------------------------------------------------------------------------
-# numeric backends
-
-
-class NumericContext:
-    """Scalar backend: double precision, or mpmath with ``dps`` digits."""
-
-    def __init__(self, dps: int | None = None):
-        if dps is not None and dps < 30:
-            raise ValueError("extended mode needs at least 30 digits")
-        self.dps = dps
-
-    @property
-    def extended(self) -> bool:
-        return self.dps is not None
-
-    def workprec(self):
-        """Context manager pinning the mpmath precision while we compute."""
-        if self.extended:
-            return mpmath.workdps(self.dps)
-        return nullcontext()
-
-    def real(self, x):
-        return mpmath.mpf(x) if self.extended else float(x)
-
-    def log(self, x):
-        return mpmath.log(x) if self.extended else math.log(x)
-
-    def log_int(self, n: int):
-        """log(n) for a positive integer of any size."""
-        if n <= 0:
-            raise ValueError("positive integer required")
-        if self.extended:
-            return mpmath.log(mpmath.mpf(n))
-        if n.bit_length() <= 53:
-            return math.log(n)
-        shift = n.bit_length() - 53
-        return math.log(n >> shift) + shift * _LN2
-
-    def lgamma(self, x):
-        if x <= 0:
-            raise ValueError("lgamma argument must be positive")
-        if self.extended:
-            return mpmath.loggamma(mpmath.mpf(x))
-        return math.lgamma(x)
-
-    def __repr__(self):
-        return f"NumericContext(dps={self.dps})"
-
-
-DOUBLE = NumericContext()
-
-
-def _is_mp(x) -> bool:
-    return isinstance(x, mpmath.mpf)
-
-
-def _exp(x):
-    return mpmath.exp(x) if _is_mp(x) else math.exp(x)
-
-
-def _log(x):
-    return mpmath.log(x) if _is_mp(x) else math.log(x)
-
-
-def _log1p(x):
-    return mpmath.log1p(x) if _is_mp(x) else math.log1p(x)
-
-
-# ---------------------------------------------------------------------------
-# signed log-magnitude scalars
-
-
-class SignedLog:
-    """A real number stored as (sign, log of magnitude).
-
-    sign is -1, 0 or +1; logmag is a float (or an mpmath float in extended
-    mode) and is meaningless when sign == 0.  Multiplication is exact in this
-    representation up to rounding of the log; addition goes through a
-    max-shifted compensated sum.
-    """
-
-    __slots__ = ("sign", "logmag")
-
-    def __init__(self, sign: int, logmag=0.0):
-        if sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
-        self.sign = sign
-        self.logmag = logmag
-
-    @staticmethod
-    def zero() -> "SignedLog":
-        return SignedLog(0, 0.0)
-
-    @staticmethod
-    def one() -> "SignedLog":
-        return SignedLog(1, 0.0)
-
-    @staticmethod
-    def from_real(x, ctx: NumericContext = DOUBLE) -> "SignedLog":
-        if x == 0:
-            return SignedLog.zero()
-        s = 1 if x > 0 else -1
-        return SignedLog(s, ctx.log(abs(ctx.real(x))))
-
-    @staticmethod
-    def from_fraction(q: Fraction | int, ctx: NumericContext = DOUBLE) -> "SignedLog":
-        """Exact rational (arbitrary size) to sign/log form."""
-        q = Fraction(q)
-        if q == 0:
-            return SignedLog.zero()
-        s = 1 if q > 0 else -1
-        return SignedLog(s, ctx.log_int(abs(q.numerator)) - ctx.log_int(q.denominator))
-
-    def to_real(self):
-        """Back to an ordinary number.  Raises OverflowError past the range."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * _exp(self.logmag)
-
-    def to_float(self) -> float:
-        return float(self.to_real())
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        s = self.sign * other.sign
-        if s == 0:
-            return SignedLog.zero()
-        return SignedLog(s, self.logmag + other.logmag)
-
-    def __neg__(self) -> "SignedLog":
-        return SignedLog(-self.sign, self.logmag)
-
-    def __add__(self, other: "SignedLog") -> "SignedLog":
-        return signed_log_sum((self, other))
-
-    def __sub__(self, other: "SignedLog") -> "SignedLog":
-        return signed_log_sum((self, -other))
-
-    def inverse(self) -> "SignedLog":
-        if self.sign == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return SignedLog(self.sign, -self.logmag)
-
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        return self * other.inverse()
-
-    def pow_int(self, k: int) -> "SignedLog":
-        if k == 0:
-            return SignedLog.one()
-        if self.sign == 0:
-            if k < 0:
-                raise ZeroDivisionError("0 to a negative power")
-            return SignedLog.zero()
-        s = self.sign if k % 2 else 1
-        return SignedLog(s, k * self.logmag)
-
-    def scaled_by_log(self, delta) -> "SignedLog":
-        """Multiply by exp(delta) without leaving the log domain."""
-        if self.sign == 0:
-            return self
-        return SignedLog(self.sign, self.logmag + delta)
-
-    def __repr__(self):
-        return f"SignedLog(sign={self.sign}, logmag={self.logmag})"
-
-
-def signed_log_sum(terms) -> SignedLog:
-    """Sum of SignedLog terms via a max-shifted compensated sum.
-
-    In double the inner accumulation is Neumaier-compensated, which keeps
-    the relative error of heavily cancelling sums near the level set by the
-    largest term rather than growing with the term count.
-    """
-    live = [t for t in terms if t.sign != 0]
-    if not live:
-        return SignedLog.zero()
-    m = live[0].logmag
-    for t in live[1:]:
-        if t.logmag > m:
-            m = t.logmag
-    if _is_mp(m):
-        total = mpmath.fsum(t.sign * mpmath.exp(t.logmag - m) for t in live)
-        if total == 0:
-            return SignedLog.zero()
-        s = 1 if total > 0 else -1
-        return SignedLog(s, m + mpmath.log(abs(total)))
-    acc = 0.0
-    comp = 0.0
-    for t in live:
-        x = t.sign * math.exp(t.logmag - m)
-        tmp = acc + x
-        if abs(acc) >= abs(x):
-            comp += (acc - tmp) + x
-        else:
-            comp += (x - tmp) + acc
-        acc = tmp
-    total = acc + comp
-    if total == 0.0:
-        return SignedLog.zero()
-    s = 1 if total > 0 else -1
-    return SignedLog(s, m + math.log(abs(total)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +83,6 @@ def poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0)
             i = k + offset
             out += c * np.exp((i + power) * lu - us - lf[i])
     return out
-
-
-# ---------------------------------------------------------------------------
-# generalized Laguerre polynomials
-
-# Coefficient of z^j in L_N^(rho) for integer rho >= 0, as an exact rational:
-#   (-1)^j (N+rho)! / ((N-j)! (rho+j)! j!)
-
-
-def laguerre_coeff_fractions(deg: int, rho: int) -> list[Fraction]:
-    if deg < 0 or rho < 0:
-        raise ValueError("need deg >= 0 and integer rho >= 0")
-    top = math.factorial(deg + rho)
-    out = []
-    for j in range(deg + 1):
-        num = (-1) ** j * top
-        den = math.factorial(deg - j) * math.factorial(rho + j) * math.factorial(j)
-        out.append(Fraction(num, den))
-    return out
-
-
-def laguerre_eval(deg: int, rho: int, z, ctx: NumericContext = DOUBLE) -> SignedLog:
-    """Value of the generalized Laguerre polynomial L_deg^(rho) at z."""
-    coeffs = laguerre_coeff_fractions(deg, rho)
-    zsl = SignedLog.from_real(z, ctx)
-    terms = []
-    zp = SignedLog.one()
-    for j, c in enumerate(coeffs):
-        if j > 0:
-            zp = zp * zsl
-        terms.append(SignedLog.from_fraction(c, ctx) * zp)
-    return signed_log_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -454,51 +201,6 @@ def fpoly_split_det(pairs, block, deg: int | None = None):
             for e, term in enumerate(_fpoly_terms(pair, minor, d)):
                 row[e] += sign * term
     return shift, nums
-
-
-# ---------------------------------------------------------------------------
-# generalized hypergeometric series
-
-
-def pfq(a_params, b_params, z: float, rtol: float = 1e-15, max_terms: int = 200_000) -> float:
-    """Generalized hypergeometric pFq via the term-ratio recurrence.
-
-    Upper parameters may be negative integers (the series then terminates).
-    Nonpositive-integer lower parameters are rejected.  For p = q + 1 the
-    series only converges for |z| < 1.
-    """
-    a_params = [float(a) for a in a_params]
-    b_params = [float(b) for b in b_params]
-    for b in b_params:
-        if b <= 0 and b == int(b):
-            raise ValueError("nonpositive integer lower parameter")
-    if len(a_params) > len(b_params) + 1:
-        raise ValueError("series diverges: p > q + 1")
-    if len(a_params) == len(b_params) + 1 and abs(z) >= 1:
-        raise ValueError("p = q + 1 series needs |z| < 1")
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for k in range(max_terms):
-        num = 1.0
-        for a in a_params:
-            num *= a + k
-        if num == 0.0:
-            return total  # terminating series
-        den = k + 1.0
-        for b in b_params:
-            den *= b + k
-        term *= num * z / den
-        total += term
-        if math.isinf(total) or math.isnan(total):
-            raise OverflowError("hypergeometric sum left the double range")
-        if abs(term) <= rtol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError("hypergeometric series did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
-"""Independent references for the second-smallest-eigenvalue laws.
+"""Independent references that only the tests use.
 
-The closed alpha = 0 forms come from a double sum over Laguerre
-coefficients, with no determinant expansion.  The general-alpha density is
-the z-integral of the Laguerre determinant, evaluated at each quadrature
-node in mpmath.  Neither shares code with the library's tables.
+The closed alpha = 0 forms of the second-smallest-eigenvalue laws come
+from a double sum over Laguerre coefficients, with no determinant
+expansion.  The general-alpha density is the z-integral of the Laguerre
+determinant, evaluated at each quadrature node in mpmath.  Neither shares
+code with the library's tables.
+
+The proof integrals q and r are tiny-n tensor-product Gauss-Laguerre
+quadratures next to their closed Laguerre-determinant forms, and the
+alpha = 0 kappa-e limit has a three-term hypergeometric form; all of these
+are evaluated in mpmath.  The normalizations integrate each finite-n
+density numerically, the quadrature counterpart of the exact total masses.
 
 The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
@@ -19,8 +26,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from wishartcond.exact import DEFAULT_DPS, Dims, _EdgePowerTable, _evaluate, _law_values
-from wishartcond.numkit import pochhammer_int
+from wishartcond import asymptotic
+from wishartcond.exact import (
+    Dims,
+    _EdgePowerTable,
+    _evaluate,
+    _law_values,
+    pdf_kappa_d_grid,
+    pdf_kappa_e_grid,
+    pdf_lambda2_grid,
+    pdf_lambda_min_grid,
+)
+from wishartcond.numkit import integrate_finite, pochhammer_int
 from wishartcond.sampler import _uniform
 
 
@@ -56,13 +73,12 @@ def ke_closed_alpha0_law(n: int) -> tuple:
                  for edge, terms in ((n - 1, near), (n, far)))
 
 
-def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto",
-                                   dps: int = DEFAULT_DPS) -> np.ndarray:
+def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
     """kappa-e density at alpha = 0 from the closed double sum."""
     if dims.alpha != 0 or dims.n < 3:
         raise ValueError("closed form covers alpha = 0 and n >= 3 only")
     law = ke_closed_alpha0_law(dims.n)
-    return _evaluate(functools.partial(_law_values, law), ys, precision, dps,
+    return _evaluate(functools.partial(_law_values, law), ys, precision,
                      "closed kappa-e density")
 
 
@@ -142,6 +158,186 @@ def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np
                           * mpmath.exp(-(1 - z) * x))
             out[idx] = float(x ** 3 * mpmath.exp(-(n - 1) * x) * total / 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# multi-eigenvalue moment integrals (tiny-n quadrature and closed forms)
+#
+# q_integral(n, alpha, z)  = int over [0, inf)^n of
+#     Delta_n^2(y) prod y_j^2 exp(-y_j) (z - y_j)^alpha dy
+# r_integral(n, a, b, alpha) adds the factor prod (a - y_j)^2 (b - y_j)^alpha.
+# Tensor-product Gauss-Laguerre is exact for these polynomial-times-weight
+# integrands at tiny n; the closed forms reduce them to determinants of
+# Laguerre values.
+
+
+def _laggauss_grid(n: int, order: int = 24):
+    nodes, weights = np.polynomial.laguerre.laggauss(order)
+    grids = np.meshgrid(*([nodes] * n), indexing="ij")
+    w = weights
+    for _ in range(n - 1):
+        w = np.multiply.outer(w, weights)
+    return grids, w
+
+
+def q_integral_oracle(n: int, alpha: int, z: float) -> float:
+    """Direct n-dimensional quadrature; exact for polynomial integrands."""
+    if n > 3:
+        raise ValueError("oracle is for tiny n only")
+    grids, w = _laggauss_grid(n)
+    integrand = np.ones_like(w)
+    for i in range(n):
+        integrand = integrand * grids[i] ** 2 * (z - grids[i]) ** alpha
+    for i in range(n):
+        for j in range(i + 1, n):
+            integrand = integrand * (grids[j] - grids[i]) ** 2
+    return float((integrand * w).sum())
+
+
+def _laguerre(deg: int, rho: int, z):
+    """L_deg^(rho)(z) in mpmath; deg < 0 gives 0."""
+    return mpmath.laguerre(deg, rho, z) if deg >= 0 else mpmath.mpf(0)
+
+
+def q_closed(n: int, alpha: int, z: float) -> float:
+    """Closed determinant form of the same multi-eigenvalue integral."""
+    base = 1
+    for j in range(n):
+        base *= math.factorial(1 + j) * math.factorial(2 + j)
+    if alpha == 0:
+        return float(base)
+    frac = Fraction((-1) ** (n * alpha) * base)
+    for j in range(alpha):
+        frac *= Fraction(math.factorial(n + j), math.factorial(j))
+    with mpmath.workdps(30):
+        mat = mpmath.matrix([[_laguerre(n + k - l, 2 + l, z) for l in range(alpha)]
+                             for k in range(alpha)])
+        return float(mpmath.mpf(frac.numerator) / frac.denominator * mpmath.det(mat))
+
+
+def r_integral_oracle(n: int, a: float, b: float, alpha: int) -> float:
+    if n > 3:
+        raise ValueError("oracle is for tiny n only")
+    grids, w = _laggauss_grid(n)
+    integrand = np.ones_like(w)
+    for i in range(n):
+        integrand = integrand * grids[i] ** 2 * (a - grids[i]) ** 2 * (b - grids[i]) ** alpha
+    for i in range(n):
+        for j in range(i + 1, n):
+            integrand = integrand * (grids[j] - grids[i]) ** 2
+    return float((integrand * w).sum())
+
+
+def r_closed(n: int, a: float, b: float, alpha: int) -> float:
+    if a == b:
+        raise ValueError("need distinct a and b")
+    frac = Fraction((-1) ** (n * alpha))
+    for j in range(n):
+        frac *= math.factorial(j + 1) * math.factorial(j + 2)
+    for j in range(alpha + 2):
+        frac *= math.factorial(n + j)
+    for j in range(alpha):
+        frac /= math.factorial(j)
+    size = alpha + 2
+    with mpmath.workdps(30):
+        mat = mpmath.matrix([[_laguerre(n + i - j, j + 1, a) for j in (1, 2)]
+                             + [_laguerre(n + i - k + 2, k - 1, b) for k in range(3, size + 1)]
+                             for i in range(1, size + 1)])
+        scale = (mpmath.mpf(a) - b) ** (-2 * alpha)
+        return float(mpmath.mpf(frac.numerator) / frac.denominator * scale * mpmath.det(mat))
+
+
+# ---------------------------------------------------------------------------
+# the alpha = 0 kappa-e limit in closed form
+
+
+def pdf_v_kappa_e_closed_alpha0(vs, mu: float) -> np.ndarray:
+    """alpha = 0 kappa-e limit density in its three-term hypergeometric form,
+    mu u^5 e^(-u) / 576 times a bracket of 2F3, 1F2 and 3F4 at 4u, u = 1/(mu v)."""
+    vs = np.asarray(vs, dtype=float)
+    out = np.zeros(vs.shape)
+    with mpmath.workdps(30):
+        for idx, v in np.ndenumerate(vs):
+            if v <= 0:
+                continue
+            u = 1 / (mu * mpmath.mpf(float(v)))
+            c = 4 * u
+            bracket = (16 * mpmath.hyper([3, 3.5], [4, 4, 6], c)
+                       - c * mpmath.hyper([3.5], [5, 7], c)
+                       + 0.75 * c * mpmath.hyper([3.5, 4, 4], [3, 5, 5, 7], c))
+            out[idx] = float(mu * u ** 5 * mpmath.exp(-u) * bracket / 576)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# normalizations by quadrature
+
+
+def normalization_kappa_d(dims: Dims, **pdf_kwargs) -> float:
+    """Total mass of the kappa-d density (should be 1)."""
+    n = dims.n
+
+    def pdf_t(tt):
+        tt = np.asarray(tt, dtype=float)
+        ys = n / (1.0 - tt)
+        return pdf_kappa_d_grid(ys, dims, **pdf_kwargs) * n / (1.0 - tt) ** 2
+
+    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-10, vectorized=True)
+
+
+def normalization_kappa_e(dims: Dims, **pdf_kwargs) -> float:
+    edge = dims.n - 1
+
+    def pdf_t(tt):
+        tt = np.asarray(tt, dtype=float)
+        ys = edge / (1.0 - tt)
+        return pdf_kappa_e_grid(ys, dims, **pdf_kwargs) * edge / (1.0 - tt) ** 2
+
+    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-8, vectorized=True)
+
+
+def _decay_cutoff(p: float, decay: float, margin: float = 50.0) -> float:
+    """Upper limit X with x^p exp(-decay x) below exp(-margin) of its peak.
+
+    Integrating the smooth integrand on (0, X) directly is much cheaper than
+    mapping the half line, which trades the tail for endpoint log powers.
+    """
+    if decay <= 0:
+        raise ValueError("decay must be positive")
+    peak = p / decay if p > 0 else 0.0
+    log_peak = p * math.log(peak) - p if p > 0 else 0.0
+    x = max(peak, 1.0) * 1.5 + 1.0
+    while p * math.log(x) - decay * x > log_peak - margin:
+        x *= 1.3
+    return x
+
+
+def normalization_lambda_min(dims: Dims, **pdf_kwargs) -> float:
+    cutoff = _decay_cutoff(float(dims.mn), float(dims.n))
+    return integrate_finite(
+        lambda xs: pdf_lambda_min_grid(xs, dims, **pdf_kwargs),
+        0.0, cutoff, rtol=1e-10, vectorized=True)
+
+
+def normalization_lambda2(dims: Dims, **pdf_kwargs) -> float:
+    cutoff = _decay_cutoff(float(dims.mn), float(max(dims.n - 1, 1)))
+    return integrate_finite(
+        lambda xs: pdf_lambda2_grid(xs, dims, **pdf_kwargs),
+        0.0, cutoff, rtol=1e-8, vectorized=True)
+
+
+def normalization_v_kappa_d(p: asymptotic.ScaledParams) -> float:
+    """Total mass of the kappa-d limit table: 1 up to its tail mass."""
+    return math.fsum(asymptotic._table("kappa-d", p.alpha).weights)
+
+
+def normalization_v_kappa_e(p: asymptotic.ScaledParams) -> float:
+    """Total mass of the kappa-e limit table: 1 up to its tail mass."""
+    return math.fsum(asymptotic._table("kappa-e", p.alpha).weights)
+
+
+# ---------------------------------------------------------------------------
+# sampler references
 
 
 def philox_raw_reference(seed: int, index: int, count: int) -> np.ndarray:

@@ -13,13 +13,24 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    normalization_kappa_d,
+    normalization_kappa_e,
+    normalization_lambda2,
+    normalization_lambda_min,
+    normalization_v_kappa_d,
+    normalization_v_kappa_e,
+    pdf_v_kappa_e_closed_alpha0,
+    q_closed,
+    q_integral_oracle,
+    r_closed,
+    r_integral_oracle,
+)
 from wishartcond.asymptotic import (
     ScaledParams,
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
-    normalization_v_kappa_d,
-    normalization_v_kappa_e,
     pdf_v_kappa_e_grid,
 )
 from wishartcond.detkit import (
@@ -36,19 +47,11 @@ from wishartcond.exact import (
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
     cdf_lambda2_interp,
-    normalization_kappa_d,
-    normalization_kappa_e,
-    normalization_lambda2,
-    normalization_lambda_min,
     pdf_kappa_d,
     pdf_kappa_d_grid,
     pdf_kappa_e,
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
-    q_closed,
-    q_integral_oracle,
-    r_closed,
-    r_integral_oracle,
 )
 from wishartcond.sampler import ks_compare, ks_threshold, mc_collect
 
@@ -252,8 +255,8 @@ def test_09_proof_integral_closed_forms():
 def test_10_kappa_e_hypergeometric_form():
     vs = np.linspace(0.01, 2.0, 100)
     params = ScaledParams(4.0, 0)
-    gap = _rel(pdf_v_kappa_e_grid(vs, params, mode="integral"),
-               pdf_v_kappa_e_grid(vs, params, mode="closed"))
+    gap = _rel(pdf_v_kappa_e_grid(vs, params),
+               pdf_v_kappa_e_closed_alpha0(vs, params.mu))
     ok = gap <= 1e-7
     _report(10, ok, f"z-integral vs three-term closed form {gap:.2e} (tol 1e-7)")
     assert gap <= 1e-7

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import normalization_v_kappa_d, normalization_v_kappa_e, pdf_v_kappa_e_closed_alpha0
 from wishartcond import asymptotic
 from wishartcond.asymptotic import (
     ScaledParams,
@@ -12,8 +13,6 @@ from wishartcond.asymptotic import (
     cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
-    normalization_v_kappa_d,
-    normalization_v_kappa_e,
     pdf_v_kappa_d_grid,
     pdf_v_kappa_e_grid,
 )
@@ -158,8 +157,8 @@ class TestKappaELimit:
     def test_closed_vs_integral_alpha0(self):
         vs = np.linspace(0.01, 1.5, 40)
         p = ScaledParams(4.0, 0)
-        a = pdf_v_kappa_e_grid(vs, p, mode="integral")
-        b = pdf_v_kappa_e_grid(vs, p, mode="closed")
+        a = pdf_v_kappa_e_grid(vs, p)
+        b = pdf_v_kappa_e_closed_alpha0(vs, p.mu)
         assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-7
 
     def test_outside_support(self):
@@ -170,10 +169,6 @@ class TestKappaELimit:
         assert np.all(got == 0.0)
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            pdf_v_kappa_e_grid(np.array([1.0]), ScaledParams(1.0, 1), mode="closed")
-        with pytest.raises(ValueError):
-            pdf_v_kappa_e_grid(np.array([1.0]), ScaledParams(1.0, 0), mode="wat")
         with pytest.raises(ValueError):
             pdf_v_kappa_e_grid(np.array([1.0]), ScaledParams(1.0, 5))
 

@@ -5,7 +5,6 @@ import pytest
 
 from wishartcond.detkit import (
     det_int,
-    det_signedlog,
     iter_index_boxes,
     lemma_a1_det_int,
     lemma_a1_matrix,
@@ -15,7 +14,6 @@ from wishartcond.detkit import (
     lemma_a2_rhs_int,
     vandermonde_int,
 )
-from wishartcond.numkit import SignedLog
 
 
 def _det_fraction(mat):
@@ -74,11 +72,6 @@ class TestDeterminants:
             size = rng.randint(1, 5)
             mat = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
             assert det_int(mat) == _det_fraction(mat)
-
-    def test_det_signedlog(self):
-        mat = [[SignedLog.from_real(v) for v in row]
-               for row in ((2.0, 1.0), (1.0, 3.0))]
-        assert det_signedlog(mat).to_real() == pytest.approx(5.0, rel=1e-13)
 
 
 def _a1_cases(count, seed):

@@ -8,9 +8,15 @@ import pytest
 
 from oracles import (
     ke_closed_alpha0_law,
+    normalization_kappa_d,
+    normalization_lambda_min,
     pdf_kappa_e_closed_alpha0_grid,
     pdf_lambda2_closed_alpha0_grid,
     pdf_lambda2_det_oracle,
+    q_closed,
+    q_integral_oracle,
+    r_closed,
+    r_integral_oracle,
 )
 from wishartcond.exact import (
     METRIC_KAPPA_D,
@@ -20,6 +26,7 @@ from wishartcond.exact import (
     _ke_bivariate_w_fracs,
     _ke_pieces,
     _lambda2_law,
+    _lambda_min_law,
     _law_values,
     _min_eig_fracs,
     cdf_kappa_d_interp,
@@ -28,8 +35,6 @@ from wishartcond.exact import (
     cdf_lambda_min_interp,
     mgf_kappa_d,
     mgf_kappa_e,
-    normalization_kappa_d,
-    normalization_lambda_min,
     pdf_kappa_d,
     pdf_kappa_d_grid,
     pdf_kappa_e,
@@ -38,13 +43,7 @@ from wishartcond.exact import (
     pdf_lambda_min_grid,
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
-    q_closed,
-    q_integral_oracle,
-    r_closed,
-    r_integral_oracle,
-    resolve_context,
 )
-from wishartcond.numkit import DOUBLE
 
 
 class TestDims:
@@ -91,6 +90,15 @@ class TestKappaD:
         with pytest.raises(ValueError):
             pdf_kappa_d(9.0, Dims(3, 5), mode="theorem")
 
+    # the closed tables cover alpha <= 1
+    @pytest.mark.parametrize("dims, mode", [
+        (dims, mode) for dims in (Dims(2, 0), Dims(3, 1), Dims(5, 1), Dims(4, 2), Dims(6, 3),
+                                  Dims(5, 4), Dims(13, 1))
+        for mode in ("auto", "theorem", "closed") if mode != "closed" or dims.alpha <= 1])
+    def test_total_mass_is_exactly_one(self, dims, mode):
+        table, = _kd_law(dims, mode)
+        assert _exact_mass(table) == 1
+
     def test_precision_paths_agree(self):
         d = Dims(3, 1)
         ys = np.linspace(3.2, 12.0, 20)
@@ -111,6 +119,13 @@ class TestLambdaMin:
 
     def test_normalized(self):
         assert normalization_lambda_min(Dims(4, 1)) == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("dims", [Dims(2, 0), Dims(3, 1), Dims(4, 2), Dims(6, 3),
+                                      Dims(13, 1), Dims(20, 2), Dims(30, 4)])
+    def test_total_mass_is_exactly_one(self, dims):
+        (rate, powers, fracs), = _lambda_min_law(dims)
+        assert sum(c * math.factorial(k) / Fraction(rate) ** (k + 1)
+                   for k, c in zip(powers, fracs)) == 1
 
     @pytest.mark.parametrize("dims, lo, hi", [(Dims(12, 4), 0.25, 1.8),
                                               (Dims(30, 4), 0.1, 0.8)])
@@ -319,15 +334,23 @@ class TestCurveAndContext:
         with pytest.raises(ValueError):
             DensityCurve(METRIC_KAPPA_D, "exact", np.array([1.0, 2.0]), np.array([1.0]))
 
-    def test_resolve_context(self):
+    def test_resolve_context(self, monkeypatch):
         # 'auto' starts in double at every size; only measured cancellation
-        # sends a point to extended precision
-        assert not resolve_context("double").extended
-        assert not resolve_context("auto").extended
-        assert resolve_context("extended").dps == 40
-        assert resolve_context("extended", 60).dps == 60
+        # sends a point to extended precision, and 'extended' runs at 40 digits
+        from wishartcond import exact
+
+        seen = []
+
+        def spy(law, ys, dps):
+            seen.append(dps)
+            return np.zeros_like(ys), np.zeros_like(ys)
+
+        monkeypatch.setattr(exact, "_law_values", spy)
+        for precision in exact.PRECISIONS:
+            pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision=precision)
+        assert seen == [None, None, 40]
         with pytest.raises(ValueError):
-            resolve_context("sometimes")
+            pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision="sometimes")
 
     def test_normalization_spot(self):
         assert normalization_kappa_d(Dims(2, 1)) == pytest.approx(1.0, abs=1e-7)
@@ -457,7 +480,7 @@ class TestKappaEPieces:
             for alpha in range(4):
                 near, tail = _ke_pieces(Dims(n, alpha))
                 assert all(f > 0 for f in tail.fracs), (n, alpha)
-                _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), DOUBLE)
+                _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), None)
                 assert lost.max() <= math.log10(2.0), (n, alpha)
 
     def test_kappa_d_tables_one_signed(self):
@@ -595,3 +618,27 @@ class TestLambda2Precision:
                               for rate, powers, fracs in _lambda2_law(dims)
                               for k, c in zip(powers, fracs))) for x in xs]
         assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestExtendedFrozen:
+    """The extended path at grid points of the benchmark's density jobs,
+    pinned bit for bit as repr literals."""
+
+    def test_lambda2_n6(self):
+        xs = np.linspace(0.01, 3.0, 100)[list(range(10)) + [20, 40, 60, 80, 99]]
+        got = pdf_lambda2_grid(xs, Dims(6, 1), precision="extended")
+        assert got.tolist() == [
+            1.9686892645511727e-09, 1.8521742697265666e-06, 2.7334194890557976e-05,
+            0.0001459232533936643, 0.00048581443750571037, 0.001229883792023444,
+            0.0026030494122128056, 0.004855608066444584, 0.008245641722675926,
+            0.013022486540011499, 0.19102472245703403, 0.6446475237742391,
+            0.5151414749950269, 0.22138999544406057, 0.07091718403909768]
+
+    def test_lambda2_n13(self):
+        got = pdf_lambda2_grid(np.linspace(0.05, 1.0, 2), Dims(13, 1), precision="extended")
+        assert got.tolist() == [0.0003694168531051331, 0.772512054886887]
+
+    def test_kappa_e_n13(self):
+        got = pdf_kappa_e_grid(np.linspace(12.5, 80.0, 3), Dims(13, 1), precision="extended")
+        assert got.tolist() == [2.0233902330738344e-187, 2.4260033112577264e-11,
+                                1.9864764892832928e-05]

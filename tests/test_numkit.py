@@ -7,80 +7,60 @@ import mpmath
 import numpy as np
 import pytest
 
+from wishartcond.exact import _lagneg, _laplace_density, _log_ratio, _mp_sum, _sign_log, _signed_sum
 from wishartcond.numkit import (
-    DOUBLE,
     ConvergenceError,
-    NumericContext,
     QuadratureError,
     FPoly,
-    SignedLog,
     fpoly_add,
     fpoly_det,
     fpoly_mul,
     gauss_legendre_rule,
     integrate_finite,
-    laguerre_coeff_fractions,
-    laguerre_eval,
     log_factorials,
-    pfq,
     pochhammer_int,
     poisson_mix,
-    signed_log_sum,
     stirling2,
 )
 
 
 class TestSignedLog:
+    """Rationals in signed log-magnitude form, as the double tables store
+    them, and the signed sums that bring such terms back."""
+
     def test_round_trip(self):
-        for x in (3.25, -1e-7, 2.0, -123456.0):
-            back = SignedLog.from_real(x).to_real()
-            assert back == pytest.approx(x, rel=1e-15)
+        for x in (Fraction(13, 4), Fraction(-1, 10 ** 7), Fraction(2), Fraction(-123456)):
+            sign, logmag = _sign_log(x)
+            assert sign * math.exp(logmag) == pytest.approx(float(x), rel=1e-15)
 
     def test_zero(self):
-        z = SignedLog.from_real(0.0)
-        assert z.sign == 0
-        assert z.to_real() == 0.0
+        assert _sign_log(Fraction(0)) == (0, 0.0)
 
     def test_from_fraction_huge(self):
         # exact log of a rational far outside double range
         q = Fraction(10 ** 400, 7)
-        got = SignedLog.from_fraction(q).logmag
         want = 400 * math.log(10) - math.log(7)
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_arithmetic(self):
-        a = SignedLog.from_real(6.0)
-        b = SignedLog.from_real(-1.5)
-        assert (a * b).to_real() == pytest.approx(-9.0, rel=1e-15)
-        assert (a / b).to_real() == pytest.approx(-4.0, rel=1e-15)
-        assert (a + b).to_real() == pytest.approx(4.5, rel=1e-15)
-        assert (a - b).to_real() == pytest.approx(7.5, rel=1e-15)
-        assert a.pow_int(3).to_real() == pytest.approx(216.0, rel=1e-14)
-        assert a.pow_int(0).to_real() == 1.0
-        assert (-b).sign == 1
-
-    def test_scaled_by_log(self):
-        a = SignedLog.from_real(2.0).scaled_by_log(700.0)
-        assert a.logmag == pytest.approx(math.log(2.0) + 700.0)
-
-    def test_invalid_sign(self):
-        with pytest.raises(ValueError):
-            SignedLog(2, 0.0)
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            SignedLog.zero().inverse()
+        assert _sign_log(q) == (1, pytest.approx(want, rel=1e-15))
+        assert _log_ratio(q.numerator, q.denominator) == pytest.approx(want, rel=1e-15)
 
     def test_cancelling_sum(self):
-        # compensated accumulation keeps the survivor accurate
-        big = SignedLog.from_real(1e17)
-        one = SignedLog.one()
-        total = signed_log_sum([big, one, -big])
-        assert total.to_real() == pytest.approx(1.0, rel=1e-10)
+        # fsum keeps the survivor and the extended sum reports the digits it cost
+        big = math.log(1e17)
+        # mn = 2, d = 0: the inverse-Laplace kernel is 1 at y = 1
+        got = _laplace_density([(0.0, 0, 1, big), (0.0, 0, 1, 0.0), (0.0, 0, -1, big)], 2, 1.0)
+        assert got == pytest.approx(1.0, rel=1e-12)
+        with mpmath.workdps(40):
+            total, lost = _mp_sum([mpmath.mpf(10) ** 17, mpmath.mpf(1), -mpmath.mpf(10) ** 17])
+        assert total == 1.0
+        assert lost == pytest.approx(math.log10(2e17 + 1), rel=1e-12)
 
     def test_sum_to_zero(self):
-        a = SignedLog.from_real(5.0)
-        assert signed_log_sum([a, -a]).sign == 0
+        a = math.log(5.0)
+        assert _signed_sum(np.array([1.0, -1.0]), np.array([a, a])) == (0.0, math.inf)
+        assert _laplace_density([(0.0, 0, 1, a), (0.0, 0, -1, a)], 2, 1.0) == 0.0
+        with mpmath.workdps(40):
+            assert _mp_sum([mpmath.mpf(5), -mpmath.mpf(5)]) == (0.0, math.inf)
+        assert _mp_sum([]) == (0.0, 0.0)
 
 
 class TestCombinatorics:
@@ -126,15 +106,17 @@ class TestCombinatorics:
 
 
 class TestLaguerre:
+    # the tables take Laguerre polynomials at a negated argument, as FPoly
     def test_coeff_fractions(self):
-        # x^0..x^2 coefficients of the degree-2, shift-1 polynomial
-        assert laguerre_coeff_fractions(2, 1) == [Fraction(3), Fraction(-3), Fraction(1, 2)]
+        # w^0..w^2 coefficients of L_2^(1)(-w) = 3 + 3 w + w^2 / 2
+        assert _lagneg(2, 1).fractions() == [Fraction(3), Fraction(3), Fraction(1, 2)]
+        assert _lagneg(-1, 2).nums == ()
 
     def test_eval_matches_mpmath(self):
-        for deg, rho, z in ((3, 0, 0.7), (4, 2, 2.5), (5, 1, 0.1)):
-            got = laguerre_eval(deg, rho, z).to_real()
-            want = float(mpmath.laguerre(deg, rho, z))
-            assert got == pytest.approx(want, rel=1e-12)
+        for deg, rho, z in ((3, 0, 0.7), (4, 2, 2.5), (5, 1, 0.1), (9, 3, -4.0)):
+            got = sum(c * Fraction(-z) ** j for j, c in enumerate(_lagneg(deg, rho).fractions()))
+            want = mpmath.laguerre(deg, rho, z)
+            assert float(got) == pytest.approx(float(want), rel=1e-14)
 
 
 class TestFPoly:
@@ -178,21 +160,6 @@ class TestFPoly:
         assert fpoly_add(FPoly(0, ()), FPoly(2, (1, 3)), -1) == FPoly(2, (-1, -3))
 
 
-class TestPfq:
-    def test_exp(self):
-        assert pfq((), (), 0.3) == pytest.approx(math.exp(0.3), rel=1e-14)
-
-    def test_1f1(self):
-        z = 0.8
-        want = (math.exp(z) - 1.0) / z
-        assert pfq((1.0,), (2.0,), z) == pytest.approx(want, rel=1e-14)
-
-    def test_2f3_matches_mpmath(self):
-        a, b, z = (1.5, 2.0), (2.5, 3.0, 1.0), 4.0
-        want = float(mpmath.hyper(list(a), list(b), z))
-        assert pfq(a, b, z) == pytest.approx(want, rel=1e-12)
-
-
 class TestQuadrature:
     def test_rule_basics(self):
         rule = gauss_legendre_rule(12)
@@ -222,13 +189,3 @@ class TestQuadrature:
     def test_error_hierarchy(self):
         assert issubclass(QuadratureError, ConvergenceError)
         assert issubclass(ConvergenceError, ArithmeticError)
-
-
-class TestNumericContext:
-    def test_extended_minimum(self):
-        with pytest.raises(ValueError):
-            NumericContext(10)
-
-    def test_double_flag(self):
-        assert not DOUBLE.extended
-        assert NumericContext(35).extended
