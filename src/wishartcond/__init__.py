@@ -9,7 +9,6 @@ validate every analytic curve the package produces.
 from .asymptotic import (
     ScaledParams,
     cdf_v_error_bound,
-    cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
     pdf_v_kappa_d_grid,
@@ -21,7 +20,6 @@ from .exact import (
     METRIC_LAMBDA_2,
     METRIC_LAMBDA_MIN,
     METRICS,
-    DensityCurve,
     Dims,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
@@ -38,14 +36,11 @@ from .exact import (
 )
 
 from .sampler import (
-    ComplexMatrix,
-    McReport,
     SamplerError,
     build_report,
     ks_compare,
     ks_threshold,
     mc_collect,
-    sample_matrix,
 )
 
 __version__ = "0.1.0"

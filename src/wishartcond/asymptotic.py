@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import itertools
 import logging
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class ScaledParams:
 # exact mixture tables
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _entry_weight(row: int, family: int, q: int) -> int:
     """Integer weight of t^{(q-family-1)/2} I_{q+family+1}(2 sqrt t) in an entry."""
     return sum(stirling2(pp, q) * math.comb(row - 1, pp) * family ** (row - 1 - pp)
@@ -150,34 +150,31 @@ class _MixtureTable:
     tail: float             # exact 1 - sum_k weights[k], rounded once
 
 
-_TABLE_CACHE: dict = {}
 _LAWS = {"kappa-d": (KAPPA_D_ALPHA_CAP, 0), "kappa-e": (KAPPA_E_ALPHA_CAP, 3)}
 
 
+@functools.cache
 def _table(law: str, alpha: int) -> _MixtureTable:
     cap, shift = _LAWS[law]
     if alpha > cap:
         raise ValueError(f"alpha={alpha} above the {law} limit cap {cap}")
-    key = (law, alpha)
-    if key not in _TABLE_CACHE:
-        started = time.perf_counter()
-        if law == "kappa-d":
-            deg = _degree(alpha)
-            fracs = _kd_weights(alpha, deg)
-        else:
-            deg = _degree(alpha + 2)
-            fracs = _ke_weights(alpha, deg)
-        if any(b < 0 for b in fracs):
-            raise ArithmeticError(f"{law} limit: negative mixture weight")
-        suffix = list(itertools.accumulate(reversed(fracs)))[::-1]
-        tail = float(1 - suffix[0])
-        _TABLE_CACHE[key] = _MixtureTable(
-            np.array([float(b) for b in fracs]),
-            np.array([float(suffix[max(i - shift, 0)]) for i in range(len(fracs) + shift)]),
-            shift, tail)
-        log.debug("%s limit table alpha=%d: degree %d, built in %.3f s, tail mass %.3g",
-                  law, alpha, deg, time.perf_counter() - started, tail)
-    return _TABLE_CACHE[key]
+    started = time.perf_counter()
+    if law == "kappa-d":
+        deg = _degree(alpha)
+        fracs = _kd_weights(alpha, deg)
+    else:
+        deg = _degree(alpha + 2)
+        fracs = _ke_weights(alpha, deg)
+    if any(b < 0 for b in fracs):
+        raise ArithmeticError(f"{law} limit: negative mixture weight")
+    suffix = list(itertools.accumulate(reversed(fracs)))[::-1]
+    tail = float(1 - suffix[0])
+    log.debug("%s limit table alpha=%d: degree %d, built in %.3f s, tail mass %.3g",
+              law, alpha, deg, time.perf_counter() - started, tail)
+    return _MixtureTable(
+        np.array([float(b) for b in fracs]),
+        np.array([float(suffix[max(i - shift, 0)]) for i in range(len(fracs) + shift)]),
+        shift, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +214,6 @@ def _cdf(p: ScaledParams, law: str):
 def pdf_v_kappa_d_grid(vs, p: ScaledParams) -> np.ndarray:
     """Limiting density of trace / smallest eigenvalue, scaled by mu n^3."""
     return _pdf(vs, p, "kappa-d")
-
-
-def cdf_v_kappa_d_alpha0(v: float, mu: float) -> float:
-    """Closed-form CDF at alpha = 0: the density there is an exact derivative."""
-    if v <= 0:
-        return 0.0
-    return math.exp(-1.0 / (mu * v))
 
 
 def pdf_v_kappa_e_grid(vs, p: ScaledParams) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -30,7 +31,6 @@ from .asymptotic import (
     KAPPA_E_ALPHA_CAP,
     ScaledParams,
     cdf_v_error_bound,
-    cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
     pdf_v_kappa_d_grid,
@@ -43,7 +43,6 @@ from .exact import (
     METRIC_LAMBDA_MIN,
     METRICS,
     PRECISIONS,
-    DensityCurve,
     Dims,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
@@ -66,7 +65,6 @@ from .sampler import (
     ks_compare,
     ks_threshold,
     mc_collect,
-    sample_matrix,
 )
 
 log = logging.getLogger("wishartcond")
@@ -95,7 +93,7 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, round-trippable through JSON reports."""
+    """Everything a run needs; reports carry it as their ``config``."""
 
     command: str
     metric: str | None = None
@@ -115,14 +113,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(payload) - names
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**payload)
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +223,19 @@ def cmd_density(cfg: RunConfig) -> int:
             ys = pdf_lambda_min_grid(xs, dims, **kw)
         else:
             ys = pdf_lambda2_grid(xs, dims, **kw)
-        curve = DensityCurve(cfg.metric, "exact", xs, ys, dims=dims,
-                             meta={"precision": cfg.precision})
+        meta = {"precision": cfg.precision}
     else:
         params = _need_scaled(cfg)
         if cfg.metric == METRIC_KAPPA_D:
             ys = pdf_v_kappa_d_grid(xs, params)
         else:
             ys = pdf_v_kappa_e_grid(xs, params)
-        curve = DensityCurve(cfg.metric, "asymptotic", xs, ys, mu=params.mu,
-                             meta={"alpha": params.alpha})
+        meta = {"alpha": params.alpha}
     if cfg.format == "json":
-        payload = {
-            "config": cfg.to_dict(),
-            "x": [float(v) for v in curve.grid],
-            "pdf": [float(v) for v in curve.values],
-            "meta": curve.meta,
-        }
-        _emit(cfg, _json_text(payload))
+        _emit(cfg, _json_text({"config": cfg.to_dict(), "x": xs.tolist(),
+                               "pdf": ys.tolist(), "meta": meta}))
     else:
-        _emit(cfg, _curve_csv(curve.grid, curve.values))
+        _emit(cfg, _curve_csv(xs, ys))
     return EXIT_OK
 
 
@@ -299,8 +282,8 @@ def _exact_cdf(metric: str, dims: Dims):
     return cdf_lambda2_interp(dims)
 
 
-def _mc_run(cfg: RunConfig, threshold: float | None = None):
-    """Draws, analytic CDF and the scored report for one MC configuration."""
+def _mc_run(cfg: RunConfig, threshold: float | None = None) -> dict:
+    """The ``results`` of the report for one MC configuration."""
     dims = _need_dims(cfg)
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
@@ -325,41 +308,21 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None):
     else:
         cdf = _exact_cdf(cfg.metric, dims)
         meta = {"kind": "exact"}
-    report = build_report(cfg.metric, dims, draws, cfg.seed, cdf,
-                          bins=cfg.bins, threshold=threshold)
-    report.meta.update(meta, **cost)
-    return report
-
-
-def _report_payload(cfg: RunConfig, report) -> dict:
-    return {
-        "config": cfg.to_dict(),
-        "results": {
-            "metric": report.metric,
-            "n": report.dims.n,
-            "alpha": report.dims.alpha,
-            "samples": report.samples,
-            "seed": report.seed,
-            "bins": report.bins,
-            "bin_edges": [float(v) for v in report.edges],
-            "bin_masses": [float(v) for v in report.masses],
-            "ks_statistic": float(report.ks_statistic),
-            "ks_threshold": float(report.ks_threshold),
-            "passed": bool(report.passed),
-            "meta": report.meta,
-        },
-    }
+    results = build_report(cfg.metric, dims, draws, cfg.seed, cdf,
+                           bins=cfg.bins, threshold=threshold)
+    results["meta"].update(meta, **cost)
+    return results
 
 
 def cmd_mc(cfg: RunConfig) -> int:
-    report = _mc_run(cfg)
+    res = _mc_run(cfg)
     if cfg.format == "csv":
-        _emit(cfg, _hist_csv(report.edges, report.masses))
+        _emit(cfg, _hist_csv(res["bin_edges"], res["bin_masses"]))
     else:
-        _emit(cfg, _json_text(_report_payload(cfg, report)))
+        _emit(cfg, _json_text({"config": cfg.to_dict(), "results": res}))
     log.info("mc %s n=%d alpha=%d: ks=%.5f threshold=%.5f %s",
-             cfg.metric, report.dims.n, report.dims.alpha, report.ks_statistic,
-             report.ks_threshold, "pass" if report.passed else "FAIL")
+             cfg.metric, res["n"], res["alpha"], res["ks_statistic"],
+             res["ks_threshold"], "pass" if res["passed"] else "FAIL")
     return EXIT_OK
 
 
@@ -374,7 +337,7 @@ def cmd_figure(cfg: RunConfig) -> int:
                     bins=cfg.bins)
     # the acceptance allowance: finite-n bias on top of sampling noise
     threshold = 0.03 if n <= 10 else 0.02
-    report = _mc_run(run, threshold=threshold)
+    res = _mc_run(run, threshold=threshold)
 
     vs = np.linspace(v_lo, v_hi, _FIGURE_CURVE_POINTS)
     params = ScaledParams(mu, alpha)
@@ -387,13 +350,12 @@ def cmd_figure(cfg: RunConfig) -> int:
     hist_path = f"{prefix}_hist.csv"
     report_path = f"{prefix}_report.json"
     _write_atomic(curve_path, _curve_csv(vs, pdf))
-    _write_atomic(hist_path, _hist_csv(report.edges, report.masses))
-    payload = _report_payload(cfg, report)
-    payload["results"]["files"] = [curve_path, hist_path]
-    _write_atomic(report_path, _json_text(payload))
+    _write_atomic(hist_path, _hist_csv(res["bin_edges"], res["bin_masses"]))
+    res["files"] = [curve_path, hist_path]
+    _write_atomic(report_path, _json_text({"config": cfg.to_dict(), "results": res}))
     print(f"figure {cfg.figure_id}: metric={metric} n={n} alpha={alpha} mu={mu:g} "
-          f"ks={report.ks_statistic:.5f} threshold={threshold:g} "
-          f"{'pass' if report.passed else 'FAIL'} -> {prefix}_*")
+          f"ks={res['ks_statistic']:.5f} threshold={threshold:g} "
+          f"{'pass' if res['passed'] else 'FAIL'} -> {prefix}_*")
     return EXIT_OK
 
 
@@ -452,11 +414,12 @@ def _st_kd_limit_bessel():
 
 
 def _st_limit_cdf_identity():
+    # at alpha = 0 the kappa-d limit is Edelman's exp(-1/(mu v))
     mu = 4.0
-    for x in np.linspace(0.8, 6.0, 20):
-        got = cdf_v_kappa_d_alpha0(x * x / (4.0 * mu), mu)
-        want = float(np.exp(-4.0 / (x * x)))
-        assert abs(got - want) < 1e-12, f"x={x}: {got!r} vs {want!r}"
+    xs = np.linspace(0.8, 6.0, 20)
+    got = cdf_v_kappa_d_interp(ScaledParams(mu, 0))(xs * xs / (4.0 * mu))
+    gap = float(np.max(np.abs(got - np.exp(-4.0 / (xs * xs)))))
+    assert gap < 1e-12, f"gap {gap:.2e}"
 
 
 def _st_integer_lemmas():
@@ -474,13 +437,15 @@ def _st_integer_lemmas():
         assert lemma_a2_det_int(lvec, n, alpha) == lemma_a2_rhs_int(lvec, n, alpha)
 
 
-def _st_sampler_moments():
-    dims = Dims(64, 0)
-    a = sample_matrix(dims, seed=5).entries
-    b = sample_matrix(dims, seed=5).entries
-    assert np.array_equal(a, b), "same seed must reproduce the same matrix"
-    mean_sq = float(np.mean(np.abs(a) ** 2))
-    assert abs(mean_sq - 1.0) < 0.05, f"mean |entry|^2 = {mean_sq!r}"
+def _st_sampler_determinism():
+    # draws are fixed by (seed, index) whatever the workers and chunks; the
+    # trace, kappa-d times lambda-min, is Gamma(mn) with mean mn
+    dims, count = Dims(6, 1), 3000
+    kd = mc_collect(METRIC_KAPPA_D, dims, count, seed=5)
+    again = mc_collect(METRIC_KAPPA_D, dims, count, seed=5, workers=2, chunk=777)
+    assert np.array_equal(kd, again), "draws depend on the worker count or chunk size"
+    mean = float(np.mean(kd * mc_collect(METRIC_LAMBDA_MIN, dims, count, seed=5)))
+    assert abs(mean - dims.mn) < 4.0 * math.sqrt(dims.mn / count), f"mean trace {mean!r}"
 
 
 def _st_mc_exact_agreement():
@@ -511,7 +476,7 @@ _SELFTEST_CHECKS = (
     ("asymptotic kappa-d table vs Bessel closed forms", _st_kd_limit_bessel),
     ("alpha=0 limit CDF identity", _st_limit_cdf_identity),
     ("integer determinant lemmas", _st_integer_lemmas),
-    ("sampler determinism and moments", _st_sampler_moments),
+    ("sampler determinism and mean trace", _st_sampler_determinism),
     ("Monte Carlo vs exact CDF at n=3", _st_mc_exact_agreement),
     ("connection identities", _st_connection_identities),
 )

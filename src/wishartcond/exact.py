@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,7 +69,7 @@ METRIC_LAMBDA_MIN = "lambda-min"
 METRIC_LAMBDA_2 = "lambda-2"
 METRICS = (METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_MIN, METRIC_LAMBDA_2)
 
-PRECISIONS = ("auto", "double", "extended")
+PRECISIONS = ("auto", "double")
 DEFAULT_DPS = 40
 # largest alpha of the nested-sum kappa-d table and of the kappa-e laws
 _NESTED_SUM_ALPHA_CAP = 4
@@ -108,41 +108,17 @@ class Dims:
         return self.m * self.n
 
 
-@dataclass
-class DensityCurve:
-    """A density sampled on a grid, with enough metadata to reproduce it."""
-
-    metric: str
-    kind: str  # "exact" or "asymptotic"
-    grid: np.ndarray
-    values: np.ndarray
-    dims: Dims | None = None
-    mu: float | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.kind not in ("exact", "asymptotic"):
-            raise ValueError("kind must be 'exact' or 'asymptotic'")
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape:
-            raise ValueError("grid and values must have one value per point")
-
-
 def _evaluate(values_fn, xs, precision: str, what: str) -> np.ndarray:
     """values_fn(xs, dps) -> (values, digits lost to cancellation), in double
-    for dps None and at dps digits otherwise.  'extended' runs at
-    DEFAULT_DPS; under 'auto', points that lose more than _LOST_LIMIT of
-    the 16 digits of a double are evaluated again at DEFAULT_DPS digits,
-    and again at twice the digits while they keep fewer than
-    16 - _LOST_LIMIT."""
+    for dps None and at dps digits otherwise.  Under 'auto', points that
+    lose more than _LOST_LIMIT of the 16 digits of a double are evaluated
+    again at DEFAULT_DPS digits, and again at twice the digits while they
+    keep fewer than 16 - _LOST_LIMIT."""
     if precision not in PRECISIONS:
-        raise ValueError("precision must be 'auto', 'double' or 'extended'")
+        raise ValueError("precision must be 'auto' or 'double'")
     xs = np.asarray(xs, dtype=float)
     dps = DEFAULT_DPS
-    values, lost = values_fn(xs, dps if precision == "extended" else None)
+    values, lost = values_fn(xs, None)
     if precision == "auto" and xs.size:
         redo = lost > _LOST_LIMIT
         log.info("%s: %d of %d points evaluated again at %d digits, worst "
@@ -453,24 +429,19 @@ def _lagneg(deg: int, rho: int) -> FPoly:
 # smallest eigenvalue and kappa-d
 
 
-_MIN_EIG_CACHE: dict = {}
-
-
-def _min_eig_fracs(dims: Dims) -> list[Fraction]:
+@functools.cache
+def _min_eig_fracs(dims: Dims) -> tuple[Fraction, ...]:
     """Exact coefficients c_d of the smallest-eigenvalue density
     sum_d c_d x^(d + alpha) exp(-n x).
 
     The polynomial is n! / (n + alpha - 1)! times the determinant of an
     alpha x alpha matrix of Laguerre polynomials taken at negated argument.
     """
-    key = (dims.n, dims.alpha)
-    if key not in _MIN_EIG_CACHE:
-        n, alpha = dims.n, dims.alpha
-        det = fpoly_det([[_lagneg(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
-                         for k in range(1, alpha + 1)])
-        lead = Fraction(math.factorial(n), math.factorial(n + alpha - 1))
-        _MIN_EIG_CACHE[key] = [lead * c for c in det.fractions()]
-    return _MIN_EIG_CACHE[key]
+    n, alpha = dims.n, dims.alpha
+    det = fpoly_det([[_lagneg(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
+                     for k in range(1, alpha + 1)])
+    lead = Fraction(math.factorial(n), math.factorial(n + alpha - 1))
+    return tuple(lead * c for c in det.fractions())
 
 
 def _lambda_min_law(dims: Dims) -> tuple:
@@ -487,6 +458,7 @@ def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
                      precision, "lambda-min density")
 
 
+@functools.cache
 def _kd_nested_table(dims: Dims) -> _EdgePowerTable:
     """Exact coefficient table for the nested-sum form of the kappa-d density.
 
@@ -521,6 +493,7 @@ def _kd_nested_table(dims: Dims) -> _EdgePowerTable:
     return _EdgePowerTable(mn, n, math.inf, tuple(powers), tuple(fracs))
 
 
+@functools.cache
 def _kd_closed_table(dims: Dims) -> _EdgePowerTable:
     """Closed-form coefficient table for the kappa-d density, alpha in {0, 1}."""
     n, alpha = dims.n, dims.alpha
@@ -541,6 +514,7 @@ def _kd_closed_table(dims: Dims) -> _EdgePowerTable:
     raise ValueError("closed mode covers alpha 0 and 1 only")
 
 
+@functools.cache
 def _kd_min_table(dims: Dims) -> _EdgePowerTable:
     """The kappa-d table from the smallest-eigenvalue polynomial: the pair
     x^k exp(-n x) -> (mn-1)! / (mn-2-k)! (y - n)^(mn-2-k) y^(-mn), term by
@@ -556,7 +530,6 @@ def _kd_min_table(dims: Dims) -> _EdgePowerTable:
     return _EdgePowerTable(mn, dims.n, math.inf, tuple(powers), tuple(fracs))
 
 
-_KD_TABLE_CACHE: dict = {}
 _KD_BUILDERS = {"auto": _kd_min_table, "theorem": _kd_nested_table, "closed": _kd_closed_table}
 
 
@@ -570,10 +543,7 @@ def _kd_law(dims: Dims, mode: str = "auto") -> tuple:
         raise ValueError("mode must be 'auto', 'theorem' or 'closed'")
     if mode == "theorem" and dims.alpha > _NESTED_SUM_ALPHA_CAP:
         raise ValueError(f"alpha={dims.alpha} above the nested-sum cap {_NESTED_SUM_ALPHA_CAP}")
-    key = (dims.n, dims.alpha, mode)
-    if key not in _KD_TABLE_CACHE:
-        _KD_TABLE_CACHE[key] = (_KD_BUILDERS[mode](dims),)
-    return _KD_TABLE_CACHE[key]
+    return (_KD_BUILDERS[mode](dims),)
 
 
 def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto") -> np.ndarray:
@@ -621,40 +591,29 @@ def mgf_kappa_d(s: float, dims: Dims) -> float:
 #       * int_{max(0, n-y)}^1 (y - n + z)^(mn-5-d) z^(e+2) (1-z)^(-alpha) dz.
 
 
-_KE_CACHE: dict = {}
-
-
-def _cached(kind: str, dims: Dims, build):
-    key = (kind, dims.n, dims.alpha)
-    if key not in _KE_CACHE:
-        _KE_CACHE[key] = build(dims)
-    return _KE_CACHE[key]
-
-
+@functools.cache
 def _ke_det(dims: Dims):
     """(shift, nums): nums[d][e] / (d! (d + shift)!) is c[d][e]."""
-    def build(dims):
-        n, size = dims.n, dims.alpha + 2
-        return fpoly_split_det(
-            [[_lagneg(n + i - j - 2, j + 1) for j in (1, 2)] for i in range(1, size + 1)],
-            [[_lagneg(n + i - k, k - 1) for k in range(3, size + 1)] for i in range(1, size + 1)])
-    return _cached("det", dims, build)
+    n, size = dims.n, dims.alpha + 2
+    return fpoly_split_det(
+        [[_lagneg(n + i - j - 2, j + 1) for j in (1, 2)] for i in range(1, size + 1)],
+        [[_lagneg(n + i - k, k - 1) for k in range(3, size + 1)] for i in range(1, size + 1)])
 
 
+@functools.cache
 def _ke_bivariate_fracs(dims: Dims):
     """Exact bivariate coefficients c[d][e] of the kappa-e determinant.
 
     Returns (c, dmax, emax) with c a dict mapping (d, e) to a Fraction, d the
     power of s and e the power of z.
     """
-    def build(dims):
-        shift, nums = _ke_det(dims)
-        c = {(d, e): Fraction(num, math.factorial(d) * math.factorial(d + shift))
-             for d, row in enumerate(nums) for e, num in enumerate(row) if num}
-        return c, max(d for d, _ in c), max(e for _, e in c)
-    return _cached("z", dims, build)
+    shift, nums = _ke_det(dims)
+    c = {(d, e): Fraction(num, math.factorial(d) * math.factorial(d + shift))
+         for d, row in enumerate(nums) for e, num in enumerate(row) if num}
+    return c, max(d for d, _ in c), max(e for _, e in c)
 
 
+@functools.cache
 def _ke_bivariate_w_fracs(dims: Dims):
     """Same determinant re-expanded around z = 1: coefficients of s^d w^e
     with w = 1 - z.
@@ -665,18 +624,16 @@ def _ke_bivariate_w_fracs(dims: Dims):
     fractions), which keeps the z-integral stable in double precision near
     the upper endpoint.
     """
-    def build(dims):
-        c, _, _ = _ke_bivariate_fracs(dims)
-        cw: dict = {}
-        for (d, e), f in c.items():
-            for ep in range(e + 1):
-                keyw = (d, ep)
-                cw[keyw] = cw.get(keyw, Fraction(0)) + f * math.comb(e, ep) * (-1) ** ep
-        cw = {k: v for k, v in cw.items() if v != 0}
-        if dims.alpha > 0 and min(e for _, e in cw) < dims.alpha:
-            raise ArithmeticError("determinant vanishes too slowly at z=1; table is wrong")
-        return cw, max(d for d, _ in cw), max(e for _, e in cw)
-    return _cached("w", dims, build)
+    c, _, _ = _ke_bivariate_fracs(dims)
+    cw: dict = {}
+    for (d, e), f in c.items():
+        for ep in range(e + 1):
+            keyw = (d, ep)
+            cw[keyw] = cw.get(keyw, Fraction(0)) + f * math.comb(e, ep) * (-1) ** ep
+    cw = {k: v for k, v in cw.items() if v != 0}
+    if dims.alpha > 0 and min(e for _, e in cw) < dims.alpha:
+        raise ArithmeticError("determinant vanishes too slowly at z=1; table is wrong")
+    return cw, max(d for d, _ in cw), max(e for _, e in cw)
 
 
 def _check_kappa_e_dims(dims: Dims):
@@ -735,6 +692,7 @@ def _ke_rows(dims: Dims):
     return den, rows
 
 
+@functools.cache
 def _ke_pieces(dims: Dims) -> tuple:
     """The kappa-e law as two exact pieces: A(T) at edge n - 1 on (n - 1, n]
     and D(S) at edge n on (n, inf), T = y - n + 1, S = y - n.
@@ -748,45 +706,43 @@ def _ke_pieces(dims: Dims) -> tuple:
     Every coefficient is an integer over one common denominator; every
     coefficient of D must come out positive.
     """
-    def build(dims):
-        n, alpha, mn = dims.n, dims.alpha, dims.mn
-        top = mn - 1
-        den, rows = _ke_rows(dims)
-        a: dict = {}   # (mn-1)!/k! a[k] / den is the coefficient of T^k
-        b: dict = {}   # (mn-1)!/k! b[k] / den is the coefficient of S^k in B
-        for d, scale, row, g in rows:
-            p_neg = [(-1) ** e * c for e, c in enumerate(row)]     # p_d(-x)
-            base = mn - 5 - d
-            for j, c in enumerate(g):
-                if c:
-                    a[base + j + 1] = a.get(base + j + 1, 0) + scale * c * math.factorial(j)
-            for _ in range(alpha):
-                p_neg = _divide_by_one_plus_x(p_neg)
-            for j, c in enumerate(p_neg):
-                if c:
-                    k = base + j + 3
-                    b[k] = b.get(k, 0) + scale * c * math.factorial(j + 2)
-        kmin, kmax = min(a), max(a)
-        near = {k: Fraction(math.perm(top, top - k) * c, den) for k, c in a.items() if c}
-        # [S^p] A(S + 1) = (mn-1)! / (p! den) sum_{k >= p} a[k] / (k - p)!
-        #               = (mn-1)! / (kmax! den) C(kmax, p) h_p,
-        # h_p = sum_k a[k] (kmax - p)! / (k - p)!, by Horner in k
-        lead = math.perm(top, top - kmax)
-        binom = 1
-        tail = {}
-        for p in range(kmax + 1):
-            h = 0
-            for k in range(max(p, kmin), kmax + 1):
-                h = h * (k - p) + a.get(k, 0)
-            c = lead * binom * h - (math.perm(top, top - p) * b[p] if p in b else 0)
-            if c < 0:
-                raise ArithmeticError(f"kappa-e table: negative tail coefficient at power {p}")
+    n, alpha, mn = dims.n, dims.alpha, dims.mn
+    top = mn - 1
+    den, rows = _ke_rows(dims)
+    a: dict = {}   # (mn-1)!/k! a[k] / den is the coefficient of T^k
+    b: dict = {}   # (mn-1)!/k! b[k] / den is the coefficient of S^k in B
+    for d, scale, row, g in rows:
+        p_neg = [(-1) ** e * c for e, c in enumerate(row)]     # p_d(-x)
+        base = mn - 5 - d
+        for j, c in enumerate(g):
             if c:
-                tail[p] = Fraction(c, den)
-            binom = binom * (kmax - p) // (p + 1)
-        return (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
-                _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
-    return _cached("pieces", dims, build)
+                a[base + j + 1] = a.get(base + j + 1, 0) + scale * c * math.factorial(j)
+        for _ in range(alpha):
+            p_neg = _divide_by_one_plus_x(p_neg)
+        for j, c in enumerate(p_neg):
+            if c:
+                k = base + j + 3
+                b[k] = b.get(k, 0) + scale * c * math.factorial(j + 2)
+    kmin, kmax = min(a), max(a)
+    near = {k: Fraction(math.perm(top, top - k) * c, den) for k, c in a.items() if c}
+    # [S^p] A(S + 1) = (mn-1)! / (p! den) sum_{k >= p} a[k] / (k - p)!
+    #               = (mn-1)! / (kmax! den) C(kmax, p) h_p,
+    # h_p = sum_k a[k] (kmax - p)! / (k - p)!, by Horner in k
+    lead = math.perm(top, top - kmax)
+    binom = 1
+    tail = {}
+    for p in range(kmax + 1):
+        h = 0
+        for k in range(max(p, kmin), kmax + 1):
+            h = h * (k - p) + a.get(k, 0)
+        c = lead * binom * h - (math.perm(top, top - p) * b[p] if p in b else 0)
+        if c < 0:
+            raise ArithmeticError(f"kappa-e table: negative tail coefficient at power {p}")
+        if c:
+            tail[p] = Fraction(c, den)
+        binom = binom * (kmax - p) // (p + 1)
+    return (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
+            _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
 
 
 def _ke_law(dims: Dims) -> tuple:
@@ -843,6 +799,7 @@ def pdf_via_lambda2_connection(y: float, dims: Dims) -> float:
 _KE_SPLIT = 0.5  # z below: z-power table; z above: w-power table
 
 
+@functools.cache
 def _lambda2_law(dims: Dims) -> tuple:
     """The second-smallest-eigenvalue law as two exact pieces, at rates
     n - 1 and n.
@@ -856,28 +813,25 @@ def _lambda2_law(dims: Dims) -> tuple:
     ArithmeticError.
     """
     _check_kappa_e_dims(dims)
-
-    def build(dims):
-        n, alpha = dims.n, dims.alpha
-        den, rows = _ke_rows(dims)
-        near: dict = {}
-        far: dict = {}
-        for d, scale, _, g in rows:
-            for j, c in enumerate(g):
-                if not c:
-                    continue
-                k = d + 2 - j
-                if k < alpha:
-                    raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
-                near[k] = near.get(k, 0) + scale * c * math.factorial(j)
-                for i in range(j + 1):
-                    far[k + i] = far.get(k + i, 0) - scale * c * math.perm(j, j - i)
-        pieces = []
-        for rate, nums in ((n - 1, near), (n, far)):
-            powers = tuple(k for k in sorted(nums) if nums[k])
-            pieces.append(_ExpPiece(rate, powers, tuple(Fraction(nums[k], den) for k in powers)))
-        return tuple(pieces)
-    return _cached("lambda-2", dims, build)
+    n, alpha = dims.n, dims.alpha
+    den, rows = _ke_rows(dims)
+    near: dict = {}
+    far: dict = {}
+    for d, scale, _, g in rows:
+        for j, c in enumerate(g):
+            if not c:
+                continue
+            k = d + 2 - j
+            if k < alpha:
+                raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
+            near[k] = near.get(k, 0) + scale * c * math.factorial(j)
+            for i in range(j + 1):
+                far[k + i] = far.get(k + i, 0) - scale * c * math.perm(j, j - i)
+    pieces = []
+    for rate, nums in ((n - 1, near), (n, far)):
+        powers = tuple(k for k in sorted(nums) if nums[k])
+        pieces.append(_ExpPiece(rate, powers, tuple(Fraction(nums[k], den) for k in powers)))
+    return tuple(pieces)
 
 
 def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -207,22 +206,12 @@ def fpoly_split_det(pairs, block, deg: int | None = None):
 # adaptive Gauss-Legendre quadrature
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """A fixed quadrature rule on (-1, 1): open, positive weights."""
-
-    kind: str
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 @functools.lru_cache(maxsize=32)
-def gauss_legendre_rule(order: int) -> Quadrature:
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the Gauss-Legendre rule on (-1, 1)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return Quadrature("legendre", order, nodes, weights)
+    return np.polynomial.legendre.leggauss(order)
 
 
 DEFAULT_ORDER = 64
@@ -231,14 +220,14 @@ DEFAULT_MAX_DEPTH = 200
 
 
 def _panel_estimate(f, a: float, b: float, order: int, vectorized: bool) -> float:
-    rule = gauss_legendre_rule(order)
+    nodes, weights = gauss_legendre_rule(order)
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * rule.nodes
+    xs = 0.5 * (a + b) + half * nodes
     if vectorized:
         vals = np.asarray(f(xs), dtype=float)
     else:
         vals = np.array([f(x) for x in xs], dtype=float)
-    return half * float(rule.weights @ vals)
+    return half * float(weights @ vals)
 
 
 def integrate_finite(
@@ -246,18 +235,17 @@ def integrate_finite(
     a: float,
     b: float,
     rtol: float = 1e-9,
-    order: int = DEFAULT_ORDER,
     order_cap: int = DEFAULT_ORDER_CAP,
     max_depth: int = DEFAULT_MAX_DEPTH,
     vectorized: bool = False,
 ) -> float:
     """Integrate f over the finite interval (a, b).
 
-    Order doubling handles analytic integrands; when doubling stalls
-    (integrable endpoint singularities after the semi-infinite mapping) the
-    panel is bisected and the error budget split between the halves.  Raises
-    QuadratureError if the accumulated error estimate ends up above
-    tolerance.
+    Order doubling from DEFAULT_ORDER handles analytic integrands; when
+    doubling stalls (integrable endpoint singularities after the
+    semi-infinite mapping) the panel is bisected and the error budget
+    split between the halves.  Raises QuadratureError if the accumulated
+    error estimate ends up above tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
@@ -272,8 +260,8 @@ def integrate_finite(
     stack = [(a, b, budget, 0)]
     while stack:
         lo, hi, tol_abs, depth = stack.pop()
-        prev = _panel_estimate(f, lo, hi, order, vectorized)
-        cur_order = order
+        prev = _panel_estimate(f, lo, hi, DEFAULT_ORDER, vectorized)
+        cur_order = DEFAULT_ORDER
         accepted = False
         est = prev
         err = math.inf
@@ -285,7 +273,7 @@ def integrate_finite(
                 accepted = True
                 break
             # stalled convergence means a singularity: bisect instead
-            if err > 0.0 and prev != 0.0 and err > abs(est) * 1e-14 and cur_order >= 4 * order:
+            if err > 0.0 and prev != 0.0 and err > abs(est) * 1e-14 and cur_order >= 4 * DEFAULT_ORDER:
                 break
             prev = est
         if accepted:

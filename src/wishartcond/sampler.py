@@ -6,27 +6,21 @@ second key for each rare exhausted Gamma variate), so the same draw comes
 out bit-identical whether the batch runs on one worker or eight, and any
 single draw can be regenerated in isolation.
 
-Two sampling paths:
-
-* ``sample_matrix``: dense matrices whose complex entries come from
-  Box-Muller with unit variance (1/2 per real part).  With LAPACK
-  ``np.linalg.eigvalsh`` on A*A it is the independent check of the
-  bidiagonal model below.
-* ``mc_collect``: the bidiagonal beta = 2 Laguerre model (Dumitriu and
-  Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law of
-  B B^T, with B n x n lower bidiagonal and independent Gamma squared
-  entries; the trace is the sum of the squared entries.  A Gamma shape up
-  to ``_ERLANG_MAX_SHAPE`` (8) is an Erlang sum of that many uniforms; a
-  larger one is a Marsaglia-Tsang variate from four words of the row (a
-  Box-Muller pair for the normals of two tries and their two uniforms), and
-  the rare variate whose both tries are rejected is an Erlang sum from a
-  second stream keyed (seed mod 2^64) + 2^64.  A draw reads m n words while
-  m <= 8, and 407 at (50, 1), where m n is 2550.  The one eigenvalue
-  the metric reads (the smallest or the second smallest) comes from
-  Laguerre steps on the LDL^T (Sturm) recurrence of the tridiagonal B B^T,
-  on the lanes still moving.  Two Sturm counts at x -/+ 4 eps ||T|| certify
-  each value to that absolute tolerance, as LAPACK dstebz's ABSTOL does;
-  the few lanes that fail are finished by Sturm bisection.
+``mc_collect`` samples the bidiagonal beta = 2 Laguerre model (Dumitriu
+and Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law
+of B B^T, with B n x n lower bidiagonal and independent Gamma squared
+entries; the trace is the sum of the squared entries.  A Gamma shape up to
+``_ERLANG_MAX_SHAPE`` (8) is an Erlang sum of that many uniforms; a larger
+one is a Marsaglia-Tsang variate from four words of the row (a Box-Muller
+pair for the normals of two tries and their two uniforms), and the rare
+variate whose both tries are rejected is an Erlang sum from a second
+stream keyed (seed mod 2^64) + 2^64.  A draw reads m n words while m <= 8,
+and 407 at (50, 1), where m n is 2550.  The one eigenvalue the metric
+reads (the smallest or the second smallest) comes from Laguerre steps on
+the LDL^T (Sturm) recurrence of the tridiagonal B B^T, on the lanes still
+moving.  Two Sturm counts at x -/+ 4 eps ||T|| certify each value to that
+absolute tolerance, as LAPACK dstebz's ABSTOL does; the few lanes that
+fail are finished by Sturm bisection.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,27 +68,6 @@ class SamplerError(RuntimeError):
     """Eigensolver breakdown or an impossible sample, with its index."""
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """One Gaussian draw: entries are iid complex standard normals."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2:
-            raise ValueError("need a 2-d entry array")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-
 def _row_words(count: int) -> int:
     """Stream words a draw of count words owns: whole 4-word Philox blocks."""
     return 4 * -(-count // 4)
@@ -132,19 +104,6 @@ def _box_muller_polar(u: np.ndarray, w: np.ndarray, var: float):
     np.subtract(1.0, w, out=w)  # x - 1 of the word's x in [1, 2), exactly
     w *= 2.0 * math.pi
     return u, w
-
-
-def _box_muller(raw: np.ndarray) -> np.ndarray:
-    """Interleaved raw 64-bit words, used up in place, to complex standard normals."""
-    u = _uniform(raw)
-    r, ang = _box_muller_polar(u[..., 0::2], u[..., 1::2], 0.5)
-    return r * np.cos(ang) + 1j * (r * np.sin(ang))
-
-
-def sample_matrix(dims: Dims, seed: int, index: int = 0) -> ComplexMatrix:
-    """The index-th matrix draw of the given shape under this seed."""
-    z = _box_muller(_keyed_raw(seed, index, index + 1, 2 * dims.mn)[0])
-    return ComplexMatrix(z.reshape(dims.m, dims.n))
 
 
 # ---------------------------------------------------------------------------
@@ -562,32 +521,16 @@ def ks_threshold(count: int) -> float:
     return 1.63 / math.sqrt(count)
 
 
-@dataclass
-class McReport:
-    """One Monte Carlo validation run against an analytic curve."""
-
-    dims: Dims
-    metric: str
-    samples: int
-    seed: int
-    bins: int
-    edges: np.ndarray
-    masses: np.ndarray
-    ks_statistic: float
-    ks_threshold: float
-    passed: bool
-    meta: dict = field(default_factory=dict)
-
-
 def build_report(metric: str, dims: Dims, draws, seed: int, cdf,
-                 bins: int = 60, threshold: float | None = None) -> McReport:
-    """Histogram the draws and score them against the analytic CDF."""
+                 bins: int = 60, threshold: float | None = None) -> dict:
+    """Histogram the draws and score them against the analytic CDF: the
+    ``results`` of a JSON report, with an empty ``meta`` for the caller."""
     draws = np.asarray(draws, dtype=float)
-    if threshold is None:
-        threshold = ks_threshold(len(draws))
+    threshold = ks_threshold(len(draws)) if threshold is None else float(threshold)
     counts, edges = np.histogram(draws, bins=bins)
-    masses = counts / len(draws)
     stat = ks_compare(draws, cdf)
-    return McReport(dims=dims, metric=metric, samples=len(draws), seed=seed,
-                    bins=bins, edges=edges, masses=masses, ks_statistic=stat,
-                    ks_threshold=threshold, passed=stat <= threshold)
+    return {"metric": metric, "n": dims.n, "alpha": dims.alpha,
+            "samples": len(draws), "seed": seed, "bins": bins,
+            "bin_edges": edges.tolist(), "bin_masses": (counts / len(draws)).tolist(),
+            "ks_statistic": stat, "ks_threshold": threshold,
+            "passed": stat <= threshold, "meta": {}}

@@ -16,7 +16,8 @@ The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
 reference builds every Gamma variate of a draw as a sum over its own
 segment of m n uniforms, the row the sampler draws while every shape is at
-most its Erlang bound.
+most its Erlang bound.  The dense matrix draws are the independent check
+of the bidiagonal model: their Gram spectra come from LAPACK.
 """
 
 import functools
@@ -38,7 +39,7 @@ from wishartcond.exact import (
     pdf_lambda_min_grid,
 )
 from wishartcond.numkit import integrate_finite, pochhammer_int
-from wishartcond.sampler import _uniform
+from wishartcond.sampler import _box_muller_polar, _keyed_raw, _uniform
 
 
 def _closed_pairs(n: int):
@@ -358,3 +359,12 @@ def erlang_variates_reference(dims: Dims, seed: int, index: int) -> np.ndarray:
     offsets = np.cumsum([0] + lengths[:-1])
     logu = np.log(_uniform(philox_raw_reference(seed, index, dims.mn)))
     return -np.add.reduceat(logu, offsets)
+
+
+def sample_matrix(dims: Dims, seed: int, index: int = 0) -> np.ndarray:
+    """The index-th dense m x n matrix under this seed: iid complex normals
+    of unit variance (1/2 per real part), by Box-Muller on the draw's 2 m n
+    words of the sampler's stream, taken in pairs."""
+    u = _uniform(_keyed_raw(seed, index, index + 1, 2 * dims.mn)[0])
+    r, ang = _box_muller_polar(u[0::2], u[1::2], 0.5)
+    return (r * np.cos(ang) + 1j * (r * np.sin(ang))).reshape(dims.m, dims.n)

@@ -6,7 +6,6 @@ These are end-to-end checks on released behavior; the per-module suites
 cover the internals.  Run with -s to see the measured numbers.
 """
 
-import math
 import random
 import time
 
@@ -28,7 +27,6 @@ from oracles import (
 )
 from wishartcond.asymptotic import (
     ScaledParams,
-    cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
     pdf_v_kappa_e_grid,
@@ -164,12 +162,11 @@ def test_05_limit_curve_vs_mc_kappa_e():
 
 
 def test_06_alpha0_limit_law():
-    # closed identity of the alpha=0 limit CDF
+    # the alpha=0 limit CDF from its mixture table against Edelman's closed form
     mu = 4.0
-    worst_identity = 0.0
-    for x in np.linspace(0.7, 8.0, 50):
-        got = cdf_v_kappa_d_alpha0(x * x / (4.0 * mu), mu)
-        worst_identity = max(worst_identity, abs(got - math.exp(-4.0 / (x * x))))
+    x = np.linspace(0.7, 8.0, 50)
+    got = cdf_v_kappa_d_interp(ScaledParams(mu, 0))(x * x / (4.0 * mu))
+    worst_identity = float(np.max(np.abs(got - np.exp(-4.0 / (x * x)))))
     # the exact n=30 law is already within a few percent of the limit
     n = 30
     xs = np.linspace(1.0, 10.0, 200)

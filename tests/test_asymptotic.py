@@ -10,7 +10,6 @@ from wishartcond import asymptotic
 from wishartcond.asymptotic import (
     ScaledParams,
     cdf_v_error_bound,
-    cdf_v_kappa_d_alpha0,
     cdf_v_kappa_d_interp,
     cdf_v_kappa_e_interp,
     pdf_v_kappa_d_grid,
@@ -132,16 +131,16 @@ class TestKappaDCdf:
     def test_closed_identity(self):
         # the alpha=0 CDF is a bare exponential in 1/(mu v)
         for mu in (0.25, 1.0, 4.0):
-            for v in (0.05, 0.3, 1.0, 10.0):
-                assert cdf_v_kappa_d_alpha0(v, mu) == pytest.approx(
-                    math.exp(-1.0 / (mu * v)), rel=1e-15)
+            vs = np.array([0.05, 0.3, 1.0, 10.0])
+            got = cdf_v_kappa_d_interp(ScaledParams(mu, 0))(vs)
+            want = [math.exp(-1.0 / (mu * v)) for v in vs]
+            assert got == pytest.approx(want, rel=1e-15)
 
     def test_interp_matches_closed(self):
-        p = ScaledParams(1.0, 0)
-        cdf = cdf_v_kappa_d_interp(p)
-        vs = np.linspace(0.02, 20.0, 300)
-        want = np.array([cdf_v_kappa_d_alpha0(float(v), 1.0) for v in vs])
-        assert np.max(np.abs(cdf(vs) - want)) < 2e-4
+        vs = np.geomspace(1e-3, 1e3, 2000)
+        for mu in (0.25, 1.0, 4.0):
+            cdf = cdf_v_kappa_d_interp(ScaledParams(mu, 0))
+            assert np.max(np.abs(cdf(vs) - np.exp(-1.0 / (mu * vs)))) < 1e-15
 
     def test_interp_shape(self):
         cdf = cdf_v_kappa_d_interp(ScaledParams(4.0, 1))
@@ -258,6 +257,5 @@ class TestMixtureTables:
             return shift, nums
 
         monkeypatch.setattr(asymptotic, "fpoly_split_det", perturbed)
-        monkeypatch.setattr(asymptotic, "_TABLE_CACHE", {})
         with pytest.raises(ArithmeticError):
-            asymptotic._table("kappa-e", 2)
+            asymptotic._table.__wrapped__("kappa-e", 2)

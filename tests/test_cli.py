@@ -32,11 +32,11 @@ class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(command="density", metric="kappa-d", n=3, alpha=1,
                         grid="3.1:9:40", format="json")
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert RunConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_rejects_unknown_fields(self):
-        with pytest.raises(UsageError):
-            RunConfig.from_dict({"command": "density", "wat": 1})
+        with pytest.raises(TypeError):
+            RunConfig(**{"command": "density", "wat": 1})
 
 
 class TestUsageFailures:
@@ -58,6 +58,12 @@ class TestUsageFailures:
 
     def test_unknown_figure_id(self):
         assert cli.main(["figure", "--id", "9z"]) == EXIT_USAGE
+
+    def test_no_extended_precision(self, capsys):
+        # precision is measured per point; there is no fixed-digit mode
+        assert cli.main(["density", "--metric", "lambda-2", "--n", "5", "--alpha", "3",
+                         "--grid", "0.1:1:3", "--precision", "extended"]) == EXIT_USAGE
+        assert "invalid choice: 'extended'" in capsys.readouterr().err
 
     def test_mgf_needs_exactly_one_argument_form(self):
         base = ["mgf", "--metric", "kappa-d", "--n", "3", "--alpha", "0"]
@@ -97,7 +103,8 @@ class TestDensityCommand:
                          "--alpha", "0", "--mu", "1", "--grid", "0.5:1.5:3",
                          "--format", "json", "--out", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
-        assert RunConfig.from_dict(payload["config"]).metric == "kappa-d"
+        assert RunConfig(**payload["config"]).metric == "kappa-d"
+        assert payload["meta"] == {"alpha": 0}
         assert payload["x"] == pytest.approx([0.5, 1.0, 1.5])
         assert payload["pdf"][1] == pytest.approx(np.exp(-1.0), rel=1e-13)
 
@@ -155,7 +162,7 @@ class TestMcCommand:
         assert len(res["bin_edges"]) == 25
         assert sum(res["bin_masses"]) == pytest.approx(1.0, abs=1e-12)
         assert res["passed"] is True
-        assert RunConfig.from_dict(payload["config"]) == RunConfig(
+        assert RunConfig(**payload["config"]) == RunConfig(
             command="mc", metric="kappa-d", n=3, alpha=0, samples=2000,
             seed=9, bins=24, format="json", out=str(out))
 
@@ -261,8 +268,8 @@ class TestNumericalExit:
         def explode(dims):
             raise ArithmeticError("synthetic table failure")
         monkeypatch.setattr(exact, "_ke_det", explode)
-        # an empty cache, so the density is rebuilt through the patched table
-        monkeypatch.setattr(exact, "_KE_CACHE", {})
+        # a cleared cache, so the density is rebuilt through the patched table
+        exact._ke_pieces.cache_clear()
         assert cli.main(["density", "--metric", "kappa-e", "--n", "4",
                          "--alpha", "1", "--grid", "4:6:3"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err

@@ -19,9 +19,9 @@ from oracles import (
     r_integral_oracle,
 )
 from wishartcond.exact import (
-    METRIC_KAPPA_D,
-    DensityCurve,
+    DEFAULT_DPS,
     Dims,
+    _exp_law_values,
     _kd_law,
     _ke_bivariate_w_fracs,
     _ke_pieces,
@@ -44,6 +44,13 @@ from wishartcond.exact import (
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
 )
+
+
+def _at_dps(law, xs, values=_law_values):
+    """A law's density from its sums at DEFAULT_DPS (40) digits at every
+    point, whatever the cancellation: the reference the double and 'auto'
+    paths are held to."""
+    return values(law, np.asarray(xs, dtype=float), DEFAULT_DPS)[0]
 
 
 class TestDims:
@@ -98,12 +105,15 @@ class TestKappaD:
     def test_total_mass_is_exactly_one(self, dims, mode):
         table, = _kd_law(dims, mode)
         assert _exact_mass(table) == 1
+        if mode == "auto":
+            # the default mode and the named one share one memoised table
+            assert _kd_law(dims)[0] is table
 
     def test_precision_paths_agree(self):
         d = Dims(3, 1)
         ys = np.linspace(3.2, 12.0, 20)
         a = pdf_kappa_d_grid(ys, d, precision="double")
-        b = pdf_kappa_d_grid(ys, d, precision="extended")
+        b = _at_dps(_kd_law(d), ys)
         assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-12
 
 
@@ -134,7 +144,7 @@ class TestLambdaMin:
         # leave only the rounding of the final sum in double
         xs = np.linspace(lo, hi, 40)
         dbl = pdf_lambda_min_grid(xs, dims, precision="double")
-        ext = pdf_lambda_min_grid(xs, dims, precision="extended")
+        ext = _at_dps(_lambda_min_law(dims), xs, _exp_law_values)
         assert dbl == pytest.approx(ext, rel=1e-12)
 
     def test_auto_stays_double_for_one_signed_table(self, caplog):
@@ -144,7 +154,7 @@ class TestLambdaMin:
         with caplog.at_level(logging.INFO, logger="wishartcond"):
             got = pdf_lambda_min_grid(xs, dims)
         assert "0 of 30 points evaluated again" in caplog.text
-        assert got == pytest.approx(pdf_lambda_min_grid(xs, dims, precision="extended"),
+        assert got == pytest.approx(_at_dps(_lambda_min_law(dims), xs, _exp_law_values),
                                     rel=1e-12)
 
 
@@ -221,9 +231,8 @@ class TestLambda2:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
-        monkeypatch.setattr(exact, "_KE_CACHE", {})
         with pytest.raises(ArithmeticError):
-            exact._lambda2_law(Dims(4, 1))
+            exact._lambda2_law.__wrapped__(Dims(4, 1))
 
     def test_no_quadrature(self, monkeypatch):
         from wishartcond import exact
@@ -232,11 +241,14 @@ class TestLambda2:
             raise AssertionError("integrate_finite called")
 
         monkeypatch.setattr(exact, "integrate_finite", refuse)
-        monkeypatch.setattr(exact, "_KE_CACHE", {})
+        # cleared caches, so the tables are built again under the patch
+        exact._ke_det.cache_clear()
+        exact._lambda2_law.cache_clear()
         dims = Dims(5, 2)
         xs = np.array([0.001, 0.4, 3.0])
-        for precision in ("auto", "double", "extended"):
+        for precision in exact.PRECISIONS:
             assert np.all(pdf_lambda2_grid(xs, dims, precision=precision) > 0.0)
+        assert np.all(_at_dps(_lambda2_law(dims), xs, _exp_law_values) > 0.0)
         assert np.all(np.diff(cdf_lambda2_interp(dims)(xs)) > 0.0)
 
 
@@ -326,17 +338,9 @@ class TestProofIntegrals:
 
 
 class TestCurveAndContext:
-    def test_density_curve_validation(self):
-        with pytest.raises(ValueError):
-            DensityCurve("wat", "exact", np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            DensityCurve(METRIC_KAPPA_D, "sorta", np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            DensityCurve(METRIC_KAPPA_D, "exact", np.array([1.0, 2.0]), np.array([1.0]))
-
     def test_resolve_context(self, monkeypatch):
         # 'auto' starts in double at every size; only measured cancellation
-        # sends a point to extended precision, and 'extended' runs at 40 digits
+        # sends a point to more digits
         from wishartcond import exact
 
         seen = []
@@ -348,9 +352,10 @@ class TestCurveAndContext:
         monkeypatch.setattr(exact, "_law_values", spy)
         for precision in exact.PRECISIONS:
             pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision=precision)
-        assert seen == [None, None, 40]
-        with pytest.raises(ValueError):
-            pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision="sometimes")
+        assert seen == [None, None]
+        for bad in ("sometimes", "extended"):
+            with pytest.raises(ValueError):
+                pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision=bad)
 
     def test_normalization_spot(self):
         assert normalization_kappa_d(Dims(2, 1)) == pytest.approx(1.0, abs=1e-7)
@@ -530,9 +535,8 @@ class TestKappaEPieces:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
-        monkeypatch.setattr(exact, "_KE_CACHE", {})
         with pytest.raises(ArithmeticError):
-            exact._ke_pieces(Dims(4, 1))
+            exact._ke_pieces.__wrapped__(Dims(4, 1))
 
 
 class TestExactCdfs:
@@ -596,7 +600,7 @@ class TestLambda2Precision:
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="wishartcond"):
                 got = pdf_lambda2_grid(xs, dims)
-            ext = pdf_lambda2_grid(xs, dims, precision="extended")
+            ext = _at_dps(_lambda2_law(dims), xs, _exp_law_values)
             assert got == pytest.approx(ext, rel=1e-12)
             redone = int(caplog.text.split("lambda-2 density: ")[1].split(" of")[0])
             assert 0 < redone < len(xs)
@@ -621,12 +625,12 @@ class TestLambda2Precision:
 
 
 class TestExtendedFrozen:
-    """The extended path at grid points of the benchmark's density jobs,
+    """The 40-digit sums at grid points of the benchmark's density jobs,
     pinned bit for bit as repr literals."""
 
     def test_lambda2_n6(self):
         xs = np.linspace(0.01, 3.0, 100)[list(range(10)) + [20, 40, 60, 80, 99]]
-        got = pdf_lambda2_grid(xs, Dims(6, 1), precision="extended")
+        got = _at_dps(_lambda2_law(Dims(6, 1)), xs, _exp_law_values)
         assert got.tolist() == [
             1.9686892645511727e-09, 1.8521742697265666e-06, 2.7334194890557976e-05,
             0.0001459232533936643, 0.00048581443750571037, 0.001229883792023444,
@@ -635,10 +639,10 @@ class TestExtendedFrozen:
             0.5151414749950269, 0.22138999544406057, 0.07091718403909768]
 
     def test_lambda2_n13(self):
-        got = pdf_lambda2_grid(np.linspace(0.05, 1.0, 2), Dims(13, 1), precision="extended")
+        got = _at_dps(_lambda2_law(Dims(13, 1)), np.linspace(0.05, 1.0, 2), _exp_law_values)
         assert got.tolist() == [0.0003694168531051331, 0.772512054886887]
 
     def test_kappa_e_n13(self):
-        got = pdf_kappa_e_grid(np.linspace(12.5, 80.0, 3), Dims(13, 1), precision="extended")
+        got = _at_dps(_ke_pieces(Dims(13, 1)), np.linspace(12.5, 80.0, 3))
         assert got.tolist() == [2.0233902330738344e-187, 2.4260033112577264e-11,
                                 1.9864764892832928e-05]

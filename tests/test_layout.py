@@ -1,9 +1,9 @@
 """Every public helper of the package has a caller in the package.
 
-A top-level function or class of any module of ``src/wishartcond`` that
-nothing else in the package uses, apart from its own definition, is
-library code that only tests call; it should be deleted or moved into the
-tests.
+A top-level function or class of any module of ``src/wishartcond``, or a
+public method of a public class, that nothing else in the package uses,
+apart from its own definition, is library code that only tests call; it
+should be deleted or moved into the tests.
 """
 
 import ast
@@ -15,29 +15,44 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wishartcond"
 CHECKED = sorted(path.name for path in PACKAGE.glob("*.py"))
 
 
-def _used_names(node) -> set:
-    """Names read (bare or as an attribute) anywhere inside `node`."""
+def _used_names(node, skip) -> set:
+    """Names read (bare or as an attribute) anywhere inside `node`, leaving
+    out the subtree `skip`."""
     out = set()
-    for sub in ast.walk(node):
+    stack = [node]
+    while stack:
+        sub = stack.pop()
+        if sub is skip:
+            continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        stack.extend(ast.iter_child_nodes(sub))
     return out
+
+
+def _public_defs(tree) -> list:
+    """Public top-level functions and classes, and the public methods of
+    the public classes."""
+    defs = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs.extend(sub for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+    return defs
 
 
 def _unreferenced(module: str) -> list:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    defs = [node for node in trees[module].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
     missing = []
-    for target in defs:
-        # every top-level statement of the package except the definition
-        others = [node for tree in trees.values() for node in tree.body
-                  if node is not target]
-        if not any(target.name in _used_names(node) for node in others):
+    for target in _public_defs(trees[module]):
+        # every statement of the package except the definition
+        if not any(target.name in _used_names(tree, target) for tree in trees.values()):
             missing.append(target.name)
     return missing
 

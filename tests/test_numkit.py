@@ -162,8 +162,9 @@ class TestFPoly:
 
 class TestQuadrature:
     def test_rule_basics(self):
-        rule = gauss_legendre_rule(12)
-        assert rule.weights.sum() == pytest.approx(2.0, rel=1e-14)
+        nodes, weights = gauss_legendre_rule(12)
+        assert len(nodes) == 12 and np.all(np.abs(nodes) < 1.0)
+        assert weights.sum() == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
 
