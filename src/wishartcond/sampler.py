@@ -18,9 +18,12 @@ stream keyed (seed mod 2^64) + 2^64.  A draw reads m n words while m <= 8,
 and 407 at (50, 1), where m n is 2550.  The one eigenvalue the metric
 reads (the smallest or the second smallest) comes from Laguerre steps on
 the LDL^T (Sturm) recurrence of the tridiagonal B B^T, on the lanes still
-moving.  Two Sturm counts at x -/+ 4 eps ||T|| certify each value to that
-absolute tolerance, as LAPACK dstebz's ABSTOL does; the few lanes that
-fail are finished by Sturm bisection.
+moving; for the second smallest, one Laguerre step from 0 gives the pole
+below lambda_1 that is divided out.  A lane stops when its step, or the
+next step that cubic convergence predicts, falls to the tolerance.  Two
+Sturm counts at x -/+ 4 eps ||T|| certify each value to that absolute
+tolerance, as LAPACK dstebz's ABSTOL does; the few lanes that fail are
+finished by Sturm bisection.
 """
 
 from __future__ import annotations
@@ -117,14 +120,20 @@ def _box_muller_polar(u: np.ndarray, w: np.ndarray, var: float):
 
 def _sturm_counts(D: np.ndarray, E2: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below x, per lane (x may carry leading
-    axes, which broadcast against the lanes)."""
-    q = D[0] - x
-    q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
-    cnt = (q < 0).astype(np.int64)
-    for i in range(1, D.shape[0]):
-        q = D[i] - x - E2[i - 1] / q
-        q = np.where(np.abs(q) < _PIVMIN, -_PIVMIN, q)
-        cnt += q < 0
+    axes, which broadcast against the lanes).  Each row is written into the
+    same few lane-sized buffers."""
+    q = np.subtract(D[0], x)
+    t, a = np.empty_like(q), np.empty_like(q)
+    tiny, neg = np.empty(q.shape, dtype=bool), np.empty(q.shape, dtype=bool)
+    cnt = np.zeros(q.shape, dtype=np.int64)
+    for i in range(D.shape[0]):
+        if i:
+            np.divide(E2[i - 1], q, out=t)
+            np.subtract(D[i], x, out=q)
+            q -= t
+        np.less(np.abs(q, out=a), _PIVMIN, out=tiny)
+        np.copyto(q, -_PIVMIN, where=tiny)
+        cnt += np.less(q, 0.0, out=neg)
     return cnt
 
 
@@ -183,32 +192,48 @@ def _laguerre_sums(Q, E2, x):
     return np.count_nonzero(Q < 0, axis=0), g, h
 
 
-def _laguerre_search(D, E2, x, kth: int, atol, rtol: float = 0.0, pole=None):
+def _laguerre_search(D, E2, x, kth: int, atol, pole=None, max_sweeps: int = _LAGUERRE_SWEEPS):
     """Laguerre steps from x, a point between the (kth - 1)th and the kth
-    eigenvalue, toward the kth, and the lane-sweeps taken.
+    eigenvalue, toward the kth: (values, lane-sweeps taken, lanes stopped
+    by the predicted bound).
 
     The Sturm count tells which side of the kth eigenvalue x is on: below
     it the step is k / (R - G), above it -k / (R + G), R = sqrt((k-1)(k H -
     G^2)).  For a real-rooted polynomial either step stays on its side of
-    the root and converges cubically; rounding, or a pole a little off its
-    root, may carry x across, and the next step comes back.  With a pole,
-    the known lower root is divided out first (k = n - 1); where that
+    the root and converges cubically; rounding, or a pole off its root, may
+    carry x across, and the next step comes back.  With a pole, a point at
+    or below the lower root is divided out first (k = n - 1); the kth root
+    is still a root of what is left, however rough the pole.  Where that
     cancels more than six digits of H, the Newton step -1/G is taken
-    instead.  A lane leaves the live set when its step is not finite or
-    falls to atol + rtol |x|.
+    instead.  A lane leaves the live set when its step s_k is not finite,
+    falls to atol, or is predicted to make the next one fall to atol under
+    cubic convergence, |s_k|^3 <= atol |s_{k-1}|^2 (Laguerre steps only).
+
+    The live lanes' diagonals go to one buffer for the whole search, copied
+    while every lane is live and gathered with ``np.take`` after that.
     """
     n, lanes = D.shape
     k = n - 1 if pole is not None else n
     ids = np.arange(lanes)
     out = x.copy()
-    sweeps = 0
-    for _ in range(_LAGUERRE_SWEEPS):
+    prev = np.zeros(lanes)  # each lane's last step; 0 predicts nothing
+    qbuf = np.empty(D.size)
+    ebuf = np.empty(E2.size)
+    sweeps = predicted = 0
+    for _ in range(max_sweeps):
         m = len(ids)
         if m == 0:
             break
         sweeps += m
         x = out[ids]
-        cnt, G, H = _laguerre_sums(D[:, ids], E2[:, ids], x)
+        Q = qbuf[:n * m].reshape(n, m)
+        if m == lanes:
+            np.copyto(Q, D)
+            e2 = E2
+        else:
+            np.take(D, ids, axis=1, out=Q)
+            e2 = np.take(E2, ids, axis=1, out=ebuf[:(n - 1) * m].reshape(n - 1, m))
+        cnt, G, H = _laguerre_sums(Q, e2, x)
         if pole is not None:
             p = 1.0 / (x - pole[ids])
             G -= p
@@ -220,11 +245,19 @@ def _laguerre_search(D, E2, x, kth: int, atol, rtol: float = 0.0, pole=None):
         if pole is not None:
             step = np.where(trusted, step, -1.0 / G)
         stay = np.isfinite(step)
-        xn = np.where(stay, x + step, x)
-        out[ids] = xn
-        lim = atol[ids] + rtol * np.abs(xn)
-        ids = ids[stay & (np.abs(step) > lim)]
-    return out, sweeps
+        out[ids] = np.where(stay, x + step, x)
+        size = np.abs(step)
+        tol = atol[ids]
+        stay &= size > tol
+        last = prev[ids]
+        cubic = size ** 3 <= tol * last * last
+        if pole is not None:
+            cubic &= trusted
+        cubic &= stay
+        predicted += int(np.count_nonzero(cubic))
+        prev[ids] = size
+        ids = ids[stay & ~cubic]
+    return out, sweeps, predicted
 
 
 def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
@@ -232,19 +265,22 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
     stack, rows d (lanes, n) and squared off-diagonals e2 (lanes, n - 1).
 
     lambda_1 comes from Laguerre steps from 0, below the spectrum of a
-    positive definite B B^T.  For lambda_2, a coarse lambda_1 first; then
-    the probe 2 lambda_1, bisected on the lanes whose count is not exactly
-    1, gives a point in (lambda_1, lambda_2), and Laguerre steps with
-    lambda_1 divided out go on from there.  Two Sturm counts certify each
-    result x: fewer than kth eigenvalues below x - delta, at least kth below
-    x + delta, with delta = 4 eps ||T|| for the largest Gershgorin row sum
-    ||T|| (the absolute tolerance of LAPACK dstebz).  The lanes that fail are
-    bisected from their Gershgorin interval.  Sweep and fallback counts go to
-    ``_search_stats.last`` for the chunk log line.
+    positive definite B B^T.  For lambda_2, one Laguerre step from 0 gives a
+    pole below lambda_1; then the probe twice the pole, bisected on the
+    lanes whose count is not exactly 1, gives a point in (lambda_1,
+    lambda_2), and Laguerre steps with the pole divided out go on from
+    there.  Two Sturm counts certify each result x: fewer than kth
+    eigenvalues below x - delta, at least kth below x + delta, with delta =
+    4 eps ||T|| for the largest Gershgorin row sum ||T|| (the absolute
+    tolerance of LAPACK dstebz).  The lanes that fail, whether a step or
+    the predicted stop left them short, are bisected from their Gershgorin
+    interval.  ``_search_stats.last`` gets (pole sweeps, gap probes, final
+    sweeps, all per lane; lanes stopped by the predicted bound, fallback
+    lanes) for the chunk log line.
     """
     lanes, n = d.shape
     if n == 1:
-        _search_stats.last = (0.0, 0)
+        _search_stats.last = (0.0, 0.0, 0.0, 0, 0)
         return d[:, 0].copy()
     D = np.ascontiguousarray(d.T)
     E2 = np.ascontiguousarray(e2.T)
@@ -255,43 +291,49 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
     rad[1:] += e
     atol = _EPS * rad.max(axis=0)
     del rad, e
+    pole_sweeps = probes = 0
     with np.errstate(all="ignore"):
         if kth == 1:
-            x, sweeps = _laguerre_search(D, E2, np.zeros(lanes), 1, atol)
+            x, sweeps, predicted = _laguerre_search(D, E2, np.zeros(lanes), 1, atol)
         else:
-            lam1, sweeps = _laguerre_search(D, E2, np.zeros(lanes), 1, atol, rtol=1e-3)
-            x = _gap_point(D, E2, lam1)
-            x, more = _laguerre_search(D, E2, x, 2, atol, pole=lam1)
-            sweeps += more
+            pole, pole_sweeps, _ = _laguerre_search(D, E2, np.zeros(lanes), 1, atol, max_sweeps=1)
+            x, probes = _gap_point(D, E2, pole)
+            x, sweeps, predicted = _laguerre_search(D, E2, x, 2, atol, pole=pole)
         delta = 4.0 * atol
         cnt = _sturm_counts(D, E2, np.stack([x - delta, x + delta]))
     bad = ~((cnt[0] < kth) & (cnt[1] >= kth))
     fallbacks = int(np.count_nonzero(bad))
     if fallbacks:
         x[bad] = _bisect(D[:, bad], E2[:, bad], kth)
-    _search_stats.last = (sweeps / lanes, fallbacks)
+    _search_stats.last = (pole_sweeps / lanes, probes / lanes, sweeps / lanes, predicted,
+                          fallbacks)
     return x
 
 
-def _gap_point(D, E2, lam1) -> np.ndarray:
-    """A point with exactly one eigenvalue below it, from lam1 <~ lambda_1:
-    2 lam1, then bisection (doubling while unbounded) on the lanes whose
-    count is not 1.  Lanes with no such point (lambda_1 = lambda_2) get NaN."""
-    x = 2.0 * lam1
-    lo = lam1.copy()
+def _gap_point(D, E2, pole):
+    """A point with exactly one eigenvalue below it, from a pole <= lambda_1,
+    and the lane-probes taken: twice the pole, then bisection (doubling
+    while unbounded) on the lanes whose count is not 1.  Lanes with no such
+    point (lambda_1 = lambda_2) get NaN."""
+    x = 2.0 * pole
+    lo = pole.copy()
     hi = np.full_like(x, np.inf)
     ids = np.arange(len(x))
+    probes = 0
     for _ in range(_GAP_PROBES):
-        cnt = _sturm_counts(D[:, ids], E2[:, ids], x[ids])
+        probes += len(ids)
+        # the first probe reads every lane, in place
+        live = (D, E2) if len(ids) == len(x) else (D[:, ids], E2[:, ids])
+        cnt = _sturm_counts(*live, x[ids])
         off = cnt != 1
         ids, cnt = ids[off], cnt[off]
         if len(ids) == 0:
-            return x
+            return x, probes
         lo[ids] = np.where(cnt == 0, x[ids], lo[ids])
         hi[ids] = np.where(cnt >= 2, x[ids], hi[ids])
         x[ids] = np.where(hi[ids] < np.inf, 0.5 * (lo[ids] + hi[ids]), 2.0 * x[ids])
     x[ids] = np.nan
-    return x
+    return x, probes
 
 
 def _variate_layout(dims: Dims):
@@ -429,12 +471,13 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
     lam = _kth_smallest(d, e2, kth)
     if timed:
         tries, retries, exhausted = _variate_stats.last
-        sweeps, fallbacks = _search_stats.last
+        pole, probes, final, predicted, fallbacks = _search_stats.last
         log.debug("mc chunk %d-%d %s n=%d: variates %.4f s (%d Marsaglia-Tsang, %d second "
-                  "tries, %d exhausted), eigenvalue search %.4f s, %.2f Laguerre sweeps "
-                  "per lane, %d fallback lanes", start, stop - 1, metric, dims.n,
+                  "tries, %d exhausted), eigenvalue search %.4f s, per lane %.2f pole "
+                  "sweeps, %.2f gap probes and %.2f final sweeps, %d predicted stops, "
+                  "%d fallback lanes", start, stop - 1, metric, dims.n,
                   drawn - started, tries, retries, exhausted, time.perf_counter() - drawn,
-                  sweeps, fallbacks)
+                  pole, probes, final, predicted, fallbacks)
     bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
         idx = start + int(np.argmax(bad))
@@ -486,6 +529,8 @@ def mc_collect(metric: str, dims: Dims, count: int, seed: int,
         raise ValueError(f"unknown metric {metric!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     if metric in (METRIC_KAPPA_E, METRIC_LAMBDA_2) and dims.n < 2:
         raise ValueError("second-smallest eigenvalue needs n >= 2")
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -109,6 +110,9 @@ class TestMcCollect:
             mc_collect(METRIC_KAPPA_D, Dims(3, 0), 0, seed=1)
         with pytest.raises(ValueError):
             mc_collect(METRIC_KAPPA_E, Dims(1, 0), 10, seed=1)
+        for chunk in (0, -1):
+            with pytest.raises(ValueError, match="chunk must be >= 1"):
+                mc_collect(METRIC_KAPPA_D, Dims(3, 0), 10, seed=1, chunk=chunk)
 
 
 def _reference_variates(dims: Dims, seed: int, index: int) -> np.ndarray:
@@ -405,9 +409,17 @@ def _lapack(d, e2):
 
 
 def _search(d, e2, kth):
-    """_kth_smallest's values, with its (sweeps per lane, fallback lanes)."""
+    """_kth_smallest's values, with its (Laguerre sweeps per lane, fallback lanes)."""
     lam = _kth_smallest(np.asarray(d, dtype=float), np.asarray(e2, dtype=float), kth)
-    return lam, sampler._search_stats.last
+    pole, _, final, _, fallbacks = sampler._search_stats.last
+    return lam, (pole + final, fallbacks)
+
+
+def _close_pair_rows(n: int):
+    """(d, e2) of one 2n x 2n tridiagonal with lambda_2 / lambda_1 - 1 below
+    1e-5: a draw's n x n block twice, coupled by e2 = 1e-12."""
+    d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 5, 0, 1)
+    return np.hstack([d, d]), np.hstack([e2, [[1e-12]], e2])
 
 
 _CLOSE_D, _CLOSE_E2 = [[1.0, 1.0 + 2e-7, 50.0, 90.0]], [[1e-16, 1e-8, 1.0]]
@@ -459,6 +471,56 @@ class TestEigenSearch:
     def test_single_row_dimension(self):
         lam, stats = _search([[3.0], [0.5]], np.zeros((2, 0)), 1)
         assert list(lam) == [3.0, 0.5] and stats == (0.0, 0)
+
+    @pytest.mark.parametrize("dims, kth, sweeps", [(Dims(50, 2), 1, 3.7), (Dims(50, 1), 2, 5.0)])
+    def test_sweep_counts(self, dims, kth, sweeps):
+        # the figure 1b and 2b searches at a fixed seed; the counts are deterministic
+        d, e2, _ = sampler._laguerre_tridiagonal(dims, 11, 0, 4096)
+        _, (taken, fallbacks) = _search(d, e2, kth)
+        assert taken <= sweeps and fallbacks == 0
+        assert sampler._search_stats.last[3] > 0  # lanes stopped by the predicted bound
+
+    @pytest.mark.parametrize("n", [4, 50])
+    @pytest.mark.parametrize("kth", [1, 2])
+    def test_early_stop_is_caught_by_certification(self, n, kth, monkeypatch):
+        # every lane of the final search stops one sweep before it would: the
+        # lanes that certification rejects are bisected, and every value
+        # still matches LAPACK, the close pair's too, whose Laguerre steps
+        # are not in their cubic regime
+        search, bisect = sampler._laguerre_search, sampler._bisect
+
+        def early(D, E2, x, kth, atol, pole=None, max_sweeps=sampler._LAGUERRE_SWEEPS):
+            if max_sweeps == 1:  # the lambda_2 pole
+                return search(D, E2, x, kth, atol, pole, max_sweeps)
+            final, sweeps, predicted = search(D, E2, x, kth, atol, pole)
+            # a lane's value after j sweeps is the same in every search of
+            # j or more sweeps, so the one before it froze is the early stop
+            before, out = x, x.copy()
+            live = np.ones(len(x), dtype=bool)
+            for j in range(1, max_sweeps + 1):
+                now = search(D, E2, x, kth, atol, pole, j)[0]
+                froze = live & (now == final)
+                out[froze] = before[froze]
+                live &= ~froze
+                if not live.any():
+                    break
+                before = now
+            return out, sweeps, predicted
+
+        bisected = []
+
+        def spy(D, E2, kth):
+            bisected.append(D.shape[1])
+            return bisect(D, E2, kth)
+
+        monkeypatch.setattr(sampler, "_laguerre_search", early)
+        monkeypatch.setattr(sampler, "_bisect", spy)
+        d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 7, 0, 256)
+        cd, ce2 = _close_pair_rows(n // 2)
+        d, e2 = np.vstack([d, cd]), np.vstack([e2, ce2])
+        lam, (_, fallbacks) = _search(d, e2, kth)
+        assert fallbacks > 0 and bisected == [fallbacks]
+        self._assert_close(lam, _lapack(d, e2), kth)
 
     def test_close_pair_is_close(self):
         vals = _lapack(np.array(_CLOSE_D), np.array(_CLOSE_E2))
@@ -518,14 +580,20 @@ class TestEigenSearch:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
         assert len(lines) == 3
         assert lines[2].startswith("mc chunk 40-49 kappa-e n=4: variates ")
-        assert lines[2].endswith(" Laguerre sweeps per lane, 0 fallback lanes")
         assert "eigenvalue search" in lines[2]
+        assert re.search(r" s, per lane 1\.00 pole sweeps, \d\.\d\d gap probes and \d\.\d\d "
+                         r"final sweeps, \d+ predicted stops, 0 fallback lanes$", lines[2])
         # n = 4 draws only Erlang sums; (10, 0) has three large shapes a draw
         assert " s (0 Marsaglia-Tsang, 0 second tries, 0 exhausted), " in lines[2]
         caplog.clear()
         mc_collect(METRIC_KAPPA_E, Dims(10, 0), 50, seed=3, chunk=20)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
         assert " s (60 Marsaglia-Tsang, " in lines[0] and " s (30 Marsaglia-Tsang, " in lines[2]
+        # lambda_1 needs no pole and no gap point
+        caplog.clear()
+        mc_collect(METRIC_KAPPA_D, Dims(4, 1), 20, seed=3)
+        line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk"))
+        assert " per lane 0.00 pole sweeps, 0.00 gap probes and " in line
 
 
 class TestKs:
