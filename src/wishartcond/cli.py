@@ -14,6 +14,7 @@ double round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -128,6 +129,8 @@ def parse_grid(spec: str) -> np.ndarray:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"could not parse grid spec {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError("grid start and stop must be finite")
     if not start < stop:
         raise UsageError("grid start must be strictly below stop")
     if points < 2:
@@ -243,16 +246,13 @@ def cmd_mgf(cfg: RunConfig) -> int:
     if cfg.kind != "exact":
         raise UsageError("the moment generating function is exact-only; drop --kind")
     dims = _need_dims(cfg)
-    if cfg.metric == METRIC_KAPPA_D:
-        mgf = lambda s: mgf_kappa_d(s, dims)
-    elif cfg.metric == METRIC_KAPPA_E:
-        mgf = lambda s: mgf_kappa_e(s, dims)
-    else:
+    mgf = {METRIC_KAPPA_D: mgf_kappa_d, METRIC_KAPPA_E: mgf_kappa_e}.get(cfg.metric)
+    if mgf is None:
         raise UsageError("mgf supports kappa-d and kappa-e only")
     if (cfg.s is None) == (cfg.grid is None):
         raise UsageError("mgf needs exactly one of --s or --grid")
     if cfg.s is not None:
-        value = mgf(cfg.s)
+        value = mgf(cfg.s, dims)
         if cfg.out is None and cfg.format == "csv":
             sys.stdout.write(f"{_fmt17(value)}\n")
         elif cfg.format == "json":
@@ -262,11 +262,9 @@ def cmd_mgf(cfg: RunConfig) -> int:
             _emit(cfg, _curve_csv([cfg.s], [value]))
         return EXIT_OK
     xs = parse_grid(cfg.grid)
-    ys = np.array([mgf(float(s)) for s in xs])
+    ys = mgf(xs, dims)
     if cfg.format == "json":
-        _emit(cfg, _json_text({"config": cfg.to_dict(),
-                               "x": [float(v) for v in xs],
-                               "pdf": [float(v) for v in ys]}))
+        _emit(cfg, _json_text({"config": cfg.to_dict(), "x": xs.tolist(), "pdf": ys.tolist()}))
     else:
         _emit(cfg, _curve_csv(xs, ys))
     return EXIT_OK
@@ -522,6 +520,7 @@ def _add_shared(sub, *, dims=True, mu=False, precision=False, output=True):
         sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
+@functools.cache  # built once per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wishartcond",
                      description="Condition-number distributions of complex "

@@ -28,17 +28,18 @@ second-smallest two pieces at rates n - 1 and n.
 In t = 1 - edge / y a term of a piece is a multiple of a Beta(power + 1,
 mn - power - 1) density, so every trace-ratio CDF is a finite sum of
 binomial probabilities in t and every moment generating function one
-finite quadrature in t per piece.  A term of an eigenvalue law is a
-multiple of a Gamma(power + 1, rate) density, so both eigenvalue CDFs are
-finite Poisson sums.
+finite quadrature in t per piece and s, the s grid sharing each piece's
+t-density at every node array.  A term of an eigenvalue law is a multiple
+of a Gamma(power + 1, rate) density, so both eigenvalue CDFs are finite
+Poisson sums.
 
-Precision 'auto' evaluates every table in double and measures the
-digits lost to cancellation, log10 of sum |term| / |sum term|, in the
-same pass; only the points that lose more than 3 (13 of 16 left) are
-evaluated again as sums of mpmath floats at DEFAULT_DPS digits, and again
-at twice the digits while they keep fewer than 13.  The two
-second-smallest-eigenvalue pieces cancel near x = 0, so those points go
-to DEFAULT_DPS digits or more.
+Precision 'auto' evaluates every table in double, a whole grid as one
+(points x terms) array, and measures the digits lost to cancellation,
+log10 of sum |term| / |sum term|, in the same pass; only the points that
+lose more than 3 (13 of 16 left) are evaluated again as sums of mpmath
+floats at DEFAULT_DPS digits, and again at twice the digits while they
+keep fewer than 13.  The two second-smallest-eigenvalue pieces cancel
+near x = 0, so those points go to DEFAULT_DPS digits or more.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
 push the eigenvalue densities through the inverse-Laplace pair
@@ -51,6 +52,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -80,6 +82,8 @@ _RTOL = 1e-9
 _LOST_LIMIT = 3.0
 # digits past which 'auto' gives up on a point that still cancels
 _MAX_DPS = 10_000
+# elements of one (points x terms) block of a density in double
+_BLOCK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +140,23 @@ def _evaluate(values_fn, xs, precision: str, what: str) -> np.ndarray:
     return values
 
 
-def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    """(sum_j signs_j exp(t_j), log10 of sum_j |.| / |sum_j .|) in double."""
-    shift = t.max()
-    scaled = np.exp(t - shift)
-    acc = float(np.dot(signs, scaled))
-    if acc == 0.0:
-        return 0.0, math.inf
-    return acc * math.exp(shift), math.log10(float(scaled.sum()) / abs(acc))
+def _signed_rows(signs: np.ndarray, xs: np.ndarray, log_terms):
+    """Per point, (sum_j signs_j exp(t_j), log10 of sum_j |.| / |sum_j .|) in
+    double, t = log_terms(column of points) being log |term| with -inf off
+    the support; a point with no term gives (0, 0).  Each row of a block of
+    at most _BLOCK elements is summed on its own, never across the grid."""
+    out, lost = np.zeros((2, xs.size))
+    step = max(1, _BLOCK // max(signs.size, 1))
+    for lo in range(0, xs.size, step):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = log_terms(xs[lo:lo + step, None])
+            shift = t.max(axis=1, initial=-np.inf)
+            live = shift > -np.inf
+            scaled = np.exp(t[live] - shift[live, None])
+            acc = (scaled * signs).sum(axis=1)
+            lost[lo:lo + step][live] = np.log10(scaled.sum(axis=1) / np.abs(acc))
+        out[lo:lo + step][live] = acc * np.exp(shift[live])
+    return out, lost
 
 
 def _mp_sum(terms: list, scale=1) -> tuple[float, float]:
@@ -246,9 +259,9 @@ class _EdgePowerTable:
 
     @functools.cached_property
     def double_terms(self):
-        """(powers, signs, log |fracs|) as arrays."""
-        signs, logs = zip(*map(_sign_log, self.fracs))
-        return np.array(self.powers, dtype=float), np.array(signs, dtype=float), np.array(logs)
+        """(edges, his, powers, signs, log |fracs|) of the nonzero terms, as arrays."""
+        return tuple(np.array(col, dtype=float) for col in zip(*(
+            (self.edge, self.hi, p, *_sign_log(f)) for p, f in zip(self.powers, self.fracs) if f)))
 
     @functools.cached_property
     def t_density(self) -> list:
@@ -281,22 +294,13 @@ class _EdgePowerTable:
 
 def _law_values(law, ys: np.ndarray, dps: int | None):
     """Density of a law on a grid, with the digits each point loses to
-    cancellation: in double, or at dps digits."""
+    cancellation: in double, the whole grid at once, or at dps digits."""
     mn = law[0].mn
-    out = np.zeros_like(ys)
-    lost = np.zeros_like(ys)
     if dps is None:
-        edges = np.concatenate([np.full(len(t.powers), float(t.edge)) for t in law])
-        his = np.concatenate([np.full(len(t.powers), t.hi) for t in law])
-        powers, signs, logs = (np.concatenate(parts)
-                               for parts in zip(*(t.double_terms for t in law)))
-        for i, y in enumerate(ys):
-            mask = (y > edges) & (y <= his) & (signs != 0)
-            if not mask.any():
-                continue
-            t = logs[mask] + powers[mask] * np.log(y - edges[mask]) - mn * math.log(y)
-            out[i], lost[i] = _signed_sum(signs[mask], t)
-        return out, lost
+        edges, his, powers, signs, logs = map(np.concatenate, zip(*(t.double_terms for t in law)))
+        return _signed_rows(signs, ys, lambda y: np.where(
+            (y > edges) & (y <= his), logs + powers * np.log(y - edges) - mn * np.log(y), -np.inf))
+    out, lost = np.zeros((2, ys.size))
     with mpmath.workdps(dps):
         terms = [(t.edge, t.hi, p, _mpf(f)) for t in law for p, f in zip(t.powers, t.fracs) if f]
         for i, y in enumerate(ys):
@@ -306,12 +310,12 @@ def _law_values(law, ys: np.ndarray, dps: int | None):
     return out, lost
 
 
-def _beta_mix(lt, l1t, terms, top: int, extra=0.0) -> np.ndarray:
-    """sum_j sign_j exp(log_j + extra) t^j (1-t)^(top-j) over terms
-    (j, sign, log_j), from lt = log t and l1t = log(1 - t), one j at a time."""
+def _beta_mix(lt, l1t, terms, top: int) -> np.ndarray:
+    """sum_j sign_j exp(log_j) t^j (1-t)^(top-j) over terms (j, sign, log_j),
+    from lt = log t and l1t = log(1 - t), one j at a time."""
     out = np.zeros_like(lt)
     for j, sign, lc in terms:
-        out += sign * np.exp(lc + j * lt + (top - j) * l1t + extra)
+        out += sign * np.exp(lc + j * lt + (top - j) * l1t)
     return out
 
 
@@ -333,21 +337,35 @@ def _law_cdf(law):
     return cdf
 
 
-def _law_mgf(law, s: float) -> float:
-    """E[exp(-s Y)]: one quadrature in t per piece, exactly 1.0 at s = 0."""
-    if s < 0:
-        raise ValueError("s must be >= 0 (the trace ratio has a heavy right tail)")
-    if s == 0:
-        return 1.0
-    total = 0.0
-    for piece in law:
-        def integrand(ts, piece=piece):
-            return _beta_mix(np.log(ts), np.log1p(-ts), piece.t_density, piece.mn - 2,
-                             -s * piece.edge / (1.0 - ts))
+def _law_mgf(law, s, what: str):
+    """E[exp(-s Y)], a float at a scalar s and an array of s's shape
+    otherwise: exactly 1.0 at s = 0, else one adaptive quadrature in t per
+    piece and s of exp(-s edge / (1 - t)) times the piece's t-density.  That
+    density and edge / (1 - t) are computed once per node array in the call
+    and shared by every s.  NaN or negative s raise before any quadrature."""
+    ss = np.asarray(s, dtype=float)
+    if not np.all(ss >= 0):
+        raise ValueError("s must be >= 0 and not NaN (the trace ratio has a heavy right tail)")
+    started = time.perf_counter()
+    nodes: dict = {}    # (piece index, node bytes) -> (edge / (1 - t), t-density)
+    calls = []
 
-        total += integrate_finite(integrand, 0.0, 1.0 - piece.edge / piece.hi,
-                                  rtol=_RTOL, vectorized=True)
-    return total
+    def integrand(i, sv, ts):
+        calls.append(i)
+        key = (i, ts.tobytes())
+        if key not in nodes:
+            nodes[key] = (law[i].edge / (1.0 - ts), _beta_mix(
+                np.log(ts), np.log1p(-ts), law[i].t_density, law[i].mn - 2))
+        w, dens = nodes[key]
+        return np.exp(-sv * w) * dens
+
+    values = [sum(integrate_finite(functools.partial(integrand, i, sv), 0.0,
+                                   1.0 - piece.edge / piece.hi, rtol=_RTOL, vectorized=True)
+                  for i, piece in enumerate(law)) if sv else 1.0 for sv in ss.ravel()]
+    log.debug("%s: %d s values, %d integrand calls on %d distinct node arrays, "
+              "%d t-density evaluations, %.4f s", what, ss.size, len(calls), len(nodes),
+              sum(w.size for w, _ in nodes.values()), time.perf_counter() - started)
+    return float(values[0]) if ss.ndim == 0 else np.reshape(values, ss.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +387,14 @@ class _ExpPiece(NamedTuple):
 
 def _exp_law_values(law, xs: np.ndarray, dps: int | None):
     """Density of an eigenvalue law on a grid, with the digits each point
-    loses to cancellation: in double, or at dps digits."""
-    out = np.zeros_like(xs)
-    lost = np.zeros_like(xs)
+    loses to cancellation: in double, the whole grid at once, or at dps digits."""
     if dps is None:
         rates, powers, signs, logs = (np.array(col, dtype=float) for col in zip(
             *((rate, k, *_sign_log(c)) for rate, powers, fracs in law
               for k, c in zip(powers, fracs) if c)))
-        for i, x in enumerate(xs):
-            if x > 0:
-                t = logs + powers * math.log(x) - rates * x
-                out[i], lost[i] = _signed_sum(signs, t)
-        return out, lost
+        return _signed_rows(signs, xs, lambda x: np.where(
+            x > 0, logs + powers * np.log(x) - rates * x, -np.inf))
+    out, lost = np.zeros((2, xs.size))
     with mpmath.workdps(dps):
         terms = [(rate, k, _mpf(c)) for rate, powers, fracs in law
                  for k, c in zip(powers, fracs) if c]
@@ -571,13 +585,14 @@ def pdf_via_min_connection(y: float, dims: Dims) -> float:
     return _laplace_density(terms, dims.mn, y)
 
 
-def mgf_kappa_d(s: float, dims: Dims) -> float:
-    """Moment generating function E[exp(-s * kappa_d^2)] for s >= 0.
+def mgf_kappa_d(s, dims: Dims):
+    """Moment generating function E[exp(-s * kappa_d^2)] for s >= 0, at a
+    scalar s (a float) or on an array of s (an array, sharing node work).
 
     At s = 0 this is the total mass of the law and returns exactly 1.0.
     For s > 0 the value comes from quadrature to a relative 1e-9.
     """
-    return _law_mgf(_kd_law(dims), s)
+    return _law_mgf(_kd_law(dims), s, "kappa-d mgf")
 
 
 # ---------------------------------------------------------------------------
@@ -845,13 +860,14 @@ def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
                      precision, "lambda-2 density")
 
 
-def mgf_kappa_e(s: float, dims: Dims) -> float:
-    """Moment generating function E[exp(-s * kappa_e^2)] for s >= 0.
+def mgf_kappa_e(s, dims: Dims):
+    """Moment generating function E[exp(-s * kappa_e^2)] for s >= 0, at a
+    scalar s (a float) or on an array of s (an array, sharing node work).
 
     At s = 0 this is the total mass of the law and returns exactly 1.0.
     For s > 0 the value comes from quadrature to a relative 1e-9.
     """
-    return _law_mgf(_ke_law(dims), s)
+    return _law_mgf(_ke_law(dims), s, "kappa-e mgf")
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,10 @@ def _panel_estimate(f, a: float, b: float, order: int, vectorized: bool) -> floa
         vals = np.asarray(f(xs), dtype=float)
     else:
         vals = np.array([f(x) for x in xs], dtype=float)
-    return half * float(weights @ vals)
+    est = half * float(weights @ vals)
+    if not math.isfinite(est):
+        raise QuadratureError(f"integrand not finite on the panel ({a!r}, {b!r})")
+    return est
 
 
 def integrate_finite(
@@ -244,8 +247,9 @@ def integrate_finite(
     Order doubling from DEFAULT_ORDER handles analytic integrands; when
     doubling stalls (integrable endpoint singularities after the
     semi-infinite mapping) the panel is bisected and the error budget
-    split between the halves.  Raises QuadratureError if the accumulated
-    error estimate ends up above tolerance.
+    split between the halves.  Raises QuadratureError as soon as a panel
+    estimate is not finite, and if the accumulated error estimate ends up
+    above tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")

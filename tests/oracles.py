@@ -12,6 +12,10 @@ alpha = 0 kappa-e limit has a three-term hypergeometric form; all of these
 are evaluated in mpmath.  The normalizations integrate each finite-n
 density numerically, the quadrature counterpart of the exact total masses.
 
+The per-point double sums are the density paths as they were before the
+library evaluated a whole grid as one array: a loop over the points, one
+scaled dot product of the signed terms at each.
+
 The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
 reference builds every Gamma variate of a draw as a sum over its own
@@ -33,6 +37,7 @@ from wishartcond.exact import (
     _EdgePowerTable,
     _evaluate,
     _law_values,
+    _sign_log,
     pdf_kappa_d_grid,
     pdf_kappa_e_grid,
     pdf_lambda2_grid,
@@ -40,6 +45,48 @@ from wishartcond.exact import (
 )
 from wishartcond.numkit import integrate_finite, pochhammer_int
 from wishartcond.sampler import _box_muller_polar, _keyed_raw, _uniform
+
+
+def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """(sum_j signs_j exp(t_j), log10 of sum_j |.| / |sum_j .|) in double."""
+    shift = t.max()
+    scaled = np.exp(t - shift)
+    acc = float(np.dot(signs, scaled))
+    if acc == 0.0:
+        return 0.0, math.inf
+    return acc * math.exp(shift), math.log10(float(scaled.sum()) / abs(acc))
+
+
+def law_values_pointwise(law, ys):
+    """(density, digits lost) of an edge-power law in double, point by point."""
+    ys = np.asarray(ys, dtype=float)
+    mn = law[0].mn
+    out = np.zeros_like(ys)
+    lost = np.zeros_like(ys)
+    terms = [(t.edge, t.hi, p, *_sign_log(f)) for t in law for p, f in zip(t.powers, t.fracs) if f]
+    edges, his, powers, signs, logs = (np.array(col, dtype=float) for col in zip(*terms))
+    for i, y in enumerate(ys):
+        mask = (y > edges) & (y <= his)
+        if not mask.any():
+            continue
+        t = logs[mask] + powers[mask] * np.log(y - edges[mask]) - mn * math.log(y)
+        out[i], lost[i] = _signed_sum(signs[mask], t)
+    return out, lost
+
+
+def exp_law_values_pointwise(law, xs):
+    """(density, digits lost) of an eigenvalue law in double, point by point."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros_like(xs)
+    lost = np.zeros_like(xs)
+    rates, powers, signs, logs = (np.array(col, dtype=float) for col in zip(
+        *((rate, k, *_sign_log(c)) for rate, powers, fracs in law
+          for k, c in zip(powers, fracs) if c)))
+    for i, x in enumerate(xs):
+        if x > 0:
+            t = logs + powers * math.log(x) - rates * x
+            out[i], lost[i] = _signed_sum(signs, t)
+    return out, lost
 
 
 def _closed_pairs(n: int):

@@ -27,6 +27,11 @@ class TestParseGrid:
             with pytest.raises(UsageError):
                 parse_grid(bad)
 
+    def test_rejects_non_finite_ends(self):
+        for bad in ("3:inf:3", "0:inf:3", "-inf:0:3", "nan:1:3", "0:nan:3"):
+            with pytest.raises(UsageError, match="finite"):
+                parse_grid(bad)
+
 
 class TestRunConfig:
     def test_round_trip(self):
@@ -130,6 +135,50 @@ class TestDensityCommand:
         assert cli.main(["mgf", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
                          "--grid", "-0.5:0.5:3"]) == EXIT_USAGE
         assert "s must be >= 0" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, capsys, tmp_path):
+        mc = ["mc", "--metric", "kappa-d", "--n", "3", "--alpha", "0", "--samples", "50"]
+        density = ["density", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
+                   "--grid", "3.5:5:3"]
+        # each command keeps its own default format, whatever ran before
+        assert cli.config_from_args(mc).format == "json"
+        assert cli.config_from_args(density).format == "csv"
+        assert cli.config_from_args(density + ["--precision", "double"]).precision == "double"
+        assert cli.config_from_args(density).precision == "auto"
+        assert cli.config_from_args(mc).format == "json"
+        out = tmp_path / "mc.json"
+        assert cli.main(mc + ["--out", str(out)]) == EXIT_OK
+        assert "ks_statistic" in json.loads(out.read_text())["results"]
+        capsys.readouterr()
+        # a usage error leaves the parser usable
+        assert cli.main(density + ["--wat", "1"]) == EXIT_USAGE
+        assert cli.main(density) == EXIT_OK
+        assert capsys.readouterr().out.startswith("x,pdf\n")
+
+
+class TestNonFiniteInputs:
+    def test_density_grid_to_inf(self):
+        assert cli.main(["density", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
+                         "--grid", "3:inf:3"]) == EXIT_USAGE
+
+    def test_mgf_nan_and_inf(self, monkeypatch, capsys):
+        # refused before any quadrature: a NaN integrand once ran for minutes
+        from wishartcond import exact
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_finite called")
+
+        monkeypatch.setattr(exact, "integrate_finite", refuse)
+        base = ["mgf", "--metric", "kappa-d", "--n", "3", "--alpha", "1"]
+        assert cli.main(base + ["--s", "nan"]) == EXIT_USAGE
+        assert "NaN" in capsys.readouterr().err
+        assert cli.main(base + ["--grid", "0:inf:3"]) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
 
 
 class TestMgfCommand:

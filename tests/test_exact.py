@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exp_law_values_pointwise,
     ke_closed_alpha0_law,
+    law_values_pointwise,
     normalization_kappa_d,
     normalization_lambda_min,
     pdf_kappa_e_closed_alpha0_grid,
@@ -573,6 +575,117 @@ class TestExactCdfs:
                               for d, c in enumerate(_min_eig_fracs(dims))))
                     for x in xs]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+# (law builder, dims, grid) of every density job of the benchmark's
+# exact-curves workload, then grids on the edges of the support
+_CURVE_GRIDS = [
+    (_kd_law, Dims(4, 1), np.linspace(4.2, 40.0, 200)),
+    (_kd_law, Dims(20, 2), np.linspace(20.5, 200.0, 200)),
+    (_ke_pieces, Dims(8, 1), np.linspace(7.2, 60.0, 100)),
+    (_ke_pieces, Dims(13, 1), np.linspace(12.5, 80.0, 3)),
+    (_lambda2_law, Dims(6, 1), np.linspace(0.01, 3.0, 100)),
+    (_lambda2_law, Dims(13, 1), np.linspace(0.05, 1.0, 2)),
+    (_lambda_min_law, Dims(20, 2), np.linspace(0.0005, 0.5, 100)),
+]
+_EDGE_GRIDS = [
+    # y at the edge n, below it, and far out
+    (_kd_law, Dims(4, 1), np.array([3.0, 4.0, 4.0 + 1e-9, 1e6])),
+    # y at the near edge n - 1, at its hi n (the tail's edge) and just past
+    (_ke_pieces, Dims(4, 1), np.array([2.5, 3.0, 3.5, 4.0, np.nextafter(4.0, 5.0)])),
+    (_ke_pieces, Dims(4, 1), np.array([])),
+    (_ke_pieces, Dims(4, 1), np.array([4.0])),
+    # x <= 0 has no term
+    (_lambda2_law, Dims(4, 0), np.array([-1.0, 0.0, 1e-3, 0.4])),
+    (_lambda_min_law, Dims(3, 1), np.array([-0.5, 0.0])),
+    (_lambda_min_law, Dims(3, 1), np.array([0.7])),
+]
+
+
+def _double_values(build, dims):
+    law = build(dims)
+    if build in (_kd_law, _ke_pieces):
+        return law, _law_values, law_values_pointwise
+    return law, _exp_law_values, exp_law_values_pointwise
+
+
+class TestWholeGrid:
+    """The double path sums a whole grid as one (points x terms) array."""
+
+    @pytest.mark.parametrize("build, dims, xs", _CURVE_GRIDS + _EDGE_GRIDS)
+    def test_matches_pointwise_sums(self, build, dims, xs):
+        law, values, pointwise = _double_values(build, dims)
+        got, lost = values(law, xs, None)
+        want, want_lost = pointwise(law, xs)
+        # only the order of the final sum differs: its rounding is a few eps
+        # of sum |term| = |value| 10^lost
+        rounding = 64 * np.finfo(float).eps * 10.0 ** want_lost
+        assert np.all(np.abs(got - want) <= rounding * np.abs(want))
+        assert np.all((lost == want_lost) | (np.abs(lost - want_lost) <= rounding))
+        assert got.shape == lost.shape == xs.shape
+
+    @pytest.mark.parametrize("build, dims, xs", _CURVE_GRIDS + _EDGE_GRIDS)
+    def test_point_alone_equals_point_in_grid(self, build, dims, xs, monkeypatch):
+        from wishartcond import exact
+
+        law, values, _ = _double_values(build, dims)
+        got, lost = values(law, xs, None)
+        for i in range(xs.size):
+            alone = values(law, xs[i:i + 1], None)
+            assert (alone[0][0], alone[1][0]) == (got[i], lost[i]), xs[i]
+        terms = sum(len(piece.powers) for piece in law)
+        for block in (1, 3 * terms):
+            monkeypatch.setattr(exact, "_BLOCK", block)
+            small, small_lost = values(law, xs, None)
+            assert small.tolist() == got.tolist() and small_lost.tolist() == lost.tolist()
+
+    def test_outside_support_is_zero(self):
+        for build, dims, xs in _EDGE_GRIDS:
+            law, values, _ = _double_values(build, dims)
+            got, lost = values(law, xs, None)
+            dead = xs <= (dims.n if build is _kd_law else dims.n - 1 if build is _ke_pieces
+                          else 0.0)
+            assert got[dead].tolist() == lost[dead].tolist() == [0.0] * int(dead.sum())
+            assert np.all(got[~dead] > 0.0)
+
+
+class TestMgfGrid:
+    @pytest.mark.parametrize("fn, dims", [(mgf_kappa_d, Dims(3, 1)), (mgf_kappa_d, Dims(4, 2)),
+                                          (mgf_kappa_e, Dims(4, 1))])
+    def test_grid_equals_scalar_calls(self, fn, dims):
+        ss = np.array([0.0, 0.01, 0.05, 0.2, 0.4, 0.0, 0.05])
+        got = fn(ss, dims)
+        assert isinstance(got, np.ndarray) and got.shape == ss.shape
+        scalar = [fn(float(s), dims) for s in ss]
+        assert all(isinstance(v, float) for v in scalar)
+        assert got.tolist() == scalar
+        assert got[0] == got[5] == 1.0
+        assert fn(np.array([]), dims).shape == (0,)
+
+    def test_rejects_before_any_quadrature(self, monkeypatch):
+        from wishartcond import exact
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_finite called")
+
+        monkeypatch.setattr(exact, "integrate_finite", refuse)
+        for fn, dims in ((mgf_kappa_d, Dims(3, 1)), (mgf_kappa_e, Dims(4, 1))):
+            for bad in ([0.1, -0.1], [math.nan, 0.1], -1.0, math.nan):
+                with pytest.raises(ValueError, match="NaN|>= 0"):
+                    fn(np.array(bad) if isinstance(bad, list) else bad, dims)
+            assert fn(np.zeros((2, 2)), dims).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_debug_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wishartcond"):
+            mgf_kappa_e(np.linspace(0.0, 0.4, 5), Dims(4, 1))
+        line, = [r.getMessage() for r in caplog.records if "kappa-e mgf" in r.getMessage()]
+        fields = [int(w) for w in line.replace(",", " ").split() if w.isdigit()]
+        values, calls, arrays, points = fields
+        assert values == 5
+        # two pieces and four s > 0: node arrays are shared between the s
+        assert 2 <= arrays < calls
+        assert points >= 64 * arrays
+        assert line.endswith(" s")
 
 
 class TestMgfAgainstMpmath:

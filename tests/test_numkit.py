@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from wishartcond.exact import _lagneg, _laplace_density, _log_ratio, _mp_sum, _sign_log, _signed_sum
+from wishartcond.exact import _lagneg, _laplace_density, _log_ratio, _mp_sum, _sign_log, _signed_rows
 from wishartcond.numkit import (
     ConvergenceError,
     QuadratureError,
@@ -56,7 +56,12 @@ class TestSignedLog:
 
     def test_sum_to_zero(self):
         a = math.log(5.0)
-        assert _signed_sum(np.array([1.0, -1.0]), np.array([a, a])) == (0.0, math.inf)
+        # a row that cancels exactly loses every digit; a row with no term
+        # on its support (all -inf) is zero and loses none
+        values, lost = _signed_rows(np.array([1.0, -1.0]), np.array([a, -np.inf]),
+                                    lambda x: x + np.array([0.0, 0.0]))
+        assert values.tolist() == [0.0, 0.0]
+        assert lost.tolist() == [math.inf, 0.0]
         assert _laplace_density([(0.0, 0, 1, a), (0.0, 0, -1, a)], 2, 1.0) == 0.0
         with mpmath.workdps(40):
             assert _mp_sum([mpmath.mpf(5), -mpmath.mpf(5)]) == (0.0, math.inf)
@@ -186,6 +191,22 @@ class TestQuadrature:
             integrate_finite(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
             integrate_finite(lambda x: x, 0.0, math.inf)
+
+    def test_non_finite_panel_raises_at_once(self):
+        # a NaN or infinite integrand used to be bisected down to depth 200;
+        # the integrand refuses to run long, so a regression fails, not hangs
+        for bad in (math.nan, math.inf):
+            calls = []
+
+            def f(xs, bad=bad):
+                calls.append(len(xs))
+                if len(calls) > 20:
+                    raise AssertionError("integrand kept being evaluated")
+                return np.where(xs > 0.3, bad, 1.0)
+
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate_finite(f, 0.0, 1.0, vectorized=True)
+            assert len(calls) == 1
 
     def test_error_hierarchy(self):
         assert issubclass(QuadratureError, ConvergenceError)
