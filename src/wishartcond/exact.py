@@ -25,6 +25,14 @@ grouped into pieces of one rate each (_ExpPiece): the smallest
 eigenvalue is one piece at rate n with positive coefficients, the
 second-smallest two pieces at rates n - 1 and n.
 
+kappa-d multiplies each smallest-eigenvalue coefficient by the integer
+(mn - 1)! / p!.  kappa-e and the second-smallest eigenvalue come from one
+(alpha + 2) x (alpha + 2) Laguerre determinant, whose rows are expanded,
+shifted to w = 1 - z and divided by (1 + x)^alpha once per dimension into
+two families of integer products (_ke_row_products); each of the two laws
+is an index map over them.  Every table build logs one DEBUG line: the
+law, the dims, the terms of each piece and the seconds it took.
+
 In t = 1 - edge / y a term of a piece is a multiple of a Beta(power + 1,
 mn - power - 1) density, so every trace-ratio CDF is a finite sum of
 binomial probabilities in t and every moment generating function one
@@ -433,6 +441,16 @@ def _exp_law_cdf(law):
     return cdf
 
 
+def _log_build(law: str, dims: Dims, pieces, started: float) -> None:
+    """One DEBUG line per exact table build: the law, its dims, the nonzero
+    terms of each piece (a sequence of coefficients) and the seconds since
+    started.  With DEBUG off it costs one isEnabledFor call."""
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s table n=%d alpha=%d: %d pieces of %s terms, built in %.4f s",
+                  law, dims.n, dims.alpha, len(pieces),
+                  "/".join(str(sum(map(bool, p))) for p in pieces), time.perf_counter() - started)
+
+
 def _lagneg(deg: int, rho: int) -> FPoly:
     """L_deg^(rho)(-w) in w: (deg+rho)! / ((deg-j)! j! (rho+j)!), all positive.
     deg < 0 -> zero."""
@@ -451,11 +469,14 @@ def _min_eig_fracs(dims: Dims) -> tuple[Fraction, ...]:
     The polynomial is n! / (n + alpha - 1)! times the determinant of an
     alpha x alpha matrix of Laguerre polynomials taken at negated argument.
     """
+    started = time.perf_counter()
     n, alpha = dims.n, dims.alpha
     det = fpoly_det([[_lagneg(n + k - l - 1, l + 1) for l in range(1, alpha + 1)]
                      for k in range(1, alpha + 1)])
     lead = Fraction(math.factorial(n), math.factorial(n + alpha - 1))
-    return tuple(lead * c for c in det.fractions())
+    fracs = tuple(lead * c for c in det.fractions())
+    _log_build("lambda-min", dims, [fracs], started)
+    return fracs
 
 
 def _lambda_min_law(dims: Dims) -> tuple:
@@ -534,13 +555,15 @@ def _kd_min_table(dims: Dims) -> _EdgePowerTable:
     x^k exp(-n x) -> (mn-1)! / (mn-2-k)! (y - n)^(mn-2-k) y^(-mn), term by
     term.  It equals the nested-sum and closed tables exactly and takes
     milliseconds where the nested sums take seconds (26 s at n = 30, alpha = 4)."""
+    started = time.perf_counter()
     mn, alpha = dims.mn, dims.alpha
     powers, fracs = [], []
     for d, c in enumerate(_min_eig_fracs(dims)):
         if c:
             p = mn - 2 - d - alpha
             powers.append(p)
-            fracs.append(c * Fraction(math.factorial(mn - 1), math.factorial(p)))
+            fracs.append(c * math.perm(mn - 1, mn - 1 - p))
+    _log_build("kappa-d", dims, [fracs], started)
     return _EdgePowerTable(mn, dims.n, math.inf, tuple(powers), tuple(fracs))
 
 
@@ -679,14 +702,18 @@ def _divide_by_one_plus_x(coeffs) -> list:
     return out
 
 
-def _ke_rows(dims: Dims):
-    """(den, rows): the determinant rows over one common denominator den.
+@functools.cache
+def _ke_row_products(dims: Dims):
+    """(den, rows): the determinant over one common denominator den, as the
+    integer row products that both the kappa-e and the lambda-2 laws index.
 
-    rows lists (d, scale, row, g) for every nonzero row d, whose polynomial
-    in z is scale / den * sum_e row[e] z^e.  In w = 1 - z it is
-    w^alpha Q_d(w); g holds the integer coefficients of (1 - w)^2 Q_d(w),
-    on the same scale.  ArithmeticError if a row does not divide by w^alpha.
+    Row d is a polynomial p_d(z), w^alpha Q_d(w) in w = 1 - z.  With
+    s_d = den / (d! (d + shift)!), rows lists (d, P, R) for every nonzero
+    row: P[j] = s_d g_j j! for g = (1 - w)^2 Q_d(w), and
+    R[j] = s_d q_j (j + 2)! for q(x) = Q_d(1 + x) = p_d(-x) / (1 + x)^alpha.
+    ArithmeticError if a row does not divide by w^alpha.
     """
+    started = time.perf_counter()
     alpha = dims.alpha
     shift, nums = _ke_det(dims)
     dmax = len(nums) - 1
@@ -703,8 +730,33 @@ def _ke_rows(dims: Dims):
             g[j] += c
             g[j + 1] -= 2 * c
             g[j + 2] += c
-        rows.append((d, den // (math.factorial(d) * math.factorial(d + shift)), row, g))
-    return den, rows
+        q = [(-1) ** e * c for e, c in enumerate(row)]
+        for _ in range(alpha):
+            q = _divide_by_one_plus_x(q)
+        scale = den // (math.factorial(d) * math.factorial(d + shift))
+        rows.append((d, _times_factorials(g, scale, 0), _times_factorials(q, 2 * scale, 2)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("kappa-e rows n=%d alpha=%d: %d rows, %d integer products, built in %.4f s",
+                  dims.n, alpha, len(rows), sum(len(p) + len(r) for _, p, r in rows),
+                  time.perf_counter() - started)
+    return den, tuple(rows)
+
+
+def _times_factorials(coeffs, lead: int, first: int) -> tuple:
+    """(lead c_j (first + j)! / first!), by a running product."""
+    out = []
+    for j, c in enumerate(coeffs):
+        out.append(lead * c)
+        lead *= first + j + 1
+    return tuple(out)
+
+
+def _scatter(acc: dict, products, start: int, step: int) -> None:
+    """acc[start + step j] += products[j] for every nonzero product."""
+    for j, c in enumerate(products):
+        if c:
+            k = start + step * j
+            acc[k] = acc.get(k, 0) + c
 
 
 @functools.cache
@@ -718,26 +770,19 @@ def _ke_pieces(dims: Dims) -> tuple:
     gives A; for T > 1 the part past w = 1, at w = 1 + v, is
     B(S) = sum_j [v^j] Q_d(1 + v) S^(P+j+3) P! (j+2)! / (P+j+3)!, with
     Q_d(1 + v) = p_d(-v) / (1 + v)^alpha, and D(S) = A(S + 1) - B(S).
-    Every coefficient is an integer over one common denominator; every
-    coefficient of D must come out positive.
+    So A and B index the shared row products: a[mn-4-d+j] += P[d][j] and
+    b[mn-2-d+j] += R[d][j].  Every coefficient is an integer over one
+    common denominator; every coefficient of D must come out positive.
     """
-    n, alpha, mn = dims.n, dims.alpha, dims.mn
+    started = time.perf_counter()
+    n, mn = dims.n, dims.mn
     top = mn - 1
-    den, rows = _ke_rows(dims)
+    den, rows = _ke_row_products(dims)
     a: dict = {}   # (mn-1)!/k! a[k] / den is the coefficient of T^k
     b: dict = {}   # (mn-1)!/k! b[k] / den is the coefficient of S^k in B
-    for d, scale, row, g in rows:
-        p_neg = [(-1) ** e * c for e, c in enumerate(row)]     # p_d(-x)
-        base = mn - 5 - d
-        for j, c in enumerate(g):
-            if c:
-                a[base + j + 1] = a.get(base + j + 1, 0) + scale * c * math.factorial(j)
-        for _ in range(alpha):
-            p_neg = _divide_by_one_plus_x(p_neg)
-        for j, c in enumerate(p_neg):
-            if c:
-                k = base + j + 3
-                b[k] = b.get(k, 0) + scale * c * math.factorial(j + 2)
+    for d, prod_g, prod_q in rows:
+        _scatter(a, prod_g, mn - 4 - d, 1)
+        _scatter(b, prod_q, mn - 2 - d, 1)
     kmin, kmax = min(a), max(a)
     near = {k: Fraction(math.perm(top, top - k) * c, den) for k, c in a.items() if c}
     # [S^p] A(S + 1) = (mn-1)! / (p! den) sum_{k >= p} a[k] / (k - p)!
@@ -756,8 +801,10 @@ def _ke_pieces(dims: Dims) -> tuple:
         if c:
             tail[p] = Fraction(c, den)
         binom = binom * (kmax - p) // (p + 1)
-    return (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
-            _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
+    law = (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
+           _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
+    _log_build("kappa-e", dims, [t.fracs for t in law], started)
+    return law
 
 
 def _ke_law(dims: Dims) -> tuple:
@@ -822,30 +869,31 @@ def _lambda2_law(dims: Dims) -> tuple:
     Its density is x^3 exp(-(n-1) x) sum_d x^d int_0^1 (1 - w)^2 Q_d(w)
     exp(-w x) dw, row d of the determinant being w^alpha Q_d(w).  With
     int_0^1 w^j exp(-w x) dw = j! / x^(j+1) (1 - exp(-x) sum_{i<=j} x^i / i!),
-    a term g_j w^j of (1 - w)^2 Q_d(w) gives g_j j! x^(d+2-j) at rate n - 1
-    and -g_j j! / i! x^(d+2-j+i), i <= j, at rate n.  Every coefficient is
-    an integer over one common denominator; a power below alpha raises
-    ArithmeticError.
+    a term g_j w^j of g = (1 - w)^2 Q_d(w) gives g_j j! x^(d+2-j) at rate
+    n - 1: near[d+2-j] += P[d][j] of the shared row products.  At rate n
+    the terms of power d + 2 - m gather, over i = j - m, into
+    -sum_j g_j j! / (j - m)! = -m! [x^m] g(1 + x) = -m! q_(m-2), since
+    g(1 + x) = x^2 Q_d(1 + x): far[d-j] -= R[d][j].  Every coefficient is
+    an integer over one common denominator; a power below alpha, in
+    either piece, raises ArithmeticError.
     """
     _check_kappa_e_dims(dims)
+    started = time.perf_counter()
     n, alpha = dims.n, dims.alpha
-    den, rows = _ke_rows(dims)
+    den, rows = _ke_row_products(dims)
     near: dict = {}
-    far: dict = {}
-    for d, scale, _, g in rows:
-        for j, c in enumerate(g):
-            if not c:
-                continue
-            k = d + 2 - j
-            if k < alpha:
-                raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
-            near[k] = near.get(k, 0) + scale * c * math.factorial(j)
-            for i in range(j + 1):
-                far[k + i] = far.get(k + i, 0) - scale * c * math.perm(j, j - i)
+    far: dict = {}   # negated
+    for d, prod_g, prod_q in rows:
+        _scatter(near, prod_g, d + 2, -1)
+        _scatter(far, prod_q, d, -1)
+    k = min([*near, *far])
+    if k < alpha:
+        raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
     pieces = []
-    for rate, nums in ((n - 1, near), (n, far)):
+    for rate, sign, nums in ((n - 1, 1, near), (n, -1, far)):
         powers = tuple(k for k in sorted(nums) if nums[k])
-        pieces.append(_ExpPiece(rate, powers, tuple(Fraction(nums[k], den) for k in powers)))
+        pieces.append(_ExpPiece(rate, powers, tuple(Fraction(sign * nums[k], den) for k in powers)))
+    _log_build("lambda-2", dims, [p.fracs for p in pieces], started)
     return tuple(pieces)
 
 

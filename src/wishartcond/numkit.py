@@ -8,8 +8,9 @@ them stay exact without rational arithmetic.
 
 poisson_mix sums a Poisson mixture one term at a time, in logs, so that
 factorials and powers far outside the double range never form.  The
-quadrature routine is adaptive Gauss-Legendre: order doubling first,
-panel bisection when doubling stalls.
+quadrature routine is adaptive Gauss-Legendre, on rules found by Newton's
+method on the Legendre recurrence: order doubling first, panel bisection
+when doubling stalls.
 """
 
 from __future__ import annotations
@@ -206,12 +207,43 @@ def fpoly_split_det(pairs, block, deg: int | None = None):
 # adaptive Gauss-Legendre quadrature
 
 
+# Newton steps allowed per rule; from the cosine start a few suffice
+_NEWTON_CAP = 50
+
+
+def _legendre(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_order(x), P_order'(x)) by the three-term recurrence, |x| < 1."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, order + 1):
+        xc = x * cur
+        prev, cur = cur, xc + (k - 1) / k * (xc - prev)
+    return cur, order * (x * cur - prev) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, weights) of the Gauss-Legendre rule on (-1, 1)."""
+    """(nodes, weights) of the Gauss-Legendre rule on (-1, 1), nodes
+    ascending.  Newton's method on P_order from x_i = cos(pi (i - 1/4) /
+    (order + 1/2)) finds the positive nodes, the weights are
+    2 / ((1 - x^2) P_order'(x)^2), and the negative half is their mirror;
+    the middle node of an odd order is exactly 0."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return np.polynomial.legendre.leggauss(order)
+    half = order // 2
+    x = np.cos(np.pi * (np.arange(1, half + 1) - 0.25) / (order + 0.5))
+    for _ in range(_NEWTON_CAP):
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x -= step
+        if np.all(np.abs(step) <= 1e-14):
+            break
+    else:
+        raise ConvergenceError(f"Gauss-Legendre nodes of order {order} did not converge")
+    if order % 2:
+        x = np.append(x, 0.0)
+    _, dp = _legendre(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
 DEFAULT_ORDER = 64

@@ -12,6 +12,12 @@ alpha = 0 kappa-e limit has a three-term hypergeometric form; all of these
 are evaluated in mpmath.  The normalizations integrate each finite-n
 density numerically, the quadrature counterpart of the exact total masses.
 
+The exact tables as they were built before the kappa-e and lambda-2 laws
+shared one set of integer row products (lambda-2 with a loop over i <= j
+per term, kappa-d with a Fraction of two factorials per term) are the
+references the production tables must equal as tuples.  The high-precision
+Gauss-Legendre rule is Newton's method in mpmath at 40 digits.
+
 The per-point double sums are the density paths as they were before the
 library evaluated a whole grid as one array: a loop over the points, one
 scaled dot product of the signed terms at each.
@@ -34,9 +40,14 @@ import numpy as np
 from wishartcond import asymptotic
 from wishartcond.exact import (
     Dims,
+    _divide_by_one_plus_x,
     _EdgePowerTable,
     _evaluate,
+    _ExpPiece,
+    _ke_det,
     _law_values,
+    _min_eig_fracs,
+    _shift_by_one,
     _sign_log,
     pdf_kappa_d_grid,
     pdf_kappa_e_grid,
@@ -206,6 +217,140 @@ def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np
                           * mpmath.exp(-(1 - z) * x))
             out[idx] = float(x ** 3 * mpmath.exp(-(n - 1) * x) * total / 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact tables as the library built them before the shared row products:
+# kappa-d with a Fraction of two factorials per term, and the kappa-e and
+# lambda-2 laws each from its own pass over the determinant rows, lambda-2
+# with an inner loop over i <= j
+
+
+def kd_min_table_oracle(dims: Dims) -> _EdgePowerTable:
+    mn, alpha = dims.mn, dims.alpha
+    powers, fracs = [], []
+    for d, c in enumerate(_min_eig_fracs(dims)):
+        if c:
+            p = mn - 2 - d - alpha
+            powers.append(p)
+            fracs.append(c * Fraction(math.factorial(mn - 1), math.factorial(p)))
+    return _EdgePowerTable(mn, dims.n, math.inf, tuple(powers), tuple(fracs))
+
+
+def _ke_rows_oracle(dims: Dims):
+    """(den, rows): rows lists (d, scale, row, g) for every nonzero row d,
+    whose polynomial in z is scale / den * sum_e row[e] z^e, with g the
+    integer coefficients of (1 - w)^2 Q_d(w) on the same scale."""
+    alpha = dims.alpha
+    shift, nums = _ke_det(dims)
+    dmax = len(nums) - 1
+    den = math.factorial(dmax) * math.factorial(dmax + shift)
+    rows = []
+    for d, row in enumerate(nums):
+        if not any(row):
+            continue
+        cw = [(-1) ** e * c for e, c in enumerate(_shift_by_one(row))]
+        if any(cw[:alpha]):
+            raise ArithmeticError("determinant row not divisible by (1 - z)^alpha")
+        g = [0] * (len(cw) - alpha + 2)
+        for j, c in enumerate(cw[alpha:]):
+            g[j] += c
+            g[j + 1] -= 2 * c
+            g[j + 2] += c
+        rows.append((d, den // (math.factorial(d) * math.factorial(d + shift)), row, g))
+    return den, rows
+
+
+def ke_pieces_oracle(dims: Dims) -> tuple:
+    n, alpha, mn = dims.n, dims.alpha, dims.mn
+    top = mn - 1
+    den, rows = _ke_rows_oracle(dims)
+    a: dict = {}
+    b: dict = {}
+    for d, scale, row, g in rows:
+        p_neg = [(-1) ** e * c for e, c in enumerate(row)]
+        base = mn - 5 - d
+        for j, c in enumerate(g):
+            if c:
+                a[base + j + 1] = a.get(base + j + 1, 0) + scale * c * math.factorial(j)
+        for _ in range(alpha):
+            p_neg = _divide_by_one_plus_x(p_neg)
+        for j, c in enumerate(p_neg):
+            if c:
+                k = base + j + 3
+                b[k] = b.get(k, 0) + scale * c * math.factorial(j + 2)
+    kmin, kmax = min(a), max(a)
+    near = {k: Fraction(math.perm(top, top - k) * c, den) for k, c in a.items() if c}
+    lead = math.perm(top, top - kmax)
+    binom = 1
+    tail = {}
+    for p in range(kmax + 1):
+        h = 0
+        for k in range(max(p, kmin), kmax + 1):
+            h = h * (k - p) + a.get(k, 0)
+        c = lead * binom * h - (math.perm(top, top - p) * b[p] if p in b else 0)
+        if c < 0:
+            raise ArithmeticError(f"kappa-e table: negative tail coefficient at power {p}")
+        if c:
+            tail[p] = Fraction(c, den)
+        binom = binom * (kmax - p) // (p + 1)
+    return (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
+            _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
+
+
+def lambda2_law_oracle(dims: Dims) -> tuple:
+    """A term g_j w^j of (1 - w)^2 Q_d(w) gives g_j j! x^(d+2-j) at rate
+    n - 1 and -g_j j! / i! x^(d+2-j+i), i <= j, at rate n."""
+    n, alpha = dims.n, dims.alpha
+    den, rows = _ke_rows_oracle(dims)
+    near: dict = {}
+    far: dict = {}
+    for d, scale, _, g in rows:
+        for j, c in enumerate(g):
+            if not c:
+                continue
+            k = d + 2 - j
+            if k < alpha:
+                raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
+            near[k] = near.get(k, 0) + scale * c * math.factorial(j)
+            for i in range(j + 1):
+                far[k + i] = far.get(k + i, 0) - scale * c * math.perm(j, j - i)
+    pieces = []
+    for rate, nums in ((n - 1, near), (n, far)):
+        powers = tuple(k for k in sorted(nums) if nums[k])
+        pieces.append(_ExpPiece(rate, powers, tuple(Fraction(nums[k], den) for k in powers)))
+    return tuple(pieces)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule at high precision
+
+
+@functools.cache
+def gauss_legendre_mp(order: int, dps: int = 40) -> tuple[list, list]:
+    """(nodes, weights) of the order-point Gauss-Legendre rule as mpmath
+    floats at dps digits, nodes ascending: Newton's method on P_order, by
+    its three-term recurrence, from x_i = cos(pi (i - 1/4) / (order + 1/2)),
+    until a step is below 10^-(dps + 2); weights 2 / ((1 - x^2) P'(x)^2).
+    Only the nonnegative half is computed, the rest is its mirror."""
+    nodes, weights = [], []
+    with mpmath.workdps(dps + 10):
+        for i in range(1, (order + 1) // 2 + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (order + mpmath.mpf(1) / 2))
+            while True:
+                prev, cur = mpmath.mpf(1), x
+                for k in range(2, order + 1):
+                    prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+                dp = order * (x * cur - prev) / (x * x - 1)
+                step = cur / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -(dps + 2):
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    mirror = order // 2
+    return ([-x for x in nodes[:mirror]] + nodes[::-1],
+            weights[:mirror] + weights[::-1])
 
 
 # ---------------------------------------------------------------------------

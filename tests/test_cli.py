@@ -317,7 +317,8 @@ class TestNumericalExit:
         def explode(dims):
             raise ArithmeticError("synthetic table failure")
         monkeypatch.setattr(exact, "_ke_det", explode)
-        # a cleared cache, so the density is rebuilt through the patched table
+        # cleared caches, so the density is rebuilt through the patched table
+        exact._ke_row_products.cache_clear()
         exact._ke_pieces.cache_clear()
         assert cli.main(["density", "--metric", "kappa-e", "--n", "4",
                          "--alpha", "1", "--grid", "4:6:3"]) == EXIT_NUMERICAL

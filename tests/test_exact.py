@@ -8,7 +8,10 @@ import pytest
 
 from oracles import (
     exp_law_values_pointwise,
+    kd_min_table_oracle,
     ke_closed_alpha0_law,
+    ke_pieces_oracle,
+    lambda2_law_oracle,
     law_values_pointwise,
     normalization_kappa_d,
     normalization_lambda_min,
@@ -25,6 +28,7 @@ from wishartcond.exact import (
     Dims,
     _exp_law_values,
     _kd_law,
+    _kd_min_table,
     _ke_bivariate_w_fracs,
     _ke_pieces,
     _lambda2_law,
@@ -233,6 +237,8 @@ class TestLambda2:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
+        # a cleared cache, so the shared rows are built again under the patch
+        exact._ke_row_products.cache_clear()
         with pytest.raises(ArithmeticError):
             exact._lambda2_law.__wrapped__(Dims(4, 1))
 
@@ -245,6 +251,7 @@ class TestLambda2:
         monkeypatch.setattr(exact, "integrate_finite", refuse)
         # cleared caches, so the tables are built again under the patch
         exact._ke_det.cache_clear()
+        exact._ke_row_products.cache_clear()
         exact._lambda2_law.cache_clear()
         dims = Dims(5, 2)
         xs = np.array([0.001, 0.4, 3.0])
@@ -537,6 +544,8 @@ class TestKappaEPieces:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
+        # a cleared cache, so the shared rows are built again under the patch
+        exact._ke_row_products.cache_clear()
         with pytest.raises(ArithmeticError):
             exact._ke_pieces.__wrapped__(Dims(4, 1))
 
@@ -759,3 +768,79 @@ class TestExtendedFrozen:
         got = _at_dps(_ke_pieces(Dims(13, 1)), np.linspace(12.5, 80.0, 3))
         assert got.tolist() == [2.0233902330738344e-187, 2.4260033112577264e-11,
                                 1.9864764892832928e-05]
+
+
+_KE_TABLE_DIMS = ([Dims(n, alpha) for n in range(3, 14) for alpha in range(4)]
+                  + [Dims(20, 3), Dims(30, 2), Dims(50, 1)])
+
+
+class TestTableBuilds:
+    """Every production table equals, as a tuple, the table of the builder
+    it replaced; so every density, CDF and MGF built on it is unchanged."""
+
+    def test_kappa_d_equals_fraction_builder(self):
+        for n in range(2, 31):
+            for alpha in range(5):
+                dims = Dims(n, alpha)
+                assert _kd_min_table(dims) == kd_min_table_oracle(dims), dims
+
+    @pytest.mark.parametrize("dims", _KE_TABLE_DIMS, ids=str)
+    def test_kappa_e_and_lambda2_equal_per_law_builders(self, dims):
+        assert _ke_pieces(dims) == ke_pieces_oracle(dims)
+        assert _lambda2_law(dims) == lambda2_law_oracle(dims)
+
+    def test_shared_rows_built_once(self):
+        from wishartcond import exact
+
+        for fn in (exact._ke_row_products, exact._ke_pieces, exact._lambda2_law):
+            fn.cache_clear()
+        dims = Dims(7, 2)
+        _ke_pieces(dims)
+        _lambda2_law(dims)
+        info = exact._ke_row_products.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_lambda2_far_piece_checks_its_powers(self, monkeypatch):
+        # a row product whose far power falls below alpha, the near ones intact
+        from wishartcond import exact
+
+        den, rows = exact._ke_row_products(Dims(4, 1))
+        d, prod_g, prod_q = rows[0]
+        broken = ((d, prod_g, prod_q + (0,) * d + (1,)),) + rows[1:]
+        monkeypatch.setattr(exact, "_ke_row_products", lambda dims: (den, broken))
+        with pytest.raises(ArithmeticError, match="below alpha"):
+            exact._lambda2_law.__wrapped__(Dims(4, 1))
+
+    def test_one_debug_line_per_build(self, caplog):
+        from wishartcond import exact
+
+        builders = (exact._ke_det, exact._ke_row_products, exact._ke_pieces,
+                    exact._lambda2_law, exact._min_eig_fracs, exact._kd_min_table)
+        for fn in builders:
+            fn.cache_clear()
+        dims = Dims(5, 1)
+        with caplog.at_level(logging.DEBUG, logger="wishartcond"):
+            for _ in range(2):
+                _ke_pieces(dims)
+                _lambda2_law(dims)
+                _kd_min_table(dims)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 5
+        for law, pieces in (("kappa-e", 2), ("lambda-2", 2), ("lambda-min", 1), ("kappa-d", 1)):
+            line, = [m for m in lines if m.startswith(f"{law} table n=5 alpha=1: ")]
+            assert f": {pieces} pieces of " in line and line.endswith(" s")
+        ke = exact._ke_pieces(dims)
+        assert any(m.startswith(f"kappa-e table n=5 alpha=1: 2 pieces of "
+                                f"{len(ke[0].fracs)}/{len(ke[1].fracs)} terms") for m in lines)
+        rows, = [m for m in lines if m.startswith("kappa-e rows n=5 alpha=1: ")]
+        assert f"{len(exact._ke_row_products(dims)[1])} rows" in rows
+
+    def test_no_debug_call_without_debug(self, monkeypatch, caplog):
+        from wishartcond import exact
+
+        monkeypatch.setattr(exact.log, "debug", None)   # a call would raise
+        for fn in (exact._kd_min_table, exact._ke_row_products, exact._ke_pieces):
+            fn.cache_clear()
+        with caplog.at_level(logging.INFO, logger="wishartcond"):
+            _kd_min_table(Dims(4, 2))
+            _ke_pieces(Dims(4, 2))

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import gauss_legendre_mp
 from wishartcond.exact import _lagneg, _laplace_density, _log_ratio, _mp_sum, _sign_log, _signed_rows
 from wishartcond.numkit import (
     ConvergenceError,
@@ -172,6 +173,17 @@ class TestQuadrature:
         assert weights.sum() == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
+
+    @pytest.mark.parametrize("order", [1, 2, 12, 13, 64, 128, 256])
+    def test_rule_matches_40_digits(self, order):
+        nodes, weights = gauss_legendre_rule(order)
+        want_nodes, want_weights = gauss_legendre_mp(order)
+        assert np.max(np.abs(nodes - np.array(want_nodes, dtype=float))) <= 2.3e-16
+        assert np.max(np.abs(weights / np.array(want_weights, dtype=float) - 1.0)) <= 2e-12
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        if order % 2:
+            assert nodes[order // 2] == 0.0
 
     def test_polynomial(self):
         got = integrate_finite(lambda x: x * x, 0.0, 1.0, rtol=1e-12)
