@@ -187,7 +187,7 @@ def _workers() -> int:
 
 def _need_dims(cfg: RunConfig) -> Dims:
     if cfg.n is None or cfg.alpha is None:
-        raise UsageError("the exact kind needs both --n and --alpha")
+        raise UsageError("this command needs both --n and --alpha")
     if cfg.metric == METRIC_KAPPA_E and cfg.n == 2:
         raise UsageError(
             "kappa-e needs n >= 3: at n=2 the second-smallest eigenvalue is "
@@ -281,22 +281,18 @@ def _exact_cdf(metric: str, dims: Dims):
 
 
 def _mc_run(cfg: RunConfig, threshold: float | None = None) -> dict:
-    """The ``results`` of the report for one MC configuration."""
+    """The ``results`` of the report for one MC configuration.  The flags
+    are checked and the CDF is built before the first draw."""
     dims = _need_dims(cfg)
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
-    started = time.perf_counter()
-    draws = mc_collect(cfg.metric, dims, cfg.samples, cfg.seed, workers=_workers())
-    sample_s = time.perf_counter() - started
-    cost = {"sample_s": sample_s, "draws_per_s": cfg.samples / sample_s}
-    log.debug("mc_collect %s n=%d alpha=%d: sample_s=%.4f draws_per_s=%.0f",
-              cfg.metric, dims.n, dims.alpha, sample_s, cost["draws_per_s"])
+    if cfg.bins < 1:
+        raise UsageError("--bins must be >= 1")
     if cfg.kind == "asymptotic":
         if cfg.metric not in (METRIC_KAPPA_D, METRIC_KAPPA_E):
             raise UsageError("asymptotic comparison exists for kappa-d and kappa-e only")
         mu = cfg.mu if cfg.mu is not None else 1.0
         params = ScaledParams(mu, dims.alpha)
-        draws = draws / (mu * dims.n ** 3)
         if cfg.metric == METRIC_KAPPA_D:
             cdf = cdf_v_kappa_d_interp(params)
         else:
@@ -306,6 +302,14 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None) -> dict:
     else:
         cdf = _exact_cdf(cfg.metric, dims)
         meta = {"kind": "exact"}
+    started = time.perf_counter()
+    draws = mc_collect(cfg.metric, dims, cfg.samples, cfg.seed, workers=_workers())
+    sample_s = time.perf_counter() - started
+    cost = {"sample_s": sample_s, "draws_per_s": cfg.samples / sample_s}
+    log.debug("mc_collect %s n=%d alpha=%d: sample_s=%.4f draws_per_s=%.0f",
+              cfg.metric, dims.n, dims.alpha, sample_s, cost["draws_per_s"])
+    if "scale" in meta:
+        draws = draws / meta["scale"]
     results = build_report(cfg.metric, dims, draws, cfg.seed, cdf,
                            bins=cfg.bins, threshold=threshold)
     results["meta"].update(meta, **cost)

@@ -25,12 +25,13 @@ grouped into pieces of one rate each (_ExpPiece): the smallest
 eigenvalue is one piece at rate n with positive coefficients, the
 second-smallest two pieces at rates n - 1 and n.
 
-kappa-d multiplies each smallest-eigenvalue coefficient by the integer
-(mn - 1)! / p!.  kappa-e and the second-smallest eigenvalue come from one
-(alpha + 2) x (alpha + 2) Laguerre determinant, whose rows are expanded,
-shifted to w = 1 - z and divided by (1 + x)^alpha once per dimension into
-two families of integer products (_ke_row_products); each of the two laws
-is an index map over them.  Every table build logs one DEBUG line: the
+Each trace-ratio law is the image of its eigenvalue law under the
+inverse-Laplace pair exp(-r s) s^(-k) -> (y - r)^(k-1) / Gamma(k) on
+y > r, which takes c x^k exp(-r x) to c (mn - 1)! / p! (y - r)^p y^(-mn),
+p = mn - 2 - k (_trace_ratio_law).  The second-smallest eigenvalue comes
+from one (alpha + 2) x (alpha + 2) Laguerre determinant, whose rows are
+expanded, shifted to w = 1 - z and divided by (1 + x)^alpha into integer
+products (_ke_row_products).  Every table build logs one DEBUG line: the
 law, the dims, the terms of each piece and the seconds it took.
 
 In t = 1 - edge / y a term of a piece is a multiple of a Beta(power + 1,
@@ -50,9 +51,8 @@ keep fewer than 13.  The two second-smallest-eigenvalue pieces cancel
 near x = 0, so those points go to DEFAULT_DPS digits or more.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
-push the eigenvalue densities through the inverse-Laplace pair
-exp(-a s) s^(-k) -> (y - a)^(k-1) / Gamma(k) on y > a, in double; they
-order the computation differently and serve as cross-checks.
+push the eigenvalue densities through the same pair in double, in another
+order, as cross-checks.
 """
 
 from __future__ import annotations
@@ -549,38 +549,22 @@ def _kd_closed_table(dims: Dims) -> _EdgePowerTable:
     raise ValueError("closed mode covers alpha 0 and 1 only")
 
 
-@functools.cache
-def _kd_min_table(dims: Dims) -> _EdgePowerTable:
-    """The kappa-d table from the smallest-eigenvalue polynomial: the pair
-    x^k exp(-n x) -> (mn-1)! / (mn-2-k)! (y - n)^(mn-2-k) y^(-mn), term by
-    term.  It equals the nested-sum and closed tables exactly and takes
-    milliseconds where the nested sums take seconds (26 s at n = 30, alpha = 4)."""
-    started = time.perf_counter()
-    mn, alpha = dims.mn, dims.alpha
-    powers, fracs = [], []
-    for d, c in enumerate(_min_eig_fracs(dims)):
-        if c:
-            p = mn - 2 - d - alpha
-            powers.append(p)
-            fracs.append(c * math.perm(mn - 1, mn - 1 - p))
-    _log_build("kappa-d", dims, [fracs], started)
-    return _EdgePowerTable(mn, dims.n, math.inf, tuple(powers), tuple(fracs))
-
-
-_KD_BUILDERS = {"auto": _kd_min_table, "theorem": _kd_nested_table, "closed": _kd_closed_table}
+_KD_CHECKS = {"theorem": _kd_nested_table, "closed": _kd_closed_table}
 
 
 def _kd_law(dims: Dims, mode: str = "auto") -> tuple:
-    """The kappa-d law, one piece.  'auto' builds it from the smallest-
-    eigenvalue polynomial; 'theorem' (nested sums) and 'closed' (alpha <= 1)
-    are the independent constructions it is checked against."""
+    """The kappa-d law, one piece.  'auto' maps the smallest-eigenvalue law
+    (_trace_ratio_law); 'theorem' (nested sums, 26 s at n = 30, alpha = 4) and
+    'closed' (alpha <= 1) are the independent constructions it is checked against."""
     if dims.n < 2:
         raise ValueError("n must be >= 2")
-    if mode not in _KD_BUILDERS:
+    if mode == "auto":
+        return _trace_ratio_law(METRIC_KAPPA_D, dims)
+    if mode not in _KD_CHECKS:
         raise ValueError("mode must be 'auto', 'theorem' or 'closed'")
     if mode == "theorem" and dims.alpha > _NESTED_SUM_ALPHA_CAP:
         raise ValueError(f"alpha={dims.alpha} above the nested-sum cap {_NESTED_SUM_ALPHA_CAP}")
-    return (_KD_BUILDERS[mode](dims),)
+    return (_KD_CHECKS[mode](dims),)
 
 
 def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto") -> np.ndarray:
@@ -702,10 +686,9 @@ def _divide_by_one_plus_x(coeffs) -> list:
     return out
 
 
-@functools.cache
 def _ke_row_products(dims: Dims):
     """(den, rows): the determinant over one common denominator den, as the
-    integer row products that both the kappa-e and the lambda-2 laws index.
+    integer row products that the lambda-2 law indexes.
 
     Row d is a polynomial p_d(z), w^alpha Q_d(w) in w = 1 - z.  With
     s_d = den / (d! (d + shift)!), rows lists (d, P, R) for every nonzero
@@ -751,71 +734,17 @@ def _times_factorials(coeffs, lead: int, first: int) -> tuple:
     return tuple(out)
 
 
-def _scatter(acc: dict, products, start: int, step: int) -> None:
-    """acc[start + step j] += products[j] for every nonzero product."""
+def _scatter(acc: dict, products, start: int) -> None:
+    """acc[start - j] += products[j] for every nonzero product."""
     for j, c in enumerate(products):
         if c:
-            k = start + step * j
-            acc[k] = acc.get(k, 0) + c
-
-
-@functools.cache
-def _ke_pieces(dims: Dims) -> tuple:
-    """The kappa-e law as two exact pieces: A(T) at edge n - 1 on (n - 1, n]
-    and D(S) at edge n on (n, inf), T = y - n + 1, S = y - n.
-
-    In w = 1 - z row d of the determinant is w^alpha Q_d(w), and its
-    z-integral is int_0^min(1, T) (T - w)^P Q_d(w) (1 - w)^2 dw with
-    P = mn - 5 - d.  Termwise, int_0^T (T - w)^P w^q dw = T^(P+q+1) P! q! / (P+q+1)!
-    gives A; for T > 1 the part past w = 1, at w = 1 + v, is
-    B(S) = sum_j [v^j] Q_d(1 + v) S^(P+j+3) P! (j+2)! / (P+j+3)!, with
-    Q_d(1 + v) = p_d(-v) / (1 + v)^alpha, and D(S) = A(S + 1) - B(S).
-    So A and B index the shared row products: a[mn-4-d+j] += P[d][j] and
-    b[mn-2-d+j] += R[d][j].  Every coefficient is an integer over one
-    common denominator; every coefficient of D must come out positive.
-    """
-    started = time.perf_counter()
-    n, mn = dims.n, dims.mn
-    top = mn - 1
-    den, rows = _ke_row_products(dims)
-    a: dict = {}   # (mn-1)!/k! a[k] / den is the coefficient of T^k
-    b: dict = {}   # (mn-1)!/k! b[k] / den is the coefficient of S^k in B
-    for d, prod_g, prod_q in rows:
-        _scatter(a, prod_g, mn - 4 - d, 1)
-        _scatter(b, prod_q, mn - 2 - d, 1)
-    kmin, kmax = min(a), max(a)
-    near = {k: Fraction(math.perm(top, top - k) * c, den) for k, c in a.items() if c}
-    # [S^p] A(S + 1) = (mn-1)! / (p! den) sum_{k >= p} a[k] / (k - p)!
-    #               = (mn-1)! / (kmax! den) C(kmax, p) h_p,
-    # h_p = sum_k a[k] (kmax - p)! / (k - p)!, by Horner in k
-    lead = math.perm(top, top - kmax)
-    binom = 1
-    tail = {}
-    for p in range(kmax + 1):
-        h = 0
-        for k in range(max(p, kmin), kmax + 1):
-            h = h * (k - p) + a.get(k, 0)
-        c = lead * binom * h - (math.perm(top, top - p) * b[p] if p in b else 0)
-        if c < 0:
-            raise ArithmeticError(f"kappa-e table: negative tail coefficient at power {p}")
-        if c:
-            tail[p] = Fraction(c, den)
-        binom = binom * (kmax - p) // (p + 1)
-    law = (_EdgePowerTable(mn, n - 1, float(n), tuple(near), tuple(near.values())),
-           _EdgePowerTable(mn, n, math.inf, tuple(tail), tuple(tail.values())))
-    _log_build("kappa-e", dims, [t.fracs for t in law], started)
-    return law
-
-
-def _ke_law(dims: Dims) -> tuple:
-    _check_kappa_e_dims(dims)
-    return _ke_pieces(dims)
+            acc[start - j] = acc.get(start - j, 0) + c
 
 
 def pdf_kappa_e_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
     """Density of trace / second-smallest eigenvalue.  Support is y > n - 1."""
-    return _evaluate(functools.partial(_law_values, _ke_law(dims)), ys, precision,
-                     "kappa-e density")
+    return _evaluate(functools.partial(_law_values, _trace_ratio_law(METRIC_KAPPA_E, dims)), ys,
+                     precision, "kappa-e density")
 
 
 def pdf_kappa_e(y: float, dims: Dims, precision: str = "auto") -> float:
@@ -870,7 +799,7 @@ def _lambda2_law(dims: Dims) -> tuple:
     exp(-w x) dw, row d of the determinant being w^alpha Q_d(w).  With
     int_0^1 w^j exp(-w x) dw = j! / x^(j+1) (1 - exp(-x) sum_{i<=j} x^i / i!),
     a term g_j w^j of g = (1 - w)^2 Q_d(w) gives g_j j! x^(d+2-j) at rate
-    n - 1: near[d+2-j] += P[d][j] of the shared row products.  At rate n
+    n - 1: near[d+2-j] += P[d][j] of the row products.  At rate n
     the terms of power d + 2 - m gather, over i = j - m, into
     -sum_j g_j j! / (j - m)! = -m! [x^m] g(1 + x) = -m! q_(m-2), since
     g(1 + x) = x^2 Q_d(1 + x): far[d-j] -= R[d][j].  Every coefficient is
@@ -884,8 +813,8 @@ def _lambda2_law(dims: Dims) -> tuple:
     near: dict = {}
     far: dict = {}   # negated
     for d, prod_g, prod_q in rows:
-        _scatter(near, prod_g, d + 2, -1)
-        _scatter(far, prod_q, d, -1)
+        _scatter(near, prod_g, d + 2)
+        _scatter(far, prod_q, d)
     k = min([*near, *far])
     if k < alpha:
         raise ArithmeticError(f"lambda-2 table: power {k} below alpha")
@@ -915,7 +844,63 @@ def mgf_kappa_e(s, dims: Dims):
     At s = 0 this is the total mass of the law and returns exactly 1.0.
     For s > 0 the value comes from quadrature to a relative 1e-9.
     """
-    return _law_mgf(_ke_law(dims), s, "kappa-e mgf")
+    return _law_mgf(_trace_ratio_law(METRIC_KAPPA_E, dims), s, "kappa-e mgf")
+
+
+# ---------------------------------------------------------------------------
+# trace-ratio laws from eigenvalue laws
+
+
+@functools.cache
+def _trace_ratio_law(metric: str, dims: Dims) -> tuple:
+    """The kappa-d or kappa-e law, the image of the smallest- or second-
+    smallest-eigenvalue law under the pair of the module docstring.
+
+    kappa-d has one rate, n.  kappa-e has two: the image A(T) of the
+    rate-(n - 1) piece, T = y - n + 1, is the near piece on (n - 1, n];
+    past n, A(S + 1), S = y - n, adds to the image of the rate-n piece.
+    With a[k] (mn-1)! / k! the coefficient of T^k, [S^p] A(S + 1) is
+    (mn-1)! / kmax! C(kmax, p) h_p, h_p = sum_k a[k] (kmax - p)! / (k - p)!
+    by Horner in k.  Every coefficient is an integer over one common
+    denominator; a negative one in the last piece, on (edge, inf), raises
+    ArithmeticError.
+    """
+    started = time.perf_counter()
+    eig = _lambda_min_law(dims) if metric == METRIC_KAPPA_D else _lambda2_law(dims)
+    mn = dims.mn
+    top = mn - 1
+    den = math.lcm(*(c.denominator for piece in eig for c in piece.fracs))
+    # per rate, a[p] (mn-1)! / p! / den is the coefficient of (y - rate)^p
+    (edge, a), *rest = [(rate, {top - 1 - k: c.numerator * (den // c.denominator)
+                                for k, c in zip(powers, fracs)}) for rate, powers, fracs in eig]
+    nums = {p: math.perm(top, top - p) * c for p, c in a.items()}
+    pieces = []
+    if rest:
+        (rate, b), = rest   # kappa-e: the rate-n image, one above edge
+        pieces.append((edge, float(rate), nums))
+        kmin, kmax = min(a), max(a)
+        lead = math.perm(top, top - kmax)
+        binom = 1
+        nums = {}
+        for p in range(kmax + 1):
+            h = 0
+            for k in range(max(p, kmin), kmax + 1):
+                h = h * (k - p) + a.get(k, 0)
+            nums[p] = lead * binom * h
+            binom = binom * (kmax - p) // (p + 1)
+        for p, c in b.items():
+            nums[p] = nums.get(p, 0) + math.perm(top, top - p) * c
+        nums = {p: c for p, c in nums.items() if c}
+        edge = rate
+    for p, c in nums.items():
+        if c < 0:
+            raise ArithmeticError(f"{metric} table: negative coefficient at power {p}")
+    pieces.append((edge, math.inf, nums))
+    law = tuple(_EdgePowerTable(mn, lo, hi, tuple(terms),
+                                tuple(Fraction(c, den) for c in terms.values()))
+                for lo, hi, terms in pieces)
+    _log_build(metric, dims, [t.fracs for t in law], started)
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +917,7 @@ def cdf_kappa_d_interp(dims: Dims, y_max: float | None = None):
 def cdf_kappa_e_interp(dims: Dims):
     """Exact vectorized CDF of the kappa-e metric, the sum of the near
     piece's CDF at min(y, n) and the tail piece's."""
-    return _law_cdf(_ke_law(dims))
+    return _law_cdf(_trace_ratio_law(METRIC_KAPPA_E, dims))
 
 
 def cdf_lambda_min_interp(dims: Dims):

@@ -12,11 +12,13 @@ alpha = 0 kappa-e limit has a three-term hypergeometric form; all of these
 are evaluated in mpmath.  The normalizations integrate each finite-n
 density numerically, the quadrature counterpart of the exact total masses.
 
-The exact tables as they were built before the kappa-e and lambda-2 laws
-shared one set of integer row products (lambda-2 with a loop over i <= j
-per term, kappa-d with a Fraction of two factorials per term) are the
-references the production tables must equal as tuples.  The high-precision
-Gauss-Legendre rule is Newton's method in mpmath at 40 digits.
+The exact tables as the library once built them are the references the
+production tables must equal: lambda-2 from its own pass over the
+determinant rows with a loop over i <= j per term, kappa-d with a Fraction
+of two factorials per term, both as tuples, and kappa-e worked out from
+the determinant rows by its own integrals, with no eigenvalue law, term
+for term.  The high-precision Gauss-Legendre rule is Newton's method in
+mpmath at 40 digits.
 
 The per-point double sums are the density paths as they were before the
 library evaluated a whole grid as one array: a loop over the points, one
@@ -220,10 +222,10 @@ def pdf_lambda2_det_oracle(xs, dims: Dims, dps: int = 40, order: int = 64) -> np
 
 
 # ---------------------------------------------------------------------------
-# exact tables as the library built them before the shared row products:
-# kappa-d with a Fraction of two factorials per term, and the kappa-e and
-# lambda-2 laws each from its own pass over the determinant rows, lambda-2
-# with an inner loop over i <= j
+# exact tables as the library once built them: kappa-d with a Fraction of
+# two factorials per term, and the kappa-e and lambda-2 laws each from its
+# own pass over the determinant rows, lambda-2 with an inner loop over
+# i <= j, kappa-e by the z-integrals of the rows, not through lambda-2
 
 
 def kd_min_table_oracle(dims: Dims) -> _EdgePowerTable:

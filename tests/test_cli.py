@@ -75,6 +75,31 @@ class TestUsageFailures:
         assert cli.main(base) == EXIT_USAGE
         assert cli.main(base + ["--s", "0.1", "--grid", "0:1:5"]) == EXIT_USAGE
 
+    def test_dims_message_names_the_flags(self, capsys):
+        assert cli.main(["mc", "--kind", "asymptotic", "--metric", "kappa-d",
+                         "--alpha", "1", "--samples", "50"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "both --n and --alpha" in err and "exact" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--metric", "lambda-2", "--n", "2", "--alpha", "0"], "n >= 3"),
+        (["mc", "--metric", "kappa-e", "--n", "3", "--alpha", "4"], "cap 3"),
+        (["mc", "--kind", "asymptotic", "--metric", "lambda-min", "--n", "10", "--alpha", "0"],
+         "kappa-d and kappa-e only"),
+        (["mc", "--kind", "asymptotic", "--metric", "kappa-e", "--n", "10", "--alpha", "5"],
+         "limit cap 4"),
+        (["mc", "--metric", "kappa-d", "--n", "3", "--alpha", "0", "--bins", "0"],
+         "--bins must be >= 1"),
+        (["figure", "--id", "2a", "--bins", "0"], "--bins must be >= 1"),
+    ])
+    def test_mc_rejects_before_sampling(self, argv, message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mc_collect called")
+
+        monkeypatch.setattr(cli, "mc_collect", refuse)
+        assert cli.main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "many")
         assert cli.main(["mc", "--metric", "kappa-d", "--n", "3", "--alpha", "0",
@@ -318,12 +343,23 @@ class TestNumericalExit:
             raise ArithmeticError("synthetic table failure")
         monkeypatch.setattr(exact, "_ke_det", explode)
         # cleared caches, so the density is rebuilt through the patched table
-        exact._ke_row_products.cache_clear()
-        exact._ke_pieces.cache_clear()
+        exact._lambda2_law.cache_clear()
+        exact._trace_ratio_law.cache_clear()
         assert cli.main(["density", "--metric", "kappa-e", "--n", "4",
                          "--alpha", "1", "--grid", "4:6:3"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure: synthetic table failure" in err
+
+    def test_negative_kappa_d_coefficient_maps_to_exit_2(self, monkeypatch, capsys):
+        from wishartcond import exact
+
+        fracs = exact._min_eig_fracs(exact.Dims(4, 2))
+        monkeypatch.setattr(exact, "_min_eig_fracs", lambda dims: (-fracs[0],) + fracs[1:])
+        exact._trace_ratio_law.cache_clear()
+        assert cli.main(["density", "--metric", "kappa-d", "--n", "4",
+                         "--alpha", "2", "--grid", "5:8:3"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: kappa-d table: negative coefficient" in err
 
 
 class TestConsoleEntry:

@@ -25,16 +25,17 @@ from oracles import (
 )
 from wishartcond.exact import (
     DEFAULT_DPS,
+    METRIC_KAPPA_D,
+    METRIC_KAPPA_E,
     Dims,
     _exp_law_values,
     _kd_law,
-    _kd_min_table,
     _ke_bivariate_w_fracs,
-    _ke_pieces,
     _lambda2_law,
     _lambda_min_law,
     _law_values,
     _min_eig_fracs,
+    _trace_ratio_law,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
     cdf_lambda2_interp,
@@ -50,6 +51,12 @@ from wishartcond.exact import (
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
 )
+
+
+def _ke_pieces(dims):
+    """The kappa-e law, its near and tail pieces; the name keeps the
+    parametrized test ids that show the builder."""
+    return _trace_ratio_law(METRIC_KAPPA_E, dims)
 
 
 def _at_dps(law, xs, values=_law_values):
@@ -237,8 +244,6 @@ class TestLambda2:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
-        # a cleared cache, so the shared rows are built again under the patch
-        exact._ke_row_products.cache_clear()
         with pytest.raises(ArithmeticError):
             exact._lambda2_law.__wrapped__(Dims(4, 1))
 
@@ -251,7 +256,6 @@ class TestLambda2:
         monkeypatch.setattr(exact, "integrate_finite", refuse)
         # cleared caches, so the tables are built again under the patch
         exact._ke_det.cache_clear()
-        exact._ke_row_products.cache_clear()
         exact._lambda2_law.cache_clear()
         dims = Dims(5, 2)
         xs = np.array([0.001, 0.4, 3.0])
@@ -544,10 +548,10 @@ class TestKappaEPieces:
         broken = [list(row) for row in nums]
         broken[-1][0] += 1
         monkeypatch.setattr(exact, "_ke_det", lambda dims: (shift, broken))
-        # a cleared cache, so the shared rows are built again under the patch
-        exact._ke_row_products.cache_clear()
+        # a cleared cache, so the lambda-2 law is built again under the patch
+        exact._lambda2_law.cache_clear()
         with pytest.raises(ArithmeticError):
-            exact._ke_pieces.__wrapped__(Dims(4, 1))
+            exact._trace_ratio_law.__wrapped__(METRIC_KAPPA_E, Dims(4, 1))
 
 
 class TestExactCdfs:
@@ -782,23 +786,40 @@ class TestTableBuilds:
         for n in range(2, 31):
             for alpha in range(5):
                 dims = Dims(n, alpha)
-                assert _kd_min_table(dims) == kd_min_table_oracle(dims), dims
+                assert _kd_law(dims) == (kd_min_table_oracle(dims),), dims
 
     @pytest.mark.parametrize("dims", _KE_TABLE_DIMS, ids=str)
     def test_kappa_e_and_lambda2_equal_per_law_builders(self, dims):
-        assert _ke_pieces(dims) == ke_pieces_oracle(dims)
+        # term order within the near piece is not part of the law
+        def terms(law):
+            return [(t.mn, t.edge, t.hi, dict(zip(t.powers, t.fracs))) for t in law]
+
+        assert terms(_ke_pieces(dims)) == terms(ke_pieces_oracle(dims))
         assert _lambda2_law(dims) == lambda2_law_oracle(dims)
 
     def test_shared_rows_built_once(self):
+        # kappa-e is built from the lambda-2 law, which a later call reuses
         from wishartcond import exact
 
-        for fn in (exact._ke_row_products, exact._ke_pieces, exact._lambda2_law):
+        for fn in (exact._trace_ratio_law, exact._lambda2_law):
             fn.cache_clear()
         dims = Dims(7, 2)
         _ke_pieces(dims)
+        info = exact._lambda2_law.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
         _lambda2_law(dims)
-        info = exact._ke_row_products.cache_info()
+        info = exact._lambda2_law.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_kappa_d_tail_checks_its_signs(self, monkeypatch):
+        # one negative smallest-eigenvalue coefficient maps to a negative
+        # kappa-d coefficient
+        from wishartcond import exact
+
+        fracs = exact._min_eig_fracs(Dims(4, 2))
+        monkeypatch.setattr(exact, "_min_eig_fracs", lambda dims: (-fracs[0],) + fracs[1:])
+        with pytest.raises(ArithmeticError, match="kappa-d table: negative coefficient"):
+            exact._trace_ratio_law.__wrapped__(METRIC_KAPPA_D, Dims(4, 2))
 
     def test_lambda2_far_piece_checks_its_powers(self, monkeypatch):
         # a row product whose far power falls below alpha, the near ones intact
@@ -814,8 +835,8 @@ class TestTableBuilds:
     def test_one_debug_line_per_build(self, caplog):
         from wishartcond import exact
 
-        builders = (exact._ke_det, exact._ke_row_products, exact._ke_pieces,
-                    exact._lambda2_law, exact._min_eig_fracs, exact._kd_min_table)
+        builders = (exact._ke_det, exact._trace_ratio_law, exact._lambda2_law,
+                    exact._min_eig_fracs)
         for fn in builders:
             fn.cache_clear()
         dims = Dims(5, 1)
@@ -823,13 +844,13 @@ class TestTableBuilds:
             for _ in range(2):
                 _ke_pieces(dims)
                 _lambda2_law(dims)
-                _kd_min_table(dims)
+                _kd_law(dims)
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 5
         for law, pieces in (("kappa-e", 2), ("lambda-2", 2), ("lambda-min", 1), ("kappa-d", 1)):
             line, = [m for m in lines if m.startswith(f"{law} table n=5 alpha=1: ")]
             assert f": {pieces} pieces of " in line and line.endswith(" s")
-        ke = exact._ke_pieces(dims)
+        ke = _ke_pieces(dims)
         assert any(m.startswith(f"kappa-e table n=5 alpha=1: 2 pieces of "
                                 f"{len(ke[0].fracs)}/{len(ke[1].fracs)} terms") for m in lines)
         rows, = [m for m in lines if m.startswith("kappa-e rows n=5 alpha=1: ")]
@@ -839,8 +860,8 @@ class TestTableBuilds:
         from wishartcond import exact
 
         monkeypatch.setattr(exact.log, "debug", None)   # a call would raise
-        for fn in (exact._kd_min_table, exact._ke_row_products, exact._ke_pieces):
+        for fn in (exact._trace_ratio_law, exact._lambda2_law, exact._min_eig_fracs):
             fn.cache_clear()
         with caplog.at_level(logging.INFO, logger="wishartcond"):
-            _kd_min_table(Dims(4, 2))
+            _kd_law(Dims(4, 2))
             _ke_pieces(Dims(4, 2))

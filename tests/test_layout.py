@@ -1,9 +1,10 @@
-"""Every public helper of the package has a caller in the package.
+"""Every helper of the package has a caller in the package.
 
-A top-level function or class of any module of ``src/wishartcond``, or a
-public method of a public class, that nothing else in the package uses,
-apart from its own definition, is library code that only tests call; it
-should be deleted or moved into the tests.
+A public top-level function or class of any module of ``src/wishartcond``,
+or a public method of a public class, that nothing else in the package
+uses, apart from its own definition, is library code that only tests
+call; it should be deleted or moved into the tests.  A private top-level
+function or class that nothing else in the package uses is dead code.
 """
 
 import ast
@@ -46,11 +47,17 @@ def _public_defs(tree) -> list:
     return defs
 
 
-def _unreferenced(module: str) -> list:
+def _private_defs(tree) -> list:
+    """Private top-level functions and classes."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+
+
+def _unreferenced(module: str, defs) -> list:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     missing = []
-    for target in _public_defs(trees[module]):
+    for target in defs(trees[module]):
         # every statement of the package except the definition
         if not any(target.name in _used_names(tree, target) for tree in trees.values()):
             missing.append(target.name)
@@ -59,4 +66,9 @@ def _unreferenced(module: str) -> list:
 
 @pytest.mark.parametrize("module", CHECKED)
 def test_public_helpers_have_package_callers(module):
-    assert _unreferenced(module) == []
+    assert _unreferenced(module, _public_defs) == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_private_helpers_have_package_callers(module):
+    assert _unreferenced(module, _private_defs) == []
