@@ -25,13 +25,15 @@ non-negative rationals that do not depend on mu:
 Each (law, alpha) table is built once, on first use, in exact integer
 arithmetic (numkit.FPoly), and truncated at a degree past which no term is
 visible in double.  The kappa-e build checks that every P_d divides by
-(1-z)^{2 alpha} exactly.  With pois_i(u) = e^{-u} u^i / i!, kept in logs,
-and s = 0 (kappa-d) or 3 (kappa-e),
+(1-z)^{2 alpha} exactly.  With pois_i(u) = e^{-u} u^i / i! and s = 0
+(kappa-d) or 3 (kappa-e),
 
     pdf(v) = mu u^2 sum_k b_k pois_{k+s}(u),
     P(V <= v) = P(U >= u) = sum_i pois_i(u) sum_{k+s >= i} b_k,
 
 sums of positive terms with no quadrature, interpolation or cancellation.
+Both are numkit.mixture_sum Poisson sums in x = log u, y = -u, each weight
+or exact suffix sum rounded once, with log(1 / i!) in the exponent.
 The probability 1 - sum_k b_k that the truncation leaves out bounds the
 error of every CDF value (cdf_v_error_bound), and mu u^2 times it bounds
 the error of the density, whose relative accuracy holds up to u =
@@ -40,7 +42,6 @@ _u_reach, where the density has fallen below e^{-50} of its peak.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import functools
 import math
@@ -50,7 +51,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import FPoly, fpoly_det, fpoly_split_det, poisson_mix, stirling2
+from .numkit import (FPoly, divide_by_one_minus, fpoly_det, fpoly_split_det, mixture_sum,
+                     poisson_tail_terms, poisson_terms, stirling2)
 
 log = logging.getLogger("wishartcond")
 
@@ -124,16 +126,8 @@ def _ke_weights(alpha: int, deg: int) -> list[Fraction]:
         [[_entry(i, j, deg) for j in range(1, alpha + 1)] for i in rows], deg)
     weights = []
     for d, poly in enumerate(nums):     # P_d(z) over d! (d + shift)!
-        kept = poly
-        for step in range(2 * alpha):
-            # poly = (1 - z) r  <=>  r_k = poly_0 + ... + poly_k, with no remainder
-            run = list(itertools.accumulate(poly))
-            if run and run[-1]:
-                raise ArithmeticError(
-                    f"kappa-e limit: P_{d}(z) is not divisible by (1-z)^{step + 1}")
-            poly = run[:-1]
-            if step == alpha - 1:
-                kept = poly
+        kept = divide_by_one_minus(poly, alpha)
+        divide_by_one_minus(kept, alpha)    # P_d vanishes to order 2 alpha at z = 1
         moment = sum(Fraction(c, k + 3) for k, c in enumerate(kept))
         weights.append(moment * Fraction(math.factorial(d + 3),
                                          math.factorial(d) * math.factorial(d + shift)))
@@ -142,12 +136,14 @@ def _ke_weights(alpha: int, deg: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class _MixtureTable:
-    """U ~ sum_k weights[k] Gamma(k + shift + 1) up to the mass ``tail``."""
+    """U ~ sum_i weights[i] Gamma(i + 1) up to the mass ``tail``, with the
+    mixture_sum terms of u^2 times its density and of its upper tail."""
 
-    weights: np.ndarray
-    upper: np.ndarray       # upper[i] = sum of weights[k] over k + shift >= i
-    shift: int
-    tail: float             # exact 1 - sum_k weights[k], rounded once
+    weights: list           # exact Fractions
+    pdf_terms: list
+    cdf_terms: list
+    mass: float             # exact sum of the weights, rounded once
+    tail: float             # exact 1 - mass, rounded once
 
 
 _LAWS = {"kappa-d": (KAPPA_D_ALPHA_CAP, 0), "kappa-e": (KAPPA_E_ALPHA_CAP, 3)}
@@ -167,14 +163,13 @@ def _table(law: str, alpha: int) -> _MixtureTable:
         fracs = _ke_weights(alpha, deg)
     if any(b < 0 for b in fracs):
         raise ArithmeticError(f"{law} limit: negative mixture weight")
-    suffix = list(itertools.accumulate(reversed(fracs)))[::-1]
-    tail = float(1 - suffix[0])
+    mass = sum(fracs)
+    tail = float(1 - mass)
     log.debug("%s limit table alpha=%d: degree %d, built in %.3f s, tail mass %.3g",
               law, alpha, deg, time.perf_counter() - started, tail)
-    return _MixtureTable(
-        np.array([float(b) for b in fracs]),
-        np.array([float(suffix[max(i - shift, 0)]) for i in range(len(fracs) + shift)]),
-        shift, tail)
+    weights = [Fraction(0)] * shift + fracs
+    return _MixtureTable(weights, poisson_terms(weights, power=2), poisson_tail_terms(weights),
+                         float(mass), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +189,7 @@ def _pdf(vs, p: ScaledParams, law: str) -> np.ndarray:
     table = _table(law, p.alpha)
     vs, live, u = _live_u(vs, p.mu)
     out = np.zeros(vs.shape)
-    out[live] = p.mu * poisson_mix(u, table.weights, table.shift, power=2)
+    out[live] = p.mu * mixture_sum(np.log(u), -u, table.pdf_terms)
     return out
 
 
@@ -204,8 +199,8 @@ def _cdf(p: ScaledParams, law: str):
     def cdf(vs):
         vs, live, u = _live_u(vs, p.mu)
         out = np.zeros(vs.shape)
-        out[vs == np.inf] = table.upper[0]
-        out[live] = poisson_mix(u, table.upper, 0)
+        out[vs == np.inf] = table.mass
+        out[live] = mixture_sum(np.log(u), -u, table.cdf_terms)
         return np.minimum(out, 1.0)
 
     return cdf

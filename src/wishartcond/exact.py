@@ -30,7 +30,7 @@ inverse-Laplace pair exp(-r s) s^(-k) -> (y - r)^(k-1) / Gamma(k) on
 y > r, which takes c x^k exp(-r x) to c (mn - 1)! / p! (y - r)^p y^(-mn),
 p = mn - 2 - k (_trace_ratio_law).  The second-smallest eigenvalue comes
 from one (alpha + 2) x (alpha + 2) Laguerre determinant, whose rows are
-expanded, shifted to w = 1 - z and divided by (1 + x)^alpha into integer
+expanded, divided by (1 - z)^alpha and shifted to w = 1 - z into integer
 products (_ke_row_products).  Every table build logs one DEBUG line: the
 law, the dims, the terms of each piece and the seconds it took.
 
@@ -40,7 +40,8 @@ binomial probabilities in t and every moment generating function one
 finite quadrature in t per piece and s, the s grid sharing each piece's
 t-density at every node array.  A term of an eigenvalue law is a multiple
 of a Gamma(power + 1, rate) density, so both eigenvalue CDFs are finite
-Poisson sums.
+Poisson sums.  numkit.mixture_sum adds the terms of every CDF and MGF
+integrand one at a time.
 
 Precision 'auto' evaluates every table in double, a whole grid as one
 (points x terms) array, and measures the digits lost to cancellation,
@@ -69,7 +70,9 @@ import mpmath
 import numpy as np
 
 from .detkit import iter_index_boxes, vandermonde_int
-from .numkit import FPoly, fpoly_det, fpoly_split_det, integrate_finite, pochhammer_int, poisson_mix
+from .numkit import (FPoly, _log_ratio, _sign, _sign_log, divide_by_one_minus, fpoly_det,
+                     fpoly_split_det, integrate_finite, mixture_sum, pochhammer_int,
+                     poisson_tail_terms)
 
 log = logging.getLogger("wishartcond")
 
@@ -81,9 +84,8 @@ METRICS = (METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_MIN, METRIC_LAMBDA_2)
 
 PRECISIONS = ("auto", "double")
 DEFAULT_DPS = 40
-# largest alpha of the nested-sum kappa-d table and of the kappa-e laws
+# largest alpha of the nested-sum kappa-d table
 _NESTED_SUM_ALPHA_CAP = 4
-_KAPPA_E_ALPHA_CAP = 3
 # relative tolerance of every quadrature: the mgfs and the lambda-2 route
 _RTOL = 1e-9
 # digits lost to cancellation above which 'auto' evaluates a point again
@@ -221,39 +223,6 @@ def _laplace_density(terms, mn: int, y: float) -> float:
 # whose CDF at t is P(Binomial(N-1, t) >= p+1).
 
 
-_LN2 = math.log(2.0)
-
-
-def _log_ratio(num: int, den: int) -> float:
-    """log(num / den) for positive integers of any size, with an error of a
-    few units in the last place of the result."""
-    k = num.bit_length() - den.bit_length()
-    if k > 0:
-        den <<= k
-    else:
-        num <<= -k
-    return math.log(num / den) + k * _LN2
-
-
-def _sign(x) -> int:
-    return 1 if x > 0 else (-1 if x < 0 else 0)
-
-
-def _log_int(n: int) -> float:
-    """log n for a positive integer of any size."""
-    shift = n.bit_length() - 53
-    if shift <= 0:
-        return math.log(n)
-    return math.log(n >> shift) + shift * _LN2
-
-
-def _sign_log(q: Fraction) -> tuple[int, float]:
-    """(sign, log |q|) of a rational of any size; (0, 0.0) at zero."""
-    if not q:
-        return 0, 0.0
-    return _sign(q), _log_int(abs(q.numerator)) - _log_int(q.denominator)
-
-
 @dataclass(frozen=True)
 class _EdgePowerTable:
     """One piece of a law: sum_j fracs[j] (y - edge)^powers[j] y^(-mn) on
@@ -273,17 +242,17 @@ class _EdgePowerTable:
 
     @functools.cached_property
     def t_density(self) -> list:
-        """(p, sign, log |a_p|) of the density in t, sum_p a_p t^p (1-t)^(mn-2-p)."""
+        """Terms (sign, log |a_p|, p, mn-2-p) of the t-density sum_p a_p t^p (1-t)^(mn-2-p)."""
         edge_mn = self.edge ** self.mn
-        return [(p, _sign(f), _log_ratio(abs(f.numerator) * self.edge ** (p + 1),
-                                         f.denominator * edge_mn))
+        return [(_sign(f), _log_ratio(abs(f.numerator) * self.edge ** (p + 1),
+                                      f.denominator * edge_mn), p, self.mn - 2 - p)
                 for p, f in zip(self.powers, self.fracs) if f]
 
     @functools.cached_property
     def t_cdf(self):
         """(terms, mass): the CDF in t is sum_j b_j t^j (1-t)^(mn-1-j) over
-        terms (j, sign, log |b_j|), b_j = C(mn-1, j) times the mass of the
-        terms with p < j, and mass is the piece's total."""
+        mixture_sum terms (sign, log |b_j|, j, mn - 1 - j), b_j = C(mn-1, j)
+        times the mass of the terms with p < j, and mass is the piece's total."""
         mn = self.mn
         den = math.lcm(*(f.denominator for f in self.fracs))
         # masses over the common denominator den edge^mn (mn-1)!
@@ -296,7 +265,8 @@ class _EdgePowerTable:
         for j in range(min(self.powers) + 1, mn):
             run += mass.get(j - 1, 0)
             if run:
-                terms.append((j, _sign(run), _log_ratio(abs(run) * math.comb(mn - 1, j), common)))
+                terms.append((_sign(run), _log_ratio(abs(run) * math.comb(mn - 1, j), common),
+                              j, mn - 1 - j))
         return terms, float(Fraction(run, common))
 
 
@@ -318,28 +288,19 @@ def _law_values(law, ys: np.ndarray, dps: int | None):
     return out, lost
 
 
-def _beta_mix(lt, l1t, terms, top: int) -> np.ndarray:
-    """sum_j sign_j exp(log_j) t^j (1-t)^(top-j) over terms (j, sign, log_j),
-    from lt = log t and l1t = log(1 - t), one j at a time."""
-    out = np.zeros_like(lt)
-    for j, sign, lc in terms:
-        out += sign * np.exp(lc + j * lt + (top - j) * l1t)
-    return out
-
-
 def _law_cdf(law):
     """Exact CDF of a law: per piece, a binomial sum in t at min(y, hi)."""
-    parts = [(t.edge, t.hi, t.mn - 1, *t.t_cdf) for t in law]
+    parts = [(t.edge, t.hi, *t.t_cdf) for t in law]
 
     def cdf(ys):
         ys = np.asarray(ys, dtype=float)
         out = np.zeros(ys.shape)
-        for edge, hi, top, terms, mass in parts:
+        for edge, hi, terms, mass in parts:
             y = np.minimum(ys, hi)
             out[y == np.inf] += mass
             live = (y > edge) & (y < np.inf)
             yl = y[live]
-            out[live] += _beta_mix(np.log((yl - edge) / yl), np.log(edge / yl), terms, top)
+            out[live] += mixture_sum(np.log((yl - edge) / yl), np.log(edge / yl), terms)
         return out
 
     return cdf
@@ -362,8 +323,8 @@ def _law_mgf(law, s, what: str):
         calls.append(i)
         key = (i, ts.tobytes())
         if key not in nodes:
-            nodes[key] = (law[i].edge / (1.0 - ts), _beta_mix(
-                np.log(ts), np.log1p(-ts), law[i].t_density, law[i].mn - 2))
+            nodes[key] = (law[i].edge / (1.0 - ts),
+                          mixture_sum(np.log(ts), np.log1p(-ts), law[i].t_density))
         w, dens = nodes[key]
         return np.exp(-sv * w) * dens
 
@@ -415,27 +376,22 @@ def _exp_law_values(law, xs: np.ndarray, dps: int | None):
 
 
 def _exp_law_cdf(law):
-    """Exact CDF of an eigenvalue law: 1 - sum over pieces of
-    sum_i pois_i(rate x) u_i, with u_i the Gamma weight of the terms k >= i."""
+    """Exact CDF of an eigenvalue law: 1 - sum over pieces of the upper tail
+    of their Gamma(k + 1, rate) mixture, a Poisson sum in rate x."""
     parts = []
     for rate, powers, fracs in law:
-        weights = {k: c * math.factorial(k) / Fraction(rate) ** (k + 1)
-                   for k, c in zip(powers, fracs)}
-        upper, run = [], Fraction(0)
-        for k in range(max(powers), -1, -1):
-            run += weights.get(k, 0)
-            upper.append(float(run))
-        parts.append((rate, np.array(upper[::-1])))
+        weights = dict(zip(powers, fracs))
+        parts.append((rate, poisson_tail_terms(
+            [weights.get(k, 0) * math.factorial(k) / Fraction(rate) ** (k + 1)
+             for k in range(max(powers) + 1)])))
 
     def cdf(xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
         out[xs == np.inf] = 1.0
         live = (xs > 0) & (xs < np.inf)
-        tail = np.zeros(int(live.sum()))
-        for rate, upper in parts:
-            tail += poisson_mix(rate * xs[live], upper, 0)
-        out[live] = 1.0 - tail
+        x = xs[live]
+        out[live] = 1.0 - sum(mixture_sum(np.log(rate * x), -rate * x, terms) for rate, terms in parts)
         return out
 
     return cdf
@@ -661,8 +617,6 @@ def _ke_bivariate_w_fracs(dims: Dims):
 def _check_kappa_e_dims(dims: Dims):
     if dims.n < 3:
         raise ValueError("the second-smallest-eigenvalue metrics need n >= 3")
-    if dims.alpha > _KAPPA_E_ALPHA_CAP:
-        raise ValueError(f"alpha={dims.alpha} above the kappa-e cap {_KAPPA_E_ALPHA_CAP}")
 
 
 def _shift_by_one(coeffs) -> list:
@@ -674,27 +628,16 @@ def _shift_by_one(coeffs) -> list:
     return c
 
 
-def _divide_by_one_plus_x(coeffs) -> list:
-    """Exact quotient p(x) / (1 + x); ArithmeticError if it leaves a remainder."""
-    out = [0] * (len(coeffs) - 1)
-    acc = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] - acc
-        out[k - 1] = acc
-    if coeffs[0] != acc:
-        raise ArithmeticError("kappa-e table: determinant row not divisible by (1 - z)^alpha")
-    return out
-
-
 def _ke_row_products(dims: Dims):
     """(den, rows): the determinant over one common denominator den, as the
     integer row products that the lambda-2 law indexes.
 
-    Row d is a polynomial p_d(z), w^alpha Q_d(w) in w = 1 - z.  With
-    s_d = den / (d! (d + shift)!), rows lists (d, P, R) for every nonzero
-    row: P[j] = s_d g_j j! for g = (1 - w)^2 Q_d(w), and
-    R[j] = s_d q_j (j + 2)! for q(x) = Q_d(1 + x) = p_d(-x) / (1 + x)^alpha.
-    ArithmeticError if a row does not divide by w^alpha.
+    Row d is a polynomial p_d(z) = (1 - z)^alpha Q(z), so w^alpha Q_d(w)
+    in w = 1 - z with Q_d(w) = Q(1 - w).  With s_d = den / (d! (d + shift)!),
+    rows lists (d, P, R) for every nonzero row: P[j] = s_d g_j j! for
+    g = (1 - w)^2 Q_d(w), and R[j] = s_d q_j (j + 2)! for q(x) = Q(-x) =
+    p_d(-x) / (1 + x)^alpha.  ArithmeticError if a row does not divide by
+    (1 - z)^alpha.
     """
     started = time.perf_counter()
     alpha = dims.alpha
@@ -705,17 +648,10 @@ def _ke_row_products(dims: Dims):
     for d, row in enumerate(nums):
         if not any(row):
             continue
-        cw = [(-1) ** e * c for e, c in enumerate(_shift_by_one(row))]
-        if any(cw[:alpha]):
-            raise ArithmeticError("determinant row not divisible by (1 - z)^alpha")
-        g = [0] * (len(cw) - alpha + 2)
-        for j, c in enumerate(cw[alpha:]):
-            g[j] += c
-            g[j + 1] -= 2 * c
-            g[j + 2] += c
-        q = [(-1) ** e * c for e, c in enumerate(row)]
-        for _ in range(alpha):
-            q = _divide_by_one_plus_x(q)
+        quotient = divide_by_one_minus(row, alpha)
+        # g(w) = z^2 quotient(z) at z = 1 - w, and q(x) = quotient(-x)
+        g = [(-1) ** j * c for j, c in enumerate(_shift_by_one([0, 0, *quotient]))]
+        q = [(-1) ** j * c for j, c in enumerate(quotient)]
         scale = den // (math.factorial(d) * math.factorial(d + shift))
         rows.append((d, _times_factorials(g, scale, 0), _times_factorials(q, 2 * scale, 2)))
     if log.isEnabledFor(logging.DEBUG):

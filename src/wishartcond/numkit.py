@@ -6,11 +6,12 @@ coefficients.  Exact polynomials (``FPoly``) keep integer numerators over
 factorial denominators; products, truncated products and determinants of
 them stay exact without rational arithmetic.
 
-poisson_mix sums a Poisson mixture one term at a time, in logs, so that
-factorials and powers far outside the double range never form.  The
-quadrature routine is adaptive Gauss-Legendre, on rules found by Newton's
-method on the Legendre recurrence: order doubling first, panel bisection
-when doubling stalls.
+mixture_sum evaluates the finite Beta and Poisson mixtures behind every
+CDF, MGF integrand and limit density one term at a time, each power inside
+its term's exponent, so that factorials and powers far outside the double
+range never form.  The quadrature routine is adaptive Gauss-Legendre, on
+rules found by Newton's method on the Legendre recurrence: order doubling
+first, panel bisection when doubling stalls.
 """
 
 from __future__ import annotations
@@ -56,33 +57,65 @@ def stirling2(p: int, q: int) -> int:
     return total // fac
 
 
-_LOG_FACT = np.zeros(1)  # _LOG_FACT[m] = log m!, grown on demand
+# ---------------------------------------------------------------------------
+# signed logs of exact numbers and mixtures summed in logs
 
 
-def log_factorials(nmax: int) -> np.ndarray:
-    """Table of log m! for m = 0..nmax (at least); shared, grow-only."""
-    global _LOG_FACT
-    if len(_LOG_FACT) <= nmax:
-        old = len(_LOG_FACT)
-        steps = np.log(np.arange(old, nmax + 64, dtype=float))
-        _LOG_FACT = np.concatenate([_LOG_FACT, _LOG_FACT[-1] + np.cumsum(steps)])
-    return _LOG_FACT
+_LN2 = math.log(2.0)
 
 
-def poisson_mix(us: np.ndarray, coeffs: np.ndarray, offset: int, power: int = 0) -> np.ndarray:
-    """u^power sum_k coeffs[k] pois_{k+offset}(u) for u > 0, one k at a time,
-    with pois_i(u) = e^{-u} u^i / i!; coeffs may have either sign.
+def _sign(x) -> int:
+    return 1 if x > 0 else (-1 if x < 0 else 0)
 
-    The factor u^power goes into each exponent, so that huge u gives 0, not
-    inf times 0."""
-    lu = np.log(us)
-    lf = log_factorials(len(coeffs) + offset)
-    out = np.zeros_like(us)
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            i = k + offset
-            out += c * np.exp((i + power) * lu - us - lf[i])
+
+def _log_int(n: int) -> float:
+    """log n for a positive integer of any size."""
+    shift = n.bit_length() - 53
+    if shift <= 0:
+        return math.log(n)
+    return math.log(n >> shift) + shift * _LN2
+
+
+def _sign_log(q: Fraction) -> tuple[int, float]:
+    """(sign, log |q|) of a rational of any size; (0, 0.0) at zero."""
+    return (_sign(q), _log_int(abs(q.numerator)) - _log_int(q.denominator)) if q else (0, 0.0)
+
+
+def _log_ratio(num: int, den: int) -> float:
+    """log(num / den) for positive integers of any size, with an error of a
+    few units in the last place of the result."""
+    k = num.bit_length() - den.bit_length()
+    if k > 0:
+        den <<= k
+    else:
+        num <<= -k
+    return math.log(num / den) + k * _LN2
+
+
+def mixture_sum(x: np.ndarray, y: np.ndarray, terms) -> np.ndarray:
+    """sum_j c_j exp(l_j + a_j x + b_j y), elementwise in x and y, one term
+    (c_j, l_j, a_j, b_j) at a time: a coefficient, a log weight and two
+    integer powers.  Beta terms in t (x = log t, y = log(1 - t)) carry a
+    sign and the log of a weight outside the double range; Poisson terms in
+    u (x = log u, y = -u, b_j = 1) carry the weight, which rounds more
+    finely than its log, and l_j = log(1 / i!), so a huge u gives 0."""
+    out = np.zeros_like(x)
+    for c, lw, a, b in terms:
+        out += c * np.exp(lw + a * x + b * y)
     return out
+
+
+def poisson_terms(weights, power: int = 0) -> list:
+    """mixture_sum terms (weights[i], log(1 / i!), i + power, 1) of
+    u^power sum_i weights[i] pois_i(u), pois_i(u) = e^{-u} u^i / i!."""
+    return [(float(w), _log_ratio(1, math.factorial(i)), i + power, 1)
+            for i, w in enumerate(weights) if w]
+
+
+def poisson_tail_terms(weights) -> list:
+    """mixture_sum terms of sum_k weights[k] P(Gamma(k + 1) > u), that is
+    sum_i pois_i(u) U_i with U_i = sum_{k >= i} weights[k], summed exactly."""
+    return poisson_terms(list(itertools.accumulate(reversed(weights)))[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +234,18 @@ def fpoly_split_det(pairs, block, deg: int | None = None):
             for e, term in enumerate(_fpoly_terms(pair, minor, d)):
                 row[e] += sign * term
     return shift, nums
+
+
+def divide_by_one_minus(poly, power: int) -> list:
+    """Exact quotient of poly(z) by (1 - z)^power, constant term first:
+    poly = (1 - z) r  <=>  r_k = poly_0 + ... + poly_k, with no remainder.
+    ArithmeticError if a step leaves one."""
+    for step in range(power):
+        run = list(itertools.accumulate(poly))
+        if run and run[-1]:
+            raise ArithmeticError(f"polynomial not divisible by (1 - z)^{step + 1}")
+        poly = run[:-1]
+    return list(poly)
 
 
 # ---------------------------------------------------------------------------

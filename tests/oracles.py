@@ -42,7 +42,6 @@ import numpy as np
 from wishartcond import asymptotic
 from wishartcond.exact import (
     Dims,
-    _divide_by_one_plus_x,
     _EdgePowerTable,
     _evaluate,
     _ExpPiece,
@@ -50,13 +49,12 @@ from wishartcond.exact import (
     _law_values,
     _min_eig_fracs,
     _shift_by_one,
-    _sign_log,
     pdf_kappa_d_grid,
     pdf_kappa_e_grid,
     pdf_lambda2_grid,
     pdf_lambda_min_grid,
 )
-from wishartcond.numkit import integrate_finite, pochhammer_int
+from wishartcond.numkit import _sign_log, integrate_finite, pochhammer_int
 from wishartcond.sampler import _box_muller_polar, _keyed_raw, _uniform
 
 
@@ -261,6 +259,19 @@ def _ke_rows_oracle(dims: Dims):
             g[j + 2] += c
         rows.append((d, den // (math.factorial(d) * math.factorial(d + shift)), row, g))
     return den, rows
+
+
+def _divide_by_one_plus_x(coeffs) -> list:
+    """Exact quotient p(x) / (1 + x) by synthetic division at x = -1;
+    ArithmeticError if it leaves a remainder."""
+    out = [0] * (len(coeffs) - 1)
+    acc = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] - acc
+        out[k - 1] = acc
+    if coeffs[0] != acc:
+        raise ArithmeticError("determinant row not divisible by (1 - z)^alpha")
+    return out
 
 
 def ke_pieces_oracle(dims: Dims) -> tuple:

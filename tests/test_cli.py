@@ -83,7 +83,7 @@ class TestUsageFailures:
 
     @pytest.mark.parametrize("argv, message", [
         (["mc", "--metric", "lambda-2", "--n", "2", "--alpha", "0"], "n >= 3"),
-        (["mc", "--metric", "kappa-e", "--n", "3", "--alpha", "4"], "cap 3"),
+        (["mc", "--metric", "kappa-e", "--n", "3", "--alpha", "-1"], "alpha must be >= 0"),
         (["mc", "--kind", "asymptotic", "--metric", "lambda-min", "--n", "10", "--alpha", "0"],
          "kappa-d and kappa-e only"),
         (["mc", "--kind", "asymptotic", "--metric", "kappa-e", "--n", "10", "--alpha", "5"],

@@ -27,6 +27,7 @@ from wishartcond.exact import (
     DEFAULT_DPS,
     METRIC_KAPPA_D,
     METRIC_KAPPA_E,
+    METRIC_LAMBDA_2,
     Dims,
     _exp_law_values,
     _kd_law,
@@ -51,6 +52,7 @@ from wishartcond.exact import (
     pdf_via_lambda2_connection,
     pdf_via_min_connection,
 )
+from wishartcond.sampler import ks_compare, ks_threshold, mc_collect
 
 
 def _ke_pieces(dims):
@@ -190,9 +192,25 @@ class TestKappaE:
             b = pdf_kappa_e_closed_alpha0_grid(ys, d)
             assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-8
 
-    def test_alpha_cap(self):
-        with pytest.raises(ValueError):
-            pdf_kappa_e(5.0, Dims(3, 4))
+    # no alpha cap: the exact builders reach alpha 4 to 6 (at (3, 6) the near
+    # piece's CDF at n rounds, so cdf(+inf) is 1 - 7e-16 there)
+    @pytest.mark.parametrize("dims", [Dims(5, 4), Dims(6, 5), Dims(8, 6)], ids=str)
+    def test_high_alpha_mass_is_exactly_one(self, dims):
+        assert sum(_exact_mass(piece) for piece in _ke_pieces(dims)) == 1
+        assert sum(c * math.factorial(k) / Fraction(rate) ** (k + 1)
+                   for rate, powers, fracs in _lambda2_law(dims)
+                   for k, c in zip(powers, fracs)) == 1
+        for cdf in (cdf_kappa_e_interp(dims), cdf_lambda2_interp(dims)):
+            assert cdf(np.array([np.inf]))[0] == 1.0
+
+    @pytest.mark.parametrize("metric, cdf", [(METRIC_KAPPA_E, cdf_kappa_e_interp),
+                                             (METRIC_LAMBDA_2, cdf_lambda2_interp)])
+    @pytest.mark.parametrize("alpha", [4, 5, 6])
+    def test_high_alpha_matches_mc(self, metric, cdf, alpha):
+        # acceptance criterion 3's sample size, seed and 1% KS bound, at n = 5
+        dims = Dims(5, alpha)
+        count = 100_000
+        assert ks_compare(mc_collect(metric, dims, count, seed=1), cdf(dims)) < ks_threshold(count)
 
 
 class TestLambda2:

@@ -1,10 +1,13 @@
-"""Every helper of the package has a caller in the package.
+"""Every helper of the package has a caller in the package, and no module
+rebinds a module-level name from inside a function.
 
 A public top-level function or class of any module of ``src/wishartcond``,
 or a public method of a public class, that nothing else in the package
 uses, apart from its own definition, is library code that only tests
 call; it should be deleted or moved into the tests.  A private top-level
 function or class that nothing else in the package uses is dead code.
+A ``global`` statement is mutable module state shared by every caller
+and thread; a cache belongs to the function that fills it.
 """
 
 import ast
@@ -72,3 +75,10 @@ def test_public_helpers_have_package_callers(module):
 @pytest.mark.parametrize("module", CHECKED)
 def test_private_helpers_have_package_callers(module):
     assert _unreferenced(module, _private_defs) == []
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_no_global_statements(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [(node.lineno, node.names) for node in ast.walk(tree)
+            if isinstance(node, ast.Global)] == []

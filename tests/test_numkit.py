@@ -8,19 +8,23 @@ import numpy as np
 import pytest
 
 from oracles import gauss_legendre_mp
-from wishartcond.exact import _lagneg, _laplace_density, _log_ratio, _mp_sum, _sign_log, _signed_rows
+from wishartcond.exact import _lagneg, _laplace_density, _mp_sum, _signed_rows
 from wishartcond.numkit import (
     ConvergenceError,
     QuadratureError,
     FPoly,
+    _log_ratio,
+    _sign_log,
+    divide_by_one_minus,
     fpoly_add,
     fpoly_det,
     fpoly_mul,
     gauss_legendre_rule,
     integrate_finite,
-    log_factorials,
+    mixture_sum,
     pochhammer_int,
-    poisson_mix,
+    poisson_tail_terms,
+    poisson_terms,
     stirling2,
 )
 
@@ -86,29 +90,54 @@ class TestCombinatorics:
             for q in range(1, p):
                 assert stirling2(p, q) == q * stirling2(p - 1, q) + stirling2(p - 1, q - 1)
 
+    # mixture_sum in its two shapes: Poisson terms in x = log u, y = -u,
+    # and Beta terms in x = log t, y = log(1 - t)
+    @staticmethod
+    def _poisson(us, weights, power=0):
+        us = np.asarray(us, dtype=float)
+        return mixture_sum(np.log(us), -us, poisson_terms(weights, power))
+
     def test_poisson_mix(self):
         us = np.array([0.5, 3.0, 40.0])
-        coeffs = np.array([0.25, 0.0, 0.75])
-        want = [sum(c * float(mpmath.exp(-u) * mpmath.mpf(u) ** (k + 2 + 1) / mpmath.factorial(k + 2))
-                    for k, c in enumerate(coeffs)) for u in us]
-        assert poisson_mix(us, coeffs, 2, power=1) == pytest.approx(want, rel=1e-13)
-        # huge u gives 0, not inf times 0
-        assert poisson_mix(np.array([1e300]), coeffs, 0, power=2)[0] == 0.0
+        coeffs = [Fraction(0), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(3, 4)]
+        want = [sum(float(c) * float(mpmath.exp(-u) * mpmath.mpf(u) ** (i + 1) / mpmath.factorial(i))
+                    for i, c in enumerate(coeffs)) for u in us]
+        assert self._poisson(us, coeffs, power=1) == pytest.approx(want, rel=1e-13)
+        # huge u gives 0, not inf times 0 or NaN
+        assert self._poisson([1e300], coeffs, power=2).tolist() == [0.0]
 
     def test_poisson_mix_signed(self):
         # negative weights count; only zeros are skipped
         us = np.array([0.3, 2.0, 9.0])
-        coeffs = np.array([1.5, -0.75, 0.0, -2.25, 0.5])
-        want = [sum(c * math.exp(-u) * u ** (k + 1) / math.factorial(k + 1)
-                    for k, c in enumerate(coeffs)) for u in us]
-        assert poisson_mix(us, coeffs, 1) == pytest.approx(want, rel=1e-13)
+        coeffs = [Fraction(0), Fraction(3, 2), Fraction(-3, 4), Fraction(0), Fraction(-9, 4),
+                  Fraction(1, 2)]
+        want = [sum(float(c) * math.exp(-u) * u ** i / math.factorial(i)
+                    for i, c in enumerate(coeffs)) for u in us]
+        assert self._poisson(us, coeffs) == pytest.approx(want, rel=1e-13)
+        assert len(poisson_terms(coeffs)) == 4
 
-    def test_log_factorials(self):
-        table = log_factorials(6)
-        for k in range(7):
-            assert table[k] == pytest.approx(math.lgamma(k + 1), abs=1e-12)
-        # table grows on demand and stays consistent
-        assert log_factorials(25)[20] == pytest.approx(math.lgamma(21.0), rel=1e-14)
+    def test_poisson_tail_terms(self):
+        # sum_k w_k P(Gamma(k + 1) > u) against the regularized upper gamma
+        weights = [Fraction(1, 6), Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
+        us = np.array([0.01, 1.5, 7.0, 60.0])
+        got = mixture_sum(np.log(us), -us, poisson_tail_terms(weights))
+        with mpmath.workdps(30):
+            want = [float(sum(mpmath.mpf(w.numerator) / w.denominator
+                              * mpmath.gammainc(k + 1, float(u), mpmath.inf, regularized=True)
+                              for k, w in enumerate(weights))) for u in us]
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_beta_mix(self):
+        # signed Beta terms t^j (1 - t)^(top - j) with weights outside the
+        # double range, against the exact rational sum at rational t
+        top = 700
+        weights = {3: Fraction(10 ** 400, 7), 350: Fraction(-3, 10 ** 330), 699: Fraction(5, 2)}
+        terms = [(1 if w > 0 else -1, _log_ratio(abs(w.numerator), w.denominator), j, top - j)
+                 for j, w in weights.items()]
+        for t in (Fraction(2, 5), Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000)):
+            want = sum(w * t ** j * (1 - t) ** (top - j) for j, w in weights.items())
+            got = mixture_sum(np.array([math.log(t)]), np.array([math.log(1 - t)]), terms)
+            assert got[0] == pytest.approx(float(want), rel=1e-12)
 
 
 class TestLaguerre:
@@ -164,6 +193,22 @@ class TestFPoly:
         with pytest.raises(ValueError):
             fpoly_add(FPoly(1, (1,)), FPoly(2, (1,)))
         assert fpoly_add(FPoly(0, ()), FPoly(2, (1, 3)), -1) == FPoly(2, (-1, -3))
+
+    def test_divide_by_one_minus(self):
+        rng = random.Random(3)
+        for power in range(4):
+            quotient = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(6)]
+            poly = quotient
+            for _ in range(power):
+                # times (1 - z)
+                poly = [a - b for a, b in zip(poly + [0], [0] + poly)]
+            assert divide_by_one_minus(poly, power) == quotient
+            # a remainder raises, at any step, instead of a wrong quotient
+            with pytest.raises(ArithmeticError, match=f"\\(1 - z\\)\\^{power + 1}"):
+                divide_by_one_minus(poly, power + 1)
+            if power:
+                with pytest.raises(ArithmeticError, match=r"\(1 - z\)\^1"):
+                    divide_by_one_minus([poly[0] + 1] + poly[1:], power)
 
 
 class TestQuadrature:
