@@ -20,9 +20,10 @@ the determinant rows by its own integrals, with no eigenvalue law, term
 for term.  The high-precision Gauss-Legendre rule is Newton's method in
 mpmath at 40 digits.
 
-The per-point double sums are the density paths as they were before the
-library evaluated a whole grid as one array: a loop over the points, one
-scaled dot product of the signed terms at each.
+The per-point double sums loop over the points, one scaled dot product of
+the signed t-density terms at each, so they differ from the library's
+whole-grid sums only in summation order.  The closed alpha = 0 kappa-e law,
+whose pieces overlap, has its own per-point sum in y.
 
 The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
@@ -47,6 +48,7 @@ from wishartcond.exact import (
     _ExpPiece,
     _ke_det,
     _law_values,
+    _log_t,
     _min_eig_fracs,
     _shift_by_one,
     pdf_kappa_d_grid,
@@ -69,7 +71,24 @@ def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
 
 
 def law_values_pointwise(law, ys):
-    """(density, digits lost) of an edge-power law in double, point by point."""
+    """(density, digits lost) of an edge-power law with disjoint pieces in
+    double, point by point: edge / y^2 times the t-density of its piece."""
+    ys = np.asarray(ys, dtype=float)
+    out = np.zeros_like(ys)
+    lost = np.zeros_like(ys)
+    for piece in law:
+        signs, logs, powers, rests = (np.array(col, dtype=float) for col in zip(*piece.t_density))
+        for i, y in enumerate(ys):
+            if piece.edge < y <= piece.hi and y < math.inf:
+                log_t, log_u = (float(v[0]) for v in _log_t(piece.edge, np.array([y])))
+                value, lost[i] = _signed_sum(signs, logs + powers * log_t + rests * log_u)
+                out[i] = value * (piece.edge / y / y)
+    return out, lost
+
+
+def _law_values_in_y(law, ys):
+    """(density, digits lost) of an edge-power law in double, point by
+    point, as sums of c (y - edge)^p y^(-mn) over every piece at y."""
     ys = np.asarray(ys, dtype=float)
     mn = law[0].mn
     out = np.zeros_like(ys)
@@ -137,8 +156,12 @@ def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto") -> n
     if dims.alpha != 0 or dims.n < 3:
         raise ValueError("closed form covers alpha = 0 and n >= 3 only")
     law = ke_closed_alpha0_law(dims.n)
-    return _evaluate(functools.partial(_law_values, law), ys, precision,
-                     "closed kappa-e density")
+
+    def values(ys, dps):
+        # the pieces overlap above n, where they cancel: sums in y
+        return _law_values_in_y(law, ys) if dps is None else _law_values(law, ys, dps)
+
+    return _evaluate(values, ys, precision, "closed kappa-e density")
 
 
 def _exp_tail(order: int, x: float) -> float:

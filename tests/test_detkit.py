@@ -1,11 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from wishartcond.detkit import (
-    det_int,
-    iter_index_boxes,
+    _det_int,
     lemma_a1_det_int,
     lemma_a1_matrix,
     lemma_a1_rhs_int,
@@ -38,21 +38,6 @@ def _det_fraction(mat):
     return out
 
 
-class TestIndexBoxes:
-    def test_full_box(self):
-        got = set(iter_index_boxes((1, 2)))  # bounds are inclusive
-        assert len(got) == 6
-        assert (0, 0) in got and (1, 2) in got
-
-    def test_empty_bounds(self):
-        assert list(iter_index_boxes(())) == [()]
-
-    def test_odometer_order(self):
-        # the last slot varies fastest, carrying left on overflow
-        assert list(iter_index_boxes((1, 2))) == [
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-
-
 class TestVandermonde:
     def test_int(self):
         # prod_{i<j} (x_j - x_i)
@@ -62,16 +47,20 @@ class TestVandermonde:
 
 
 class TestDeterminants:
+    """The lemma determinants: numkit.fpoly_det on constant entries."""
+
     def test_known(self):
-        assert det_int([[1, 2], [3, 4]]) == -2
-        assert det_int([[2]]) == 2
+        assert _det_int([[1, 2], [3, 4]]) == -2
+        assert _det_int([[2]]) == 2
+        assert _det_int([[1, 2], [2, 4]]) == 0
+        assert _det_int([]) == 1
 
     def test_random_int_matches_fractions(self):
         rng = random.Random(3)
         for _ in range(25):
             size = rng.randint(1, 5)
             mat = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            assert det_int(mat) == _det_fraction(mat)
+            assert _det_int(mat) == _det_fraction(mat)
 
 
 def _a1_cases(count, seed):
@@ -108,7 +97,7 @@ class TestLemmaA1:
         for n in (2, 3):
             for alpha in (1, 2):
                 bounds = tuple(n + alpha - 1 - l for l in range(1, alpha + 1))
-                for jvec in iter_index_boxes(bounds):
+                for jvec in itertools.product(*(range(b + 1) for b in bounds)):
                     assert lemma_a1_det_int(list(jvec), n, alpha) == \
                         lemma_a1_rhs_int(list(jvec), n, alpha)
 
@@ -128,7 +117,7 @@ class TestLemmaA2:
         n, alpha = 2, 1
         bounds = (n + alpha - 1, n + alpha - 2) + tuple(
             n + alpha + 2 - k for k in range(3, alpha + 3))
-        for lvec in iter_index_boxes(bounds):
+        for lvec in itertools.product(*(range(b + 1) for b in bounds)):
             assert lemma_a2_det_int(list(lvec), n, alpha) == \
                 lemma_a2_rhs_int(list(lvec), n, alpha)
 

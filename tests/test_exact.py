@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -596,6 +597,12 @@ class TestExactCdfs:
             assert vals[-1] == pytest.approx(1.0, abs=1e-15)
             assert np.all(np.diff(vals) >= 0.0)
 
+    @pytest.mark.parametrize("dims, x", [(Dims(13, 1), 1e-4), (Dims(6, 3), 0.01)], ids=str)
+    def test_eigenvalue_left_tail_is_a_probability(self, dims, x):
+        # 1 - sum of upper tails: the true values are 2.9e-22 and 5.9e-22,
+        # which the difference rounds below 0 without the clip
+        assert 0.0 <= cdf_lambda2_interp(dims)(np.array([x]))[0] <= 2e-15
+
     def test_lambda_min_cdf_matches_gammainc(self):
         dims = Dims(6, 2)
         xs = np.array([0.01, 0.1, 0.3, 1.0, 3.0])
@@ -606,6 +613,76 @@ class TestExactCdfs:
                               for d, c in enumerate(_min_eig_fracs(dims))))
                     for x in xs]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _cdf_sums(law, ys, dps: int = 40) -> np.ndarray:
+    """A law's CDF at dps digits: per piece, sum_j C(mn-1, j) run_j t^j
+    (1 - t)^(mn-1-j) at min(y, hi), run_j the exact mass of the terms of
+    power below j.  The terms with |run_j| below 1e-40 of the piece's mass
+    are left out, and weigh at most 1e-40 of it together."""
+    out = [mpmath.mpf(0)] * len(ys)
+    with mpmath.workdps(dps):
+        for piece in law:
+            masses = dict(_term_masses(piece))
+            whole = sum(masses.values())
+            mn, run, terms = piece.mn, Fraction(0), []
+            for j in range(min(masses) + 1, mn):
+                run += masses.get(j - 1, 0)
+                if abs(run) > whole / 10 ** 40:
+                    terms.append((j, mpmath.mpf(run.numerator) * math.comb(mn - 1, j)
+                                  / run.denominator))
+            for i, y in enumerate(ys):
+                top = mpmath.mpf(min(y, piece.hi))
+                if top > piece.edge:
+                    t, u = (top - piece.edge) / top, piece.edge / top
+                    out[i] += mpmath.fsum(c * t ** j * u ** (mn - 1 - j) for j, c in terms)
+    return np.array([float(v) for v in out])
+
+
+def _accuracy_grid(law, n):
+    """60 log-spaced points in (edge, edge + 3] and 60 in [n + 0.01, 40 n^3]."""
+    return np.concatenate([law[0].edge + np.geomspace(1e-3, 3.0, 60),
+                           np.geomspace(n + 0.01, 40.0 * n ** 3, 60)])
+
+
+class TestTraceRatioAccuracy:
+    """kappa-d and kappa-e in double, against high-precision sums of the same
+    exact tables.  In t = 1 - edge/y no term carries an exponent near
+    mn log y, whose rounding the digit-loss measure cannot see."""
+
+    @pytest.mark.parametrize("metric, n, alpha", [
+        (METRIC_KAPPA_D, 4, 1), (METRIC_KAPPA_D, 20, 2), (METRIC_KAPPA_D, 50, 2),
+        (METRIC_KAPPA_D, 100, 2), (METRIC_KAPPA_E, 4, 1), (METRIC_KAPPA_E, 8, 1),
+        (METRIC_KAPPA_E, 13, 1), (METRIC_KAPPA_E, 20, 2)])
+    def test_density(self, metric, n, alpha):
+        dims = Dims(n, alpha)
+        law = _trace_ratio_law(metric, dims)
+        ys = _accuracy_grid(law, n)
+        with mpmath.workdps(60):
+            want = np.array([float(_mp_density(law, y)) for y in ys])
+        keep = want >= 1e-290
+        pdf = pdf_kappa_d_grid if metric == METRIC_KAPPA_D else pdf_kappa_e_grid
+        got = pdf(ys[keep], dims)
+        assert np.max(np.abs(got - want[keep]) / want[keep]) <= 2e-13
+
+    @pytest.mark.parametrize("metric, n, alpha", [
+        (METRIC_KAPPA_D, 50, 2), (METRIC_KAPPA_D, 100, 2), (METRIC_KAPPA_E, 30, 2)])
+    def test_cdf(self, metric, n, alpha):
+        dims = Dims(n, alpha)
+        law = _trace_ratio_law(metric, dims)
+        ys = _accuracy_grid(law, n)
+        cdf = cdf_kappa_d_interp if metric == METRIC_KAPPA_D else cdf_kappa_e_interp
+        assert np.max(np.abs(cdf(dims)(ys) - _cdf_sums(law, ys))) <= 1e-14
+
+    @pytest.mark.parametrize("precision", ["auto", "double"])
+    def test_density_far_out_is_zero(self, precision):
+        # the top term has no power of 1 - t, and edge / y^2 must not overflow
+        ys = np.array([np.inf, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pdf, dims in ((pdf_kappa_d_grid, Dims(4, 1)), (pdf_kappa_e_grid, Dims(4, 1)),
+                              (pdf_kappa_e_grid, Dims(13, 1))):
+                assert pdf(ys, dims, precision=precision).tolist() == [0.0, 0.0]
 
 
 # (law builder, dims, grid) of every density job of the benchmark's
@@ -883,3 +960,32 @@ class TestTableBuilds:
         with caplog.at_level(logging.INFO, logger="wishartcond"):
             _kd_law(Dims(4, 2))
             _ke_pieces(Dims(4, 2))
+
+
+class TestLimitWeights:
+    """The tail-piece term of power mn - 2 - k - s, s = 0 for kappa-d and 3
+    for kappa-e, has an exact Beta mass m_k(n) that is a polynomial in
+    x = 1/n, of degree k for kappa-d and k + 2 for kappa-e at alpha = 1.
+    Its constant term is the limit weight b_k of the asymptotic table."""
+
+    @pytest.mark.parametrize("metric, alpha, s, extra", [
+        (METRIC_KAPPA_D, 1, 0, 0), (METRIC_KAPPA_D, 2, 0, 0), (METRIC_KAPPA_E, 1, 3, 2)])
+    def test_constant_term_is_the_limit_weight(self, metric, alpha, s, extra):
+        from wishartcond import asymptotic
+
+        for k in range(4):
+            # degree + 1 nodes from n = 12, then two held-out n
+            ns = range(12, 12 + k + extra + 3)
+            masses = {}
+            for n in ns:
+                tail = _trace_ratio_law(metric, Dims(n, alpha))[-1]
+                masses[n] = dict(_term_masses(tail)).get(tail.mn - 2 - k - s, Fraction(0))
+            nodes = [(Fraction(1, n), masses[n]) for n in ns[:-2]]
+
+            def fit(x):
+                return sum(m * math.prod((x - xj) / (xi - xj) for xj, _ in nodes if xj != xi)
+                           for xi, m in nodes)
+
+            for n in ns[-2:]:
+                assert fit(Fraction(1, n)) == masses[n], (k, n)
+            assert fit(Fraction(0)) == asymptotic._table(metric, alpha).weights[k + s], k

@@ -63,10 +63,15 @@ class TestSignedLog:
         a = math.log(5.0)
         # a row that cancels exactly loses every digit; a row with no term
         # on its support (all -inf) is zero and loses none
-        values, lost = _signed_rows(np.array([1.0, -1.0]), np.array([a, -np.inf]),
-                                    lambda x: x + np.array([0.0, 0.0]))
+        values, lost = _signed_rows(np.array([a, -np.inf]), np.zeros(2),
+                                    [(1.0, 0.0, 1, 0), (-1.0, 0.0, 1, 0)])
         assert values.tolist() == [0.0, 0.0]
         assert lost.tolist() == [math.inf, 0.0]
+        # the mixture_sum term format, with a coefficient that is not a sign
+        values, lost = _signed_rows(np.array([0.0]), np.array([math.log(2.0)]),
+                                    [(3.0, 0.0, 1, 1), (-1.0, math.log(4.0), 0, 0)])
+        assert values.tolist() == [pytest.approx(2.0)]
+        assert lost.tolist() == [pytest.approx(math.log10(5.0))]
         assert _laplace_density([(0.0, 0, 1, a), (0.0, 0, -1, a)], 2, 1.0) == 0.0
         with mpmath.workdps(40):
             assert _mp_sum([mpmath.mpf(5), -mpmath.mpf(5)]) == (0.0, math.inf)
