@@ -11,8 +11,9 @@ non-negative rationals that do not depend on mu:
   A_kl = sum_j w(k, l, j) u^{(j+1-l)/2} I_{l+j+1}(2 sqrt u), the hard-edge
   Bessel determinant shape of Forrester & Hughes (J. Math. Phys. 35
   (1994) 6736).  Through I_nu(2 sqrt u) = sum_s u^{(nu+2s)/2} / (s! (s+nu)!)
-  det A(u) = sum_k d_k u^k, and b_k = k! d_k.  At alpha = 0 the
-  determinant is 1 and the law is Edelman's e^{-1/(mu v)}.
+  each entry is the series A_kl(u) = sum_p (p + l)^(k-1) u^(p+1) /
+  (p! (p + l + 1)!), det A(u) = sum_k d_k u^k, and b_k = k! d_k.  At
+  alpha = 0 the determinant is 1 and the law is Edelman's e^{-1/(mu v)}.
 
 * kappa-e: U ~ sum_d b_d Gamma(d + 4).  U has density u^3 e^{-u} times the
   integral over z in (0, 1) of z^2 (1-z)^{-alpha} det M(z, u), where M is
@@ -52,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numkit import (FPoly, divide_by_one_minus, fpoly_det, fpoly_split_det, mixture_sum,
-                     poisson_tail_terms, poisson_terms, stirling2)
+                     poisson_tail_terms, poisson_terms)
 
 log = logging.getLogger("wishartcond")
 
@@ -78,23 +79,18 @@ class ScaledParams:
 # exact mixture tables
 
 
-@functools.cache
-def _entry_weight(row: int, family: int, q: int) -> int:
-    """Integer weight of t^{(q-family-1)/2} I_{q+family+1}(2 sqrt t) in an entry."""
-    return sum(stirling2(pp, q) * math.comb(row - 1, pp) * family ** (row - 1 - pp)
-               for pp in range(q, row))
-
-
 def _entry(row: int, family: int, deg: int) -> FPoly:
     """Entry (row, family) as a power series in t, through t^deg.
 
-    Term q of the entry is sum_s t^{q+s} / (s! (q+s+family+1)!), so the
-    coefficient of t^p is sum_q weight_q p!/(p-q)! over p! (p+family+1)!.
-    The kappa-d entry A_kl(u) is u times entry (k, l) at t = u.
+    The entry is sum_q w_q t^{(q-family-1)/2} I_{q+family+1}(2 sqrt t) with
+    w_q = sum_pp S(pp, q) C(row-1, pp) family^(row-1-pp), S the Stirling
+    numbers of the second kind.  Term q is sum_s t^{q+s} / (s! (q+s+family+1)!),
+    so the coefficient of t^p is sum_q w_q p!/(p-q)! over p! (p+family+1)!;
+    by sum_q S(pp, q) p!/(p-q)! = p^pp and the binomial theorem that
+    numerator is (p + family)^(row-1).  The kappa-d entry A_kl(u) is u times
+    entry (k, l) at t = u.
     """
-    return FPoly(family + 1, tuple(
-        sum(_entry_weight(row, family, q) * math.perm(p, q) for q in range(min(row - 1, p) + 1))
-        for p in range(deg + 1)))
+    return FPoly(family + 1, tuple((p + family) ** (row - 1) for p in range(deg + 1)))
 
 
 def _u_reach(columns: int) -> float:

@@ -166,12 +166,11 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str, path: str | None = None):
-    target = path if path is not None else cfg.out
-    if target is None:
+def _emit(cfg: RunConfig, text: str):
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(target, text)
+        _write_atomic(cfg.out, text)
 
 
 def _workers() -> int:
@@ -511,17 +510,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shared(sub, *, dims=True, mu=False, precision=False, output=True):
-    if dims:
-        sub.add_argument("--n", type=int, help="matrix columns")
-        sub.add_argument("--alpha", type=int, help="rows minus columns")
+def _add_shared(sub, *, mu=False, precision=False):
+    sub.add_argument("--n", type=int, help="matrix columns")
+    sub.add_argument("--alpha", type=int, help="rows minus columns")
     if mu:
         sub.add_argument("--mu", type=float, help="scale constant of the limit variable")
     if precision:
         sub.add_argument("--precision", choices=PRECISIONS, default="auto")
-    if output:
-        sub.add_argument("--out", help="output path (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--out", help="output path (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 @functools.cache  # built once per process: parse_args keeps no state in it

@@ -48,11 +48,14 @@ CDFs and MGF integrands, _signed_rows as one array for the densities.
 
 Precision 'auto' evaluates every table in double, a whole grid as one
 (points x terms) array, and measures the digits lost to cancellation,
-log10 of sum |term| / |sum term|, in the same pass; only the points that
-lose more than 3 (13 of 16 left) are evaluated again as sums of mpmath
-floats at DEFAULT_DPS digits, and again at twice the digits while they
-keep fewer than 13.  The two second-smallest-eigenvalue pieces cancel
-near x = 0, so those points go to DEFAULT_DPS digits or more.
+log10 of sum |term| / |sum term|, in the same pass.  The two
+second-smallest-eigenvalue pieces cancel near x = 0: the eigenvalue points
+that lose more than 3 (13 of 16 left) are evaluated again as sums of
+mpmath floats at DEFAULT_DPS digits, and again at twice the digits while
+they keep fewer than 13.  A trace-ratio sum loses at most half a digit (a
+tail piece is one-signed, and only the kappa-e near piece has signs), so
+it has no extended sum: a trace-ratio point past 3 digits raises
+ArithmeticError.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
 push the eigenvalue densities through the same pair in double, in another
@@ -176,14 +179,13 @@ def _signed_rows(x: np.ndarray, y: np.ndarray, terms):
     return out, lost
 
 
-def _mp_sum(terms: list, scale=1) -> tuple[float, float]:
-    """(scale times the sum of mpmath terms, as a double; log10 of
-    sum |.| / |sum .|); no terms give (0.0, 0.0)."""
+def _mp_sum(terms: list) -> tuple[float, float]:
+    """(the sum of mpmath terms, as a double; log10 of sum |.| / |sum .|);
+    no terms give (0.0, 0.0)."""
     total = mpmath.fsum(terms)
     if not total:
         return 0.0, (math.inf if any(terms) else 0.0)
-    return (float(total * scale),
-            float(mpmath.log10(mpmath.fsum(terms, absolute=True) / abs(total))))
+    return float(total), float(mpmath.log10(mpmath.fsum(terms, absolute=True) / abs(total)))
 
 
 def _mpf(q: Fraction):
@@ -283,24 +285,21 @@ def _log_t(edge, y: np.ndarray):
 
 
 def _law_values(law, ys: np.ndarray, dps: int | None):
-    """Density of a law on a grid, with the digits each point loses to
-    cancellation.  In double, the points of each piece (the pieces are
-    disjoint) are edge / y^2 times its t-density, the whole grid at once;
-    at dps digits, sums in y."""
+    """Density of a law on a grid in double, with the digits each point
+    loses to cancellation: the points of each piece (the pieces are
+    disjoint) are edge / y^2 times its t-density, the whole grid at once.
+    A tail piece is one-signed and the kappa-e near piece loses under half
+    a digit, so there is no sum at dps digits: a call for one, which 'auto'
+    makes only past _LOST_LIMIT, raises ArithmeticError."""
+    if dps is not None:
+        raise ArithmeticError(f"trace-ratio density cancels past {_LOST_LIMIT:g} digits in "
+                              "double, and it has no extended-precision sum")
     out, lost = np.zeros((2, ys.size))
-    if dps is None:
-        for piece in law:
-            on = (ys > piece.edge) & (ys <= piece.hi) & (ys < np.inf)
-            y = ys[on]
-            values, lost[on] = _signed_rows(*_log_t(piece.edge, y), piece.t_density)
-            out[on] = values * (piece.edge / y / y)
-        return out, lost
-    with mpmath.workdps(dps):
-        terms = [(t.edge, t.hi, p, _mpf(f)) for t in law for p, f in zip(t.powers, t.fracs) if f]
-        for i, y in enumerate(ys):
-            out[i], lost[i] = _mp_sum([c * mpmath.mpf(y - edge) ** p
-                                       for edge, hi, p, c in terms if edge < y <= hi],
-                                      mpmath.mpf(y) ** -law[0].mn)
+    for piece in law:
+        on = (ys > piece.edge) & (ys <= piece.hi) & (ys < np.inf)
+        y = ys[on]
+        values, lost[on] = _signed_rows(*_log_t(piece.edge, y), piece.t_density)
+        out[on] = values * (piece.edge / y / y)
     return out, lost
 
 
@@ -344,7 +343,7 @@ def _law_mgf(law, s, what: str):
         return np.exp(-sv * w) * dens
 
     values = [sum(integrate_finite(functools.partial(integrand, i, sv), 0.0,
-                                   1.0 - piece.edge / piece.hi, rtol=_RTOL, vectorized=True)
+                                   1.0 - piece.edge / piece.hi, rtol=_RTOL)
                   for i, piece in enumerate(law)) if sv else 1.0 for sv in ss.ravel()]
     log.debug("%s: %d s values, %d integrand calls on %d distinct node arrays, "
               "%d t-density evaluations, %.4f s", what, ss.size, len(calls), len(nodes),
@@ -547,8 +546,8 @@ def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto"
                      "kappa-d density")
 
 
-def pdf_kappa_d(y: float, dims: Dims, mode: str = "auto", precision: str = "auto") -> float:
-    return float(pdf_kappa_d_grid(np.array([y]), dims, mode, precision)[0])
+def pdf_kappa_d(y: float, dims: Dims) -> float:
+    return float(pdf_kappa_d_grid(np.array([y]), dims)[0])
 
 
 def pdf_via_min_connection(y: float, dims: Dims) -> float:
@@ -701,8 +700,8 @@ def pdf_kappa_e_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
                      precision, "kappa-e density")
 
 
-def pdf_kappa_e(y: float, dims: Dims, precision: str = "auto") -> float:
-    return float(pdf_kappa_e_grid(np.array([y]), dims, precision)[0])
+def pdf_kappa_e(y: float, dims: Dims) -> float:
+    return float(pdf_kappa_e_grid(np.array([y]), dims)[0])
 
 
 def pdf_via_lambda2_connection(y: float, dims: Dims) -> float:
@@ -735,9 +734,9 @@ def pdf_via_lambda2_connection(y: float, dims: Dims) -> float:
     z0 = n - y if y < n else 0.0
     total = 0.0
     if z0 < _KE_SPLIT:
-        total += integrate_finite(f_at_z, z0, _KE_SPLIT, rtol=_RTOL, order_cap=512, max_depth=30)
-    total += integrate_finite(f_at_w, 0.0, min(_KE_SPLIT, 1.0 - z0), rtol=_RTOL,
-                              order_cap=512, max_depth=30)
+        total += integrate_finite(lambda zs: [f_at_z(z) for z in zs], z0, _KE_SPLIT, rtol=_RTOL)
+    total += integrate_finite(lambda ws: [f_at_w(w) for w in ws], 0.0,
+                              min(_KE_SPLIT, 1.0 - z0), rtol=_RTOL)
     return total
 
 

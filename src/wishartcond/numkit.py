@@ -1,8 +1,9 @@
 """Exact combinatorics, exact polynomials and quadrature.
 
 The densities are finite sums whose coefficients are exact rationals,
-built from integer rising factorials, Stirling numbers and Laguerre
-coefficients.  Exact polynomials (``FPoly``) keep integer numerators over
+built from integer rising factorials, Laguerre coefficients and the
+Bessel-entry series sum_p (p + l)^(k-1) t^p / (p! (p + l + 1)!) of the
+limit laws.  Exact polynomials (``FPoly``) keep integer numerators over
 factorial denominators; products, truncated products and determinants of
 them stay exact without rational arithmetic.
 
@@ -43,18 +44,6 @@ def pochhammer_int(a: int, count: int) -> int:
     for i in range(count):
         out *= a + i
     return out
-
-
-def stirling2(p: int, q: int) -> int:
-    """Stirling number of the second kind: set partitions of p into q blocks."""
-    if p < 0 or q < 0 or q > p:
-        raise ValueError("need 0 <= q <= p")
-    total = 0
-    for j in range(q + 1):
-        total += (-1) ** (q - j) * math.comb(q, j) * j**p
-    fac = math.factorial(q)
-    assert total % fac == 0
-    return total // fac
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +281,22 @@ def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 DEFAULT_ORDER = 64
-DEFAULT_ORDER_CAP = 1024
-DEFAULT_MAX_DEPTH = 200
+_ORDER_CAP = 1024
+_MAX_DEPTH = 200
 
 
-def _panel_estimate(f, a: float, b: float, order: int, vectorized: bool) -> float:
+def _panel_estimate(f, a: float, b: float, order: int) -> float:
     nodes, weights = gauss_legendre_rule(order)
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * nodes
-    if vectorized:
-        vals = np.asarray(f(xs), dtype=float)
-    else:
-        vals = np.array([f(x) for x in xs], dtype=float)
-    est = half * float(weights @ vals)
+    est = half * float(weights @ np.asarray(f(0.5 * (a + b) + half * nodes), dtype=float))
     if not math.isfinite(est):
         raise QuadratureError(f"integrand not finite on the panel ({a!r}, {b!r})")
     return est
 
 
-def integrate_finite(
-    f,
-    a: float,
-    b: float,
-    rtol: float = 1e-9,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    vectorized: bool = False,
-) -> float:
-    """Integrate f over the finite interval (a, b).
+def integrate_finite(f, a: float, b: float, rtol: float = 1e-9) -> float:
+    """Integrate f over the finite interval (a, b); f takes an array of
+    nodes and returns the integrand at each.
 
     Order doubling from DEFAULT_ORDER handles analytic integrands; when
     doubling stalls (integrable endpoint singularities after the
@@ -330,7 +307,7 @@ def integrate_finite(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    rough = _panel_estimate(f, a, b, min(128, order_cap), vectorized)
+    rough = _panel_estimate(f, a, b, 128)
     scale = abs(rough)
     tiny = 1e-300
     budget = rtol * max(scale, tiny)
@@ -341,14 +318,14 @@ def integrate_finite(
     stack = [(a, b, budget, 0)]
     while stack:
         lo, hi, tol_abs, depth = stack.pop()
-        prev = _panel_estimate(f, lo, hi, DEFAULT_ORDER, vectorized)
+        prev = _panel_estimate(f, lo, hi, DEFAULT_ORDER)
         cur_order = DEFAULT_ORDER
         accepted = False
         est = prev
         err = math.inf
-        while cur_order * 2 <= order_cap:
+        while cur_order * 2 <= _ORDER_CAP:
             cur_order *= 2
-            est = _panel_estimate(f, lo, hi, cur_order, vectorized)
+            est = _panel_estimate(f, lo, hi, cur_order)
             err = abs(est - prev)
             if err <= tol_abs or err <= 0.25 * rtol * abs(est):
                 accepted = True
@@ -361,7 +338,7 @@ def integrate_finite(
             total += est
             err_total += err
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             # give up refining; count the disagreement toward the error
             total += est
             err_total += err

@@ -57,8 +57,6 @@ _VARIATE_BLOCK_WORDS = 1 << 17
 # largest Gamma shape drawn as an Erlang sum of uniforms; larger shapes take
 # Marsaglia-Tsang tries
 _ERLANG_MAX_SHAPE = 8
-# tridiagonals per dense LAPACK stack in debug mode (5 MiB at n = 50)
-_DEBUG_ROWS = 256
 
 log = logging.getLogger("wishartcond")
 # per thread: (Laguerre sweeps per lane, fallback lanes) of the last search
@@ -458,8 +456,7 @@ def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
     return d, np.multiply(a2[:, :-1], b2, order="F"), gam.sum(axis=1)
 
 
-def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
-                  debug: bool) -> np.ndarray:
+def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
     timed = log.isEnabledFor(logging.DEBUG)
     if timed:
         started = time.perf_counter()
@@ -482,48 +479,18 @@ def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int,
     if np.any(bad):
         idx = start + int(np.argmax(bad))
         raise SamplerError(f"eigensolver failed for sample index {idx}")
-    if debug:
-        _debug_check(d, e2, tr, lam, kth, start)
     return tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
 
 
-def _debug_check(d, e2, tr, lam, kth: int, start: int):
-    # LAPACK on each dense tridiagonal: agreement with the trace and with
-    # both searched values, the one computed and the other order statistic,
-    # to 16 n eps lambda_max (the search and the trace sum stay below 3 n eps
-    # lambda_max against LAPACK at n = 4 and 50).  The dense stack is built
-    # _DEBUG_ROWS tridiagonals at a time, so its memory stays near the chunk's.
-    k, n = d.shape
-    lam1 = lam if kth == 1 else _kth_smallest(d, e2, 1)
-    lam2 = lam if kth == 2 else (_kth_smallest(d, e2, 2) if n >= 2 else None)
-    diag = np.arange(n)
-    e = np.sqrt(e2)
-    # only the three diagonals are written, so one zeroed stack serves every block
-    stack = np.zeros((min(k, _DEBUG_ROWS), n, n))
-    for lo in range(0, k, _DEBUG_ROWS):
-        hi = min(lo + _DEBUG_ROWS, k)
-        T = stack[:hi - lo]
-        T[:, diag, diag] = d[lo:hi]
-        T[:, diag[1:], diag[:-1]] = e[lo:hi]
-        T[:, diag[:-1], diag[1:]] = e[lo:hi]
-        vals = np.linalg.eigvalsh(T)
-        tol = 16 * n * _EPS * np.maximum(vals[:, -1], 1e-300)
-        bad = ((np.abs(vals[:, 0] - lam1[lo:hi]) > tol)
-               | (np.abs(vals.sum(axis=1) - tr[lo:hi]) > tol))
-        if lam2 is not None:
-            bad |= np.abs(vals[:, 1] - lam2[lo:hi]) > tol
-        if np.any(bad):
-            raise SamplerError("eigenvalue paths disagree at sample index "
-                               f"{start + lo + int(np.argmax(bad))}")
-
-
 def mc_collect(metric: str, dims: Dims, count: int, seed: int,
-               workers: int = 1, chunk: int = 4096,
-               debug: bool = False) -> np.ndarray:
+               workers: int = 1, chunk: int = 4096) -> np.ndarray:
     """count draws of the chosen statistic, bit-deterministic in (seed, index).
 
-    The sample index space is split into fixed chunks; workers only change
-    how chunks are scheduled, never what any index produces.
+    The sample index space is split into fixed chunks of ``chunk`` draws;
+    ``workers`` threads only change how chunks are scheduled, never what
+    any index produces.  Each searched eigenvalue is certified by two
+    Sturm counts (``_kth_smallest``), and one that is not finite and
+    positive raises SamplerError with its sample index.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -536,11 +503,9 @@ def mc_collect(metric: str, dims: Dims, count: int, seed: int,
     spans = [(s, min(s + chunk, count)) for s in range(0, count, chunk)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda sp: _chunk_values(metric, dims, seed, sp[0], sp[1], debug),
-                spans))
+            parts = list(pool.map(lambda sp: _chunk_values(metric, dims, seed, *sp), spans))
     else:
-        parts = [_chunk_values(metric, dims, seed, s, t, debug) for s, t in spans]
+        parts = [_chunk_values(metric, dims, seed, s, t) for s, t in spans]
     return np.concatenate(parts)
 
 

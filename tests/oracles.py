@@ -23,7 +23,8 @@ mpmath at 40 digits.
 The per-point double sums loop over the points, one scaled dot product of
 the signed t-density terms at each, so they differ from the library's
 whole-grid sums only in summation order.  The closed alpha = 0 kappa-e law,
-whose pieces overlap, has its own per-point sum in y.
+whose pieces overlap, has its own per-point sum in y.  The trace-ratio
+densities at 40 digits are mpmath sums in y of the exact coefficients.
 
 The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
@@ -47,9 +48,10 @@ from wishartcond.exact import (
     _evaluate,
     _ExpPiece,
     _ke_det,
-    _law_values,
     _log_t,
     _min_eig_fracs,
+    _mp_sum,
+    _mpf,
     _shift_by_one,
     pdf_kappa_d_grid,
     pdf_kappa_e_grid,
@@ -101,6 +103,22 @@ def _law_values_in_y(law, ys):
             continue
         t = logs[mask] + powers[mask] * np.log(y - edges[mask]) - mn * math.log(y)
         out[i], lost[i] = _signed_sum(signs[mask], t)
+    return out, lost
+
+
+def law_values_mp(law, ys, dps: int):
+    """(density, digits lost) of an edge-power law at dps digits, point by
+    point: the mpmath sum of c (y - edge)^p over every piece at y, times
+    y^(-mn).  The extended-precision reference of the trace-ratio
+    densities, which the library sums in t and in double only."""
+    ys = np.asarray(ys, dtype=float)
+    out, lost = np.zeros((2, ys.size))
+    with mpmath.workdps(dps):
+        terms = [(t.edge, t.hi, p, _mpf(f)) for t in law for p, f in zip(t.powers, t.fracs) if f]
+        for i, y in enumerate(ys):
+            parts = [c * mpmath.mpf(y - edge) ** p for edge, hi, p, c in terms if edge < y <= hi]
+            _, lost[i] = _mp_sum(parts)
+            out[i] = float(mpmath.fsum(parts) * mpmath.mpf(y) ** -law[0].mn)
     return out, lost
 
 
@@ -159,7 +177,7 @@ def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto") -> n
 
     def values(ys, dps):
         # the pieces overlap above n, where they cancel: sums in y
-        return _law_values_in_y(law, ys) if dps is None else _law_values(law, ys, dps)
+        return _law_values_in_y(law, ys) if dps is None else law_values_mp(law, ys, dps)
 
     return _evaluate(values, ys, precision, "closed kappa-e density")
 
@@ -511,7 +529,7 @@ def normalization_kappa_d(dims: Dims, **pdf_kwargs) -> float:
         ys = n / (1.0 - tt)
         return pdf_kappa_d_grid(ys, dims, **pdf_kwargs) * n / (1.0 - tt) ** 2
 
-    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-10, vectorized=True)
+    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-10)
 
 
 def normalization_kappa_e(dims: Dims, **pdf_kwargs) -> float:
@@ -522,7 +540,7 @@ def normalization_kappa_e(dims: Dims, **pdf_kwargs) -> float:
         ys = edge / (1.0 - tt)
         return pdf_kappa_e_grid(ys, dims, **pdf_kwargs) * edge / (1.0 - tt) ** 2
 
-    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-8, vectorized=True)
+    return integrate_finite(pdf_t, 0.0, 1.0, rtol=1e-8)
 
 
 def _decay_cutoff(p: float, decay: float, margin: float = 50.0) -> float:
@@ -545,14 +563,14 @@ def normalization_lambda_min(dims: Dims, **pdf_kwargs) -> float:
     cutoff = _decay_cutoff(float(dims.mn), float(dims.n))
     return integrate_finite(
         lambda xs: pdf_lambda_min_grid(xs, dims, **pdf_kwargs),
-        0.0, cutoff, rtol=1e-10, vectorized=True)
+        0.0, cutoff, rtol=1e-10)
 
 
 def normalization_lambda2(dims: Dims, **pdf_kwargs) -> float:
     cutoff = _decay_cutoff(float(dims.mn), float(max(dims.n - 1, 1)))
     return integrate_finite(
         lambda xs: pdf_lambda2_grid(xs, dims, **pdf_kwargs),
-        0.0, cutoff, rtol=1e-8, vectorized=True)
+        0.0, cutoff, rtol=1e-8)
 
 
 def normalization_v_kappa_d(p: asymptotic.ScaledParams) -> float:

@@ -242,6 +242,19 @@ class TestMixtureTables:
                                    [1 / (mu * mpmath.mpf(v)), mpmath.inf])
             assert abs(cdf(np.array([v]))[0] - float(want)) < 1e-12
 
+    def test_entry_matches_stirling_weights(self):
+        # the closed numerator (p + family)^(row - 1) of t^p is
+        # sum_q weight_q p! / (p - q)! over the recursive Stirling weights;
+        # the limit tables read rows and families up to 6
+        deg = 40
+        for row in range(1, 9):
+            for family in range(1, 7):
+                weights = [_weight(row, family, q) for q in range(row)]
+                entry = asymptotic._entry(row, family, deg)
+                assert entry.shift == family + 1
+                assert entry.nums == tuple(sum(w * math.perm(p, q) for q, w in enumerate(weights))
+                                           for p in range(deg + 1)), (row, family)
+
     def test_cdf_limits(self):
         cdf = cdf_v_kappa_e_interp(ScaledParams(4.0, 1))
         got = cdf(np.array([-1.0, 0.0, 1e-310, np.inf]))

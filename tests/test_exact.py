@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import warnings
@@ -13,6 +14,7 @@ from oracles import (
     ke_closed_alpha0_law,
     ke_pieces_oracle,
     lambda2_law_oracle,
+    law_values_mp,
     law_values_pointwise,
     normalization_kappa_d,
     normalization_lambda_min,
@@ -30,6 +32,8 @@ from wishartcond.exact import (
     METRIC_KAPPA_E,
     METRIC_LAMBDA_2,
     Dims,
+    _EdgePowerTable,
+    _evaluate,
     _exp_law_values,
     _kd_law,
     _ke_bivariate_w_fracs,
@@ -62,7 +66,7 @@ def _ke_pieces(dims):
     return _trace_ratio_law(METRIC_KAPPA_E, dims)
 
 
-def _at_dps(law, xs, values=_law_values):
+def _at_dps(law, xs, values=law_values_mp):
     """A law's density from its sums at DEFAULT_DPS (40) digits at every
     point, whatever the cancellation: the reference the double and 'auto'
     paths are held to."""
@@ -111,7 +115,7 @@ class TestKappaD:
 
     def test_alpha_cap(self):
         with pytest.raises(ValueError):
-            pdf_kappa_d(9.0, Dims(3, 5), mode="theorem")
+            pdf_kappa_d_grid(np.array([9.0]), Dims(3, 5), mode="theorem")
 
     # the closed tables cover alpha <= 1
     @pytest.mark.parametrize("dims, mode", [
@@ -512,13 +516,29 @@ class TestKappaEPieces:
 
     def test_sign_guard(self):
         # the tail piece is one-signed and the near piece cancels mildly, so
-        # neither needs more than double precision
-        for n in range(3, 16):
-            for alpha in range(4):
-                near, tail = _ke_pieces(Dims(n, alpha))
-                assert all(f > 0 for f in tail.fracs), (n, alpha)
-                _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), None)
-                assert lost.max() <= math.log10(2.0), (n, alpha)
+        # neither needs more than double precision; the near piece's worst
+        # loss grows slowly with alpha at n = 3 (0.33 digits at alpha = 8)
+        cases = [(n, alpha, math.log10(2.0)) for n in range(3, 16) for alpha in range(4)]
+        cases += [(n, alpha, 0.5) for n in range(3, 7) for alpha in range(4, 9)]
+        for n, alpha, bound in cases:
+            near, tail = _ke_pieces(Dims(n, alpha))
+            assert all(f > 0 for f in tail.fracs), (n, alpha)
+            _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), None)
+            assert lost.max() <= bound, (n, alpha)
+
+    def test_cancelling_piece_raises_under_auto(self):
+        # 1 - 0.9999 (y - 1) at y = 2 keeps 1e-4 of sum |term| = 1.9999:
+        # 4.3 digits lost, past the 3 that 'auto' allows, and the trace-ratio
+        # laws have no extended-precision sum to fall back on
+        piece = _EdgePowerTable(4, 1, math.inf, (0, 1), (Fraction(1), Fraction(-9999, 10000)))
+        ys = np.array([1.5, 2.0])
+        values = functools.partial(_law_values, (piece,))
+        want, lost = values(ys, None)
+        assert lost[1] == pytest.approx(math.log10(19999.0), rel=1e-9)
+        assert want[1] == pytest.approx(1e-4 / 16, rel=1e-11)
+        with pytest.raises(ArithmeticError, match="cancels past 3 digits"):
+            _evaluate(values, ys, "auto", "test density")
+        assert _evaluate(values, ys, "double", "test density").tolist() == want.tolist()
 
     def test_kappa_d_tables_one_signed(self):
         # the production table (from the smallest-eigenvalue polynomial) is

@@ -1,11 +1,15 @@
-"""Every helper of the package has a caller in the package, and no module
-rebinds a module-level name from inside a function.
+"""Every helper and every defaulted parameter of the package has a caller
+in the package, and no module rebinds a module-level name from inside a
+function.
 
 A public top-level function or class of any module of ``src/wishartcond``,
 or a public method of a public class, that nothing else in the package
 uses, apart from its own definition, is library code that only tests
 call; it should be deleted or moved into the tests.  A private top-level
 function or class that nothing else in the package uses is dead code.
+A defaulted parameter that no call in the package passes (by position,
+by keyword, through * or **, or through functools.partial) is an option
+that only tests set.
 A ``global`` statement is mutable module state shared by every caller
 and thread; a cache belongs to the function that fills it.
 """
@@ -82,3 +86,80 @@ def test_no_global_statements(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert [(node.lineno, node.names) for node in ast.walk(tree)
             if isinstance(node, ast.Global)] == []
+
+
+# (module, function, parameter) whose default no call in the package
+# overrides, each with the reason it stays
+_UNPASSED_DEFAULTS = {
+    # the console-script entry point: the installed script calls main() and
+    # it reads sys.argv; argv is for callers outside the package
+    ("cli.py", "main", "argv"),
+    # the benchmark's figure check passes it positionally; it limits nothing
+    # and goes once that check no longer passes it
+    ("exact.py", "cdf_kappa_d_interp", "y_max"),
+}
+
+
+def _defaulted(fn, method: bool) -> list:
+    """(position in a call, or None if keyword-only; name) of each parameter
+    of fn with a default.  A method's position leaves out self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - method, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    return out + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+
+
+def _functions(tree):
+    """(function, whether it is a method called through its instance)."""
+    methods = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for sub in node.body if isinstance(sub, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)}
+    return [(node, id(node) in methods) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)]
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _call_sites(trees) -> dict:
+    """Callee name -> (positional arguments, keywords) of each call, where
+    functools.partial(f, ...) counts as a call of f."""
+    sites: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee, args = _name(node.func), node.args
+            if callee == "partial" and args:
+                callee, args = _name(args[0]), args[1:]
+            sites.setdefault(callee, []).append((args, node.keywords))
+    return sites
+
+
+def _passes(site, position, name) -> bool:
+    args, keywords = site
+    if any(k.arg is None or k.arg == name for k in keywords):
+        return True     # by keyword, or possibly through **
+    if position is None:
+        return False
+    return len(args) > position or any(isinstance(a, ast.Starred) for a in args)
+
+
+def test_defaulted_parameters_have_package_callers():
+    # a default that no call in the package overrides is an option that only
+    # tests exercise: library code that only tests call
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    sites = _call_sites(trees.values())
+    unpassed = []
+    for module, tree in trees.items():
+        for fn, method in _functions(tree):
+            for position, name in _defaulted(fn, method):
+                if (module, fn.name, name) in _UNPASSED_DEFAULTS:
+                    continue
+                if not any(_passes(site, position, name) for site in sites.get(fn.name, ())):
+                    unpassed.append(f"{module}: {fn.name}({name})")
+    assert unpassed == []
