@@ -164,7 +164,8 @@ def _signed_rows(x: np.ndarray, y: np.ndarray, terms):
     (0, 0).  The grid is one (points x terms) array, each row scaled by its
     largest exponent, and each row of a block of at most _BLOCK elements is
     summed on its own, never across the grid."""
-    c, lw, a, b = np.array(terms, dtype=float).reshape(-1, 4).T
+    c, lw, a, b = np.fromiter(itertools.chain.from_iterable(terms), float,
+                              4 * len(terms)).reshape(-1, 4).T
     out, lost = np.zeros((2, x.size))
     step = max(1, _BLOCK // max(c.size, 1))
     for lo in range(0, x.size, step):

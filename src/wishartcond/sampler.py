@@ -24,6 +24,13 @@ next step that cubic convergence predicts, falls to the tolerance.  Two
 Sturm counts at x -/+ 4 eps ||T|| certify each value to that absolute
 tolerance, as LAPACK dstebz's ABSTOL does; the few lanes that fail are
 finished by Sturm bisection.
+
+A chunk holds its tridiagonals lane-major, D (n, lanes) and E2 (n - 1,
+lanes), (2n - 1) x lanes doubles written straight from each Philox
+block's Gamma rows through buffers of one block's rows; the search adds
+one work copy of D, and a buffer for the E2 of the live lanes once fewer
+than half are live.  Every step acts elementwise per lane, so neither
+layout nor block nor chunk changes a draw.
 """
 
 from __future__ import annotations
@@ -59,9 +66,10 @@ _VARIATE_BLOCK_WORDS = 1 << 17
 _ERLANG_MAX_SHAPE = 8
 
 log = logging.getLogger("wishartcond")
-# per thread: (Laguerre sweeps per lane, fallback lanes) of the last search
+# per thread: the last search's counts and bytes, for the chunk log line
 _search_stats = threading.local()
-# per thread: (Marsaglia-Tsang variates, second tries, exhausted) of the last rows
+# per thread: (Marsaglia-Tsang variates, second tries, exhausted, bytes held)
+# of the last rows
 _variate_stats = threading.local()
 
 
@@ -190,10 +198,10 @@ def _laguerre_sums(Q, E2, x):
     return np.count_nonzero(Q < 0, axis=0), g, h
 
 
-def _laguerre_search(D, E2, x, kth: int, atol, pole=None, max_sweeps: int = _LAGUERRE_SWEEPS):
+def _laguerre_search(D, E2, x, kth: int, atol, work, pole=None, max_sweeps=_LAGUERRE_SWEEPS):
     """Laguerre steps from x, a point between the (kth - 1)th and the kth
     eigenvalue, toward the kth: (values, lane-sweeps taken, lanes stopped
-    by the predicted bound).
+    by the predicted bound, bytes of the gather buffer).
 
     The Sturm count tells which side of the kth eigenvalue x is on: below
     it the step is k / (R - G), above it -k / (R + G), R = sqrt((k-1)(k H -
@@ -207,31 +215,32 @@ def _laguerre_search(D, E2, x, kth: int, atol, pole=None, max_sweeps: int = _LAG
     falls to atol, or is predicted to make the next one fall to atol under
     cubic convergence, |s_k|^3 <= atol |s_{k-1}|^2 (Laguerre steps only).
 
-    The live lanes' diagonals go to one buffer for the whole search, copied
-    while every lane is live and gathered with ``np.take`` after that.
+    While more than half the lanes are live, all are swept in the work
+    copy of D and the live ones read off; below that the live lanes are
+    gathered into it, and their E2 into a buffer sized at its first use.
     """
     n, lanes = D.shape
     k = n - 1 if pole is not None else n
     ids = np.arange(lanes)
     out = x.copy()
     prev = np.zeros(lanes)  # each lane's last step; 0 predicts nothing
-    qbuf = np.empty(D.size)
-    ebuf = np.empty(E2.size)
+    gather = None
     sweeps = predicted = 0
     for _ in range(max_sweeps):
         m = len(ids)
         if m == 0:
             break
         sweeps += m
-        x = out[ids]
-        Q = qbuf[:n * m].reshape(n, m)
-        if m == lanes:
-            np.copyto(Q, D)
-            e2 = E2
+        if 2 * m > lanes:
+            np.copyto(work, D)
+            cnt, G, H = (a[ids] for a in _laguerre_sums(work, E2, out))
         else:
-            np.take(D, ids, axis=1, out=Q)
-            e2 = np.take(E2, ids, axis=1, out=ebuf[:(n - 1) * m].reshape(n - 1, m))
-        cnt, G, H = _laguerre_sums(Q, e2, x)
+            gather = np.empty((n - 1) * m) if gather is None else gather
+            # clip mode: a raise-mode take with out= buffers a copy of out
+            Q = np.take(D, ids, axis=1, mode="clip", out=work.ravel()[:n * m].reshape(n, m))
+            e2 = np.take(E2, ids, axis=1, mode="clip", out=gather[:(n - 1) * m].reshape(n - 1, m))
+            cnt, G, H = _laguerre_sums(Q, e2, out[ids])
+        x = out[ids]
         if pole is not None:
             p = 1.0 / (x - pole[ids])
             G -= p
@@ -255,12 +264,13 @@ def _laguerre_search(D, E2, x, kth: int, atol, pole=None, max_sweeps: int = _LAG
         predicted += int(np.count_nonzero(cubic))
         prev[ids] = size
         ids = ids[stay & ~cubic]
-    return out, sweeps, predicted
+    return out, sweeps, predicted, 0 if gather is None else gather.nbytes
 
 
-def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
+def _kth_smallest(D: np.ndarray, E2: np.ndarray, kth: int) -> np.ndarray:
     """kth smallest eigenvalue (1-based, kth <= 2) of each tridiagonal in the
-    stack, rows d (lanes, n) and squared off-diagonals e2 (lanes, n - 1).
+    stack, lane-major: diagonals D (n, lanes) and squared off-diagonals E2
+    (n - 1, lanes).
 
     lambda_1 comes from Laguerre steps from 0, below the spectrum of a
     positive definite B B^T.  For lambda_2, one Laguerre step from 0 gives a
@@ -274,29 +284,28 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
     the predicted stop left them short, are bisected from their Gershgorin
     interval.  ``_search_stats.last`` gets (pole sweeps, gap probes, final
     sweeps, all per lane; lanes stopped by the predicted bound, fallback
-    lanes) for the chunk log line.
+    lanes; bytes of the work copy and gather buffer) for the chunk log line.
     """
-    lanes, n = d.shape
+    n, lanes = D.shape
     if n == 1:
-        _search_stats.last = (0.0, 0.0, 0.0, 0, 0)
-        return d[:, 0].copy()
-    D = np.ascontiguousarray(d.T)
-    E2 = np.ascontiguousarray(e2.T)
-    # ||T|| as the largest Gershgorin row sum
-    rad = np.abs(D)
-    e = np.sqrt(E2)
-    rad[:-1] += e
-    rad[1:] += e
-    atol = _EPS * rad.max(axis=0)
-    del rad, e
+        _search_stats.last = (0.0, 0.0, 0.0, 0, 0, 0)
+        return D[0].copy()
+    # ||T|| as the largest Gershgorin row sum |d_i| + e_i + e_{i-1}, a row at a time
+    norm = e_last = zero = np.zeros(lanes)
+    for i in range(n):
+        e = np.sqrt(E2[i]) if i < n - 1 else zero
+        norm = np.maximum(norm, np.abs(D[i]) + e + e_last)
+        e_last = e
+    atol = _EPS * norm
+    work = np.empty(D.shape)  # the one work copy of D, shared by both searches
     pole_sweeps = probes = 0
     with np.errstate(all="ignore"):
         if kth == 1:
-            x, sweeps, predicted = _laguerre_search(D, E2, np.zeros(lanes), 1, atol)
+            x, sweeps, predicted, gathered = _laguerre_search(D, E2, zero, 1, atol, work)
         else:
-            pole, pole_sweeps, _ = _laguerre_search(D, E2, np.zeros(lanes), 1, atol, max_sweeps=1)
+            pole, pole_sweeps, _, _ = _laguerre_search(D, E2, zero, 1, atol, work, max_sweeps=1)
             x, probes = _gap_point(D, E2, pole)
-            x, sweeps, predicted = _laguerre_search(D, E2, x, 2, atol, pole=pole)
+            x, sweeps, predicted, gathered = _laguerre_search(D, E2, x, 2, atol, work, pole=pole)
         delta = 4.0 * atol
         cnt = _sturm_counts(D, E2, np.stack([x - delta, x + delta]))
     bad = ~((cnt[0] < kth) & (cnt[1] >= kth))
@@ -304,7 +313,7 @@ def _kth_smallest(d: np.ndarray, e2: np.ndarray, kth: int) -> np.ndarray:
     if fallbacks:
         x[bad] = _bisect(D[:, bad], E2[:, bad], kth)
     _search_stats.last = (pole_sweeps / lanes, probes / lanes, sweeps / lanes, predicted,
-                          fallbacks)
+                          fallbacks, work.nbytes + gathered)
     return x
 
 
@@ -354,26 +363,27 @@ def _variate_layout(dims: Dims):
     return shapes, nd, ns, np.cumsum(lengths) - lengths, int(lengths.sum()) + 4 * (nd + ns)
 
 
-def _mt_accept(x, v, u, d):
+def _mt_accept(x, v, u, d, lv=None, tmp=None):
     """Marsaglia-Tsang acceptance of d v, v = (1 + c x)^3, as a Gamma(d + 1/3)
-    variate: v > 0 and log u < x^2 / 2 + d - d v + d log v.  v <= 0 makes
-    the bound NaN or -inf, which rejects."""
+    variate: v > 0 and log u < x^2 / 2 + d - d v + d log v (in the buffers
+    lv and tmp, if given).  v <= 0 makes the bound NaN or -inf: rejected."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        lv = np.log(v)
+        lv = np.log(v, out=lv)
     lv -= v
     lv += 1.0
     lv *= d
-    lv += 0.5 * x * x
-    return np.log(u) < lv
+    lv += np.multiply(np.multiply(0.5, x, out=tmp), x, out=tmp)
+    return np.log(u, out=tmp) < lv
 
 
-def _mt_try(x, u, d, c):
-    """One Marsaglia-Tsang try per lane: (accepted, d (1 + c x)^3)."""
-    v = c * x
+def _mt_try(x, u, d, c, v=None, y=None, tmp=None):
+    """One Marsaglia-Tsang try per lane: (accepted, d (1 + c x)^3), in the
+    buffers v, y and tmp, if given."""
+    v = np.multiply(c, x, out=v)
     v += 1.0
-    y = v * v
+    y = np.multiply(v, v, out=y)
     y *= v
-    ok = _mt_accept(x, y, u, d)
+    ok = _mt_accept(x, y, u, d, v, tmp)
     y *= d
     return ok, y
 
@@ -387,10 +397,12 @@ def _exhausted_gamma(seed: int, index: int, variate: int, shape: int) -> float:
     return float(-np.log(_uniform(bg.random_raw(shape))).sum())
 
 
-def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
-    """The 2n - 1 Gamma variates of draws start..stop-1, one row each:
-    shapes m, m-1, ..., m-n+1 for the squared diagonal of B, then n-1, ..., 1
-    for the squared subdiagonal.
+def _gamma_blocks(dims: Dims, seed: int, start: int, stop: int):
+    """The 2n - 1 Gamma variates of draws start..stop-1, one row each, as
+    (first draw, rows) per block of ``_VARIATE_BLOCK_WORDS`` raw words: shapes
+    m, m-1, ..., m-n+1 for the squared diagonal of B, then n-1, ..., 1 for
+    the squared subdiagonal.  The rows, and every temporary, live in buffers
+    of min(block, stop - start) rows that the next block overwrites.
 
     A shape up to ``_ERLANG_MAX_SHAPE`` is the Erlang sum -sum log(u) over
     its own segment of the row; with m at most that, the row is the m n
@@ -398,7 +410,8 @@ def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
     Marsaglia and Tsang's tries (ACM TOMS 26 (2000) 363), the second only
     where the first is rejected, and an Erlang sum from ``_exhausted_gamma``
     where both are.  Each is an exact Gamma variate.  Counts of both tries
-    and of the exhaustions go to ``_variate_stats.last``.
+    and of the exhaustions, and the bytes of one block's buffers and raw
+    words, go to ``_variate_stats.last``.
     """
     shapes, nd, ns, offsets, words = _variate_layout(dims)
     n, nl = dims.n, nd + ns
@@ -406,75 +419,84 @@ def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
     cols = np.r_[0:nd, n:n + ns]  # the large shapes' columns
     d = shapes[cols] - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    gam = np.empty((stop - start, len(shapes)))
-    retries = exhausted = 0
     # rows are independent, so the block size changes memory, not values
     block = max(1, _VARIATE_BLOCK_WORDS // _row_words(words))
+    rows = min(block, stop - start)
+    gam = np.empty((rows, len(shapes)))
+    # with every column an Erlang sum, the sums are the rows
+    red = np.empty((rows, len(offsets))) if nl else gam
+    mt = np.empty((4, rows, nl))  # cos(angle) r, then _mt_try's v, y and tmp
+    held = gam.nbytes + mt.nbytes + (red is not gam) * red.nbytes + 8 * rows * _row_words(words)
+    retries = exhausted = 0
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
         raw = _keyed_raw(seed, lo, hi, words)
         # the second tries' words are rarely read, and made into uniforms then
         u = _uniform(raw[:, :ne + 3 * nl])
-        out = gam[lo - start:hi - start]
+        out = gam[:hi - lo]
         if ne:
-            logu = np.log(u[:, :ne], out=u[:, :ne])
-            red = np.add.reduceat(logu, offsets, axis=1)
-            if not nl:
-                # every column an Erlang sum: one contiguous write
-                np.negative(red, out=out)
-                continue
-            np.negative(red[:, :n - nd], out=out[:, nd:n])
-            np.negative(red[:, n - nd:], out=out[:, n + ns:])
-        r, ang = _box_muller_polar(u[:, ne:ne + nl], u[:, ne + nl:ne + 2 * nl], 1.0)
-        x = np.cos(ang)
-        x *= r
-        ok, y = _mt_try(x, u[:, ne + 2 * nl:ne + 3 * nl], d, c)
-        np.logical_not(ok, out=ok)
-        i, j = np.divmod(np.flatnonzero(ok), nl)
-        if len(i):
-            x = r[i, j] * np.sin(ang[i, j])
-            ok, y[i, j] = _mt_try(x, _uniform(raw[i, ne + 3 * nl + j]), d[j], c[j])
-            retries += len(i)
-            exhausted += len(i) - int(np.count_nonzero(ok))
-            for row, t in zip(i[~ok].tolist(), j[~ok].tolist()):
-                y[row, t] = _exhausted_gamma(seed, lo + row, int(cols[t]), int(shapes[cols[t]]))
-        out[:, :nd] = y[:, :nd]
-        out[:, n:n + ns] = y[:, nd:]
-    _variate_stats.last = ((stop - start) * nl, retries, exhausted)
-    return gam
+            np.log(u[:, :ne], out=u[:, :ne])
+            sums = np.add.reduceat(u[:, :ne], offsets, axis=1, out=red[:hi - lo])
+            np.negative(sums[:, :n - nd], out=out[:, nd:n])
+            np.negative(sums[:, n - nd:], out=out[:, n + ns:])
+        if nl:
+            x, v, y, tmp = mt[:, :hi - lo]
+            r, ang = _box_muller_polar(u[:, ne:ne + nl], u[:, ne + nl:ne + 2 * nl], 1.0)
+            np.cos(ang, out=x)
+            x *= r
+            ok, y = _mt_try(x, u[:, ne + 2 * nl:ne + 3 * nl], d, c, v, y, tmp)
+            np.logical_not(ok, out=ok)
+            i, j = np.divmod(np.flatnonzero(ok), nl)
+            if len(i):
+                x = r[i, j] * np.sin(ang[i, j])
+                ok, y[i, j] = _mt_try(x, _uniform(raw[i, ne + 3 * nl + j]), d[j], c[j])
+                retries += len(i)
+                exhausted += len(i) - int(np.count_nonzero(ok))
+                for row, t in zip(i[~ok].tolist(), j[~ok].tolist()):
+                    y[row, t] = _exhausted_gamma(seed, lo + row, int(cols[t]), int(shapes[cols[t]]))
+            out[:, :nd] = y[:, :nd]
+            out[:, n:n + ns] = y[:, nd:]
+        yield lo, out
+        raw = u = r = ang = None  # the next block's words replace these, not join them
+    _variate_stats.last = ((stop - start) * nl, retries, exhausted, held)
 
 
 def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
-    """(d, e2, trace) of B B^T for draws start..stop-1 of the bidiagonal
-    model, B's squared entries drawn by ``_gamma_rows``."""
-    n = dims.n
-    gam = _gamma_rows(dims, seed, start, stop)
-    a2, b2 = gam[:, :n], gam[:, n:]
-    # column-major, as the eigenvalue search reads them
-    d = np.array(a2, order="F")
-    d[:, 1:] += b2
-    return d, np.multiply(a2[:, :-1], b2, order="F"), gam.sum(axis=1)
+    """(D, E2, trace) of B B^T for draws start..stop-1 of the bidiagonal
+    model, lane-major as the eigenvalue search reads them: D (n, lanes) and
+    E2 (n - 1, lanes), each block of ``_gamma_blocks`` written straight in."""
+    n, lanes = dims.n, stop - start
+    D, E2, trace = np.empty((n, lanes)), np.empty((n - 1, lanes)), np.empty(lanes)
+    for lo, gam in _gamma_blocks(dims, seed, start, stop):
+        s = slice(lo - start, lo - start + len(gam))
+        a2, b2 = gam[:, :n].T, gam[:, n:].T
+        D[0, s] = a2[0]
+        np.add(a2[1:], b2, out=D[1:, s])
+        np.multiply(a2[:-1], b2, out=E2[:, s])
+        gam.sum(axis=1, out=trace[s])
+    return D, E2, trace
 
 
 def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
     timed = log.isEnabledFor(logging.DEBUG)
     if timed:
         started = time.perf_counter()
-    d, e2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
+    D, E2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
     # only the order statistic the metric reads is searched for
     kth = 2 if metric in (METRIC_KAPPA_E, METRIC_LAMBDA_2) else 1
     if timed:
         drawn = time.perf_counter()
-    lam = _kth_smallest(d, e2, kth)
+    lam = _kth_smallest(D, E2, kth)
     if timed:
-        tries, retries, exhausted = _variate_stats.last
-        pole, probes, final, predicted, fallbacks = _search_stats.last
+        tries, retries, exhausted, block_bytes = _variate_stats.last
+        pole, probes, final, predicted, fallbacks, search_bytes = _search_stats.last
         log.debug("mc chunk %d-%d %s n=%d: variates %.4f s (%d Marsaglia-Tsang, %d second "
                   "tries, %d exhausted), eigenvalue search %.4f s, per lane %.2f pole "
                   "sweeps, %.2f gap probes and %.2f final sweeps, %d predicted stops, "
-                  "%d fallback lanes", start, stop - 1, metric, dims.n,
+                  "%d fallback lanes; %d bytes held", start, stop - 1, metric, dims.n,
                   drawn - started, tries, retries, exhausted, time.perf_counter() - drawn,
-                  pole, probes, final, predicted, fallbacks)
+                  pole, probes, final, predicted, fallbacks,
+                  D.nbytes + E2.nbytes + block_bytes + search_bytes)
     bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
         idx = start + int(np.argmax(bad))

@@ -12,6 +12,9 @@ by keyword, through * or **, or through functools.partial) is an option
 that only tests set.
 A ``global`` statement is mutable module state shared by every caller
 and thread; a cache belongs to the function that fills it.
+An ``np.take`` into ``out=`` in numpy's default "raise" mode first gathers
+into a hidden copy as large as ``out``, so every such take names another
+mode.
 """
 
 import ast
@@ -163,3 +166,27 @@ def test_defaulted_parameters_have_package_callers():
                 if not any(_passes(site, position, name) for site in sites.get(fn.name, ())):
                     unpassed.append(f"{module}: {fn.name}({name})")
     assert unpassed == []
+
+
+def _takes_into_out(tree) -> list:
+    """(line, mode) of each np.take or array .take call that passes out, with
+    the mode it passes (None for the default, or a mode that is no literal)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _name(node.func) == "take"):
+            continue
+        # np.take(a, indices, axis, out, mode); a.take(indices, axis, out, mode)
+        first = 3 if getattr(node.func.value, "id", None) in ("np", "numpy") else 2
+        keywords = {k.arg: k.value for k in node.keywords}
+        if "out" not in keywords and len(node.args) <= first:
+            continue
+        mode = keywords.get("mode", node.args[first + 1] if len(node.args) > first + 1 else None)
+        found.append((node.lineno, getattr(mode, "value", None)))
+    return found
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_takes_into_out_do_not_buffer(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [(line, mode) for line, mode in _takes_into_out(tree)
+            if mode not in ("clip", "wrap")] == []

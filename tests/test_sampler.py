@@ -138,8 +138,21 @@ def _row_width(dims: Dims) -> int:
     return sampler._variate_layout(dims)[-1]
 
 
+def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
+    """The Gamma variates of draws start..stop-1, every block of
+    ``_gamma_blocks`` stacked."""
+    return np.concatenate([rows.copy() for _, rows in
+                           sampler._gamma_blocks(dims, seed, start, stop)])
+
+
+def _rows(dims: Dims, seed: int, start: int, stop: int):
+    """``_laguerre_tridiagonal``'s (d, e2, trace), one row per draw."""
+    D, E2, trace = sampler._laguerre_tridiagonal(dims, seed, start, stop)
+    return D.T, E2.T, trace
+
+
 def _tridiagonal(gam: np.ndarray, n: int):
-    """(d, e2, trace) of B B^T from rows of Gamma variates."""
+    """(d, e2, trace) of B B^T from rows of Gamma variates, one row per draw."""
     a2, b2 = gam[:, :n], gam[:, n:]
     d = a2.copy()
     d[:, 1:] += b2
@@ -150,7 +163,7 @@ def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
     """mc_collect's values for these indices, from ``_reference_variates``."""
     d, e2, tr = _tridiagonal(np.stack([_reference_variates(dims, seed, k) for k in indices]),
                              dims.n)
-    lam = _kth_smallest(d, e2, _KTH[metric])
+    lam = _kth_smallest(d.T, e2.T, _KTH[metric])
     return tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
 
 
@@ -216,16 +229,33 @@ class TestKeyedStream:
         monkeypatch.setattr(sampler, "_keyed_raw", spy)
         sampler._laguerre_tridiagonal(dims, 5, 0, block + 1)
         assert rows == [block, 1]
-        # a whole 4096-draw chunk peaks at its variates, d and e2 (6.2 MiB);
-        # the raw words and temporaries scale with the block (1 MiB), and
-        # temporaries as wide as the chunk would take the peak past 12 MiB
+        # a whole 4096-draw chunk peaks at 5.4 MiB: d, e2 and the trace (3.1
+        # MiB) and the buffers of one block (2.1 MiB: raw words, variates and
+        # Marsaglia-Tsang temporaries), which scale with the block; one
+        # temporary as wide as the chunk (2.6 MiB) takes the peak past 6 MiB
         tracemalloc.start()
         try:
             sampler._laguerre_tridiagonal(dims, 5, 0, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        assert peak <= 6 * 2 ** 20
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("dims, mib", [(Dims(50, 1), 6.25), (Dims(50, 2), 6.25),
+                                           (Dims(4, 1), 1.31)])
+    def test_chunk_stays_within_its_memory(self, metric, dims, mib):
+        # a chunk holds its tridiagonal, one work copy of d, a gather buffer
+        # for fewer than half the lanes and the buffers of one variate block:
+        # 5.6-6.0 MiB at n = 50, 1.22-1.25 MiB at n = 4
+        sampler._chunk_values(metric, dims, 5, 0, 4096)
+        tracemalloc.start()
+        try:
+            sampler._chunk_values(metric, dims, 5, 4096, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
 
 def _gamma_cdf(x, a: int) -> np.ndarray:
@@ -247,12 +277,12 @@ class TestGammaVariates:
         dims, count = Dims(50, 1), 100_000
         shapes = (self.K, self.K + 1, 20, 51)
         cols = [51 - a for a in shapes]
-        got = np.concatenate([sampler._gamma_rows(dims, 13, lo, lo + 20_000)[:, cols]
+        got = np.concatenate([_gamma_rows(dims, 13, lo, lo + 20_000)[:, cols]
                               for lo in range(0, count, 20_000)])
         for a, col in zip(shapes, got.T):
             assert ks_compare(col, lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count), a
         # the Marsaglia-Tsang columns rarely need a second try
-        tries, retries, exhausted = sampler._variate_stats.last
+        tries, retries, exhausted, _ = sampler._variate_stats.last
         assert tries == 20_000 * 84 and retries < 0.004 * tries and exhausted <= retries
 
     @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 2), Dims(1, K - 1), Dims(3, K - 3),
@@ -261,8 +291,8 @@ class TestGammaVariates:
         # m <= K: every variate is an Erlang sum over the row of m n uniforms
         assert dims.m <= self.K and _row_width(dims) == dims.mn
         want = np.stack([erlang_variates_reference(dims, 7, k) for k in range(300, 340)])
-        assert np.array_equal(sampler._gamma_rows(dims, 7, 300, 340), want)
-        assert sampler._variate_stats.last == (0, 0, 0)
+        assert np.array_equal(_gamma_rows(dims, 7, 300, 340), want)
+        assert sampler._variate_stats.last[:3] == (0, 0, 0)
 
     def test_row_width(self):
         # (50, 1): Erlang sums for diagonal shapes 2..8 and subdiagonal 1..8
@@ -276,10 +306,10 @@ class TestGammaVariates:
         # exhaustions then come up often, on schedule-free positions
         accept = sampler._mt_accept
         monkeypatch.setattr(sampler, "_mt_accept",
-                            lambda x, v, u, d: accept(x, v, u, d) & (u < 0.5))
+                            lambda x, v, u, d, *bufs: accept(x, v, u, d, *bufs) & (u < 0.5))
         dims = Dims(10, 0)
         base = mc_collect(metric, dims, 300, seed=2 ** 63 + 5)
-        _, retries, exhausted = sampler._variate_stats.last
+        _, retries, exhausted, _ = sampler._variate_stats.last
         assert retries > 100 and exhausted > 50
         assert np.array_equal(base[280:], _reference_draws(metric, dims, 2 ** 63 + 5,
                                                            range(280, 300)))
@@ -295,8 +325,8 @@ class TestGammaVariates:
         # the variates come from the second tries or the exhaustion stream
         accept = sampler._mt_accept
 
-        def rejecting(x, v, u, d):
-            ok = accept(x, v, u, d)
+        def rejecting(x, v, u, d, *bufs):
+            ok = accept(x, v, u, d, *bufs)
             if exhaust or x.ndim == 2:
                 ok[:] = False
             return ok
@@ -304,16 +334,16 @@ class TestGammaVariates:
         monkeypatch.setattr(sampler, "_mt_accept", rejecting)
         # (10, 0): diagonal shapes 10 and 9 and subdiagonal shape 9 are large
         dims, count = Dims(10, 0), 10_000
-        gam = sampler._gamma_rows(dims, 3, 0, count)
-        tries, retries, exhausted = sampler._variate_stats.last
+        gam = _gamma_rows(dims, 3, 0, count)
+        tries, retries, exhausted, _ = sampler._variate_stats.last
         assert tries == retries == 3 * count
         assert exhausted == 3 * count if exhaust else exhausted < 0.004 * tries
         for col, a in ((0, 10), (1, 9), (10, 9)):
             assert ks_compare(gam[:, col], lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count)
-        again = sampler._gamma_rows(dims, 3, 9_990, 10_010)
+        again = _gamma_rows(dims, 3, 9_990, 10_010)
         assert np.array_equal(again[:10], gam[9_990:])
         monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 7 * _row_width(dims))
-        assert np.array_equal(sampler._gamma_rows(dims, 3, 9_990, 10_000), gam[9_990:])
+        assert np.array_equal(_gamma_rows(dims, 3, 9_990, 10_000), gam[9_990:])
 
 
 class TestUniform:
@@ -381,15 +411,15 @@ def _lapack(d, e2):
 
 def _search(d, e2, kth):
     """_kth_smallest's values, with its (Laguerre sweeps per lane, fallback lanes)."""
-    lam = _kth_smallest(np.asarray(d, dtype=float), np.asarray(e2, dtype=float), kth)
-    pole, _, final, _, fallbacks = sampler._search_stats.last
+    lam = _kth_smallest(np.asarray(d, dtype=float).T, np.asarray(e2, dtype=float).T, kth)
+    pole, _, final, _, fallbacks, _ = sampler._search_stats.last
     return lam, (pole + final, fallbacks)
 
 
 def _close_pair_rows(n: int):
     """(d, e2) of one 2n x 2n tridiagonal with lambda_2 / lambda_1 - 1 below
     1e-5: a draw's n x n block twice, coupled by e2 = 1e-12."""
-    d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 5, 0, 1)
+    d, e2, _ = _rows(Dims(n, 1), 5, 0, 1)
     return np.hstack([d, d]), np.hstack([e2, [[1e-12]], e2])
 
 
@@ -408,7 +438,7 @@ class TestEigenSearch:
     @pytest.mark.parametrize("alpha", [0, 1, 2])
     @pytest.mark.parametrize("kth", [1, 2])
     def test_matches_lapack(self, n, alpha, kth):
-        d, e2, trace = sampler._laguerre_tridiagonal(Dims(n, alpha), 40 + alpha, 0, 512)
+        d, e2, trace = _rows(Dims(n, alpha), 40 + alpha, 0, 512)
         lam, (sweeps, fallbacks) = _search(d, e2, kth)
         vals = _lapack(d, e2)
         self._assert_close(lam, vals, kth)
@@ -450,7 +480,7 @@ class TestEigenSearch:
     @pytest.mark.parametrize("dims, kth, sweeps", [(Dims(50, 2), 1, 3.7), (Dims(50, 1), 2, 5.0)])
     def test_sweep_counts(self, dims, kth, sweeps):
         # the figure 1b and 2b searches at a fixed seed; the counts are deterministic
-        d, e2, _ = sampler._laguerre_tridiagonal(dims, 11, 0, 4096)
+        d, e2, _ = _rows(dims, 11, 0, 4096)
         _, (taken, fallbacks) = _search(d, e2, kth)
         assert taken <= sweeps and fallbacks == 0
         assert sampler._search_stats.last[3] > 0  # lanes stopped by the predicted bound
@@ -464,23 +494,23 @@ class TestEigenSearch:
         # are not in their cubic regime
         search, bisect = sampler._laguerre_search, sampler._bisect
 
-        def early(D, E2, x, kth, atol, pole=None, max_sweeps=sampler._LAGUERRE_SWEEPS):
+        def early(D, E2, x, kth, atol, work, pole=None, max_sweeps=sampler._LAGUERRE_SWEEPS):
             if max_sweeps == 1:  # the lambda_2 pole
-                return search(D, E2, x, kth, atol, pole, max_sweeps)
-            final, sweeps, predicted = search(D, E2, x, kth, atol, pole)
+                return search(D, E2, x, kth, atol, work, pole, max_sweeps)
+            final, sweeps, predicted, gathered = search(D, E2, x, kth, atol, work, pole)
             # a lane's value after j sweeps is the same in every search of
             # j or more sweeps, so the one before it froze is the early stop
             before, out = x, x.copy()
             live = np.ones(len(x), dtype=bool)
             for j in range(1, max_sweeps + 1):
-                now = search(D, E2, x, kth, atol, pole, j)[0]
+                now = search(D, E2, x, kth, atol, work, pole, j)[0]
                 froze = live & (now == final)
                 out[froze] = before[froze]
                 live &= ~froze
                 if not live.any():
                     break
                 before = now
-            return out, sweeps, predicted
+            return out, sweeps, predicted, gathered
 
         bisected = []
 
@@ -490,7 +520,7 @@ class TestEigenSearch:
 
         monkeypatch.setattr(sampler, "_laguerre_search", early)
         monkeypatch.setattr(sampler, "_bisect", spy)
-        d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 7, 0, 256)
+        d, e2, _ = _rows(Dims(n, 1), 7, 0, 256)
         cd, ce2 = _close_pair_rows(n // 2)
         d, e2 = np.vstack([d, cd]), np.vstack([e2, ce2])
         lam, (_, fallbacks) = _search(d, e2, kth)
@@ -509,7 +539,7 @@ class TestEigenSearch:
         d, e2 = np.array(d), np.array(e2)
         vals = _lapack(d, e2)
         # the failing row among well-behaved ones: only it is bisected
-        good, good_e2, _ = sampler._laguerre_tridiagonal(Dims(3, 1), 8, 0, 5)
+        good, good_e2, _ = _rows(Dims(3, 1), 8, 0, 5)
         rows, rows_e2 = np.vstack([good[:2], d, good[2:]]), np.vstack([good_e2[:2], e2, good_e2[2:]])
         lam, (_, fallbacks) = _search(rows, rows_e2, kth)
         assert fallbacks == 1
@@ -519,10 +549,10 @@ class TestEigenSearch:
     @pytest.mark.parametrize("n", [4, 50])
     @pytest.mark.parametrize("kth", [1, 2])
     def test_row_alone_equals_row_in_batch(self, n, kth):
-        d, e2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 3, 0, 4096)
-        batch = _kth_smallest(d, e2, kth)
+        D, E2, _ = sampler._laguerre_tridiagonal(Dims(n, 1), 3, 0, 4096)
+        batch = _kth_smallest(D, E2, kth)
         for i in (0, 1234, 4095):
-            alone = _kth_smallest(d[i:i + 1].copy(), e2[i:i + 1].copy(), kth)
+            alone = _kth_smallest(D[:, i:i + 1].copy(), E2[:, i:i + 1].copy(), kth)
             assert np.array_equal(alone, batch[i:i + 1])
 
     def test_chunk_log_line(self, caplog):
@@ -532,8 +562,13 @@ class TestEigenSearch:
         assert len(lines) == 3
         assert lines[2].startswith("mc chunk 40-49 kappa-e n=4: variates ")
         assert "eigenvalue search" in lines[2]
-        assert re.search(r" s, per lane 1\.00 pole sweeps, \d\.\d\d gap probes and \d\.\d\d "
-                         r"final sweeps, \d+ predicted stops, 0 fallback lanes$", lines[2])
+        held = re.search(r" s, per lane 1\.00 pole sweeps, \d\.\d\d gap probes and \d\.\d\d "
+                         r"final sweeps, \d+ predicted stops, 0 fallback lanes; (\d+) bytes held$",
+                         lines[2])
+        # 10 draws at n = 4: d, e2, the work copy and the block's raw words
+        # and variates, and a gather buffer of at most 5 lanes of e2
+        least = 8 * 10 * (4 + 3 + 4 + 20 + 7)
+        assert least <= int(held.group(1)) <= least + 8 * 5 * 3
         # n = 4 draws only Erlang sums; (10, 0) has three large shapes a draw
         assert " s (0 Marsaglia-Tsang, 0 second tries, 0 exhausted), " in lines[2]
         caplog.clear()
