@@ -24,7 +24,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
-import mpmath
 import numpy as np
 
 from .asymptotic import (
@@ -43,7 +42,6 @@ from .exact import (
     METRIC_KAPPA_E,
     METRIC_LAMBDA_MIN,
     METRICS,
-    PRECISIONS,
     Dims,
     cdf_kappa_d_interp,
     cdf_kappa_e_interp,
@@ -77,6 +75,10 @@ EXIT_SELFTEST = 3
 
 THREADS_ENV = "WISHARTCOND_THREADS"
 
+# most points parse_grid accepts: 8 MB per array of a grid, and each
+# output line of a density or mgf is about 40 bytes of CSV
+MAX_GRID_POINTS = 1_000_000
+
 # figure id -> (metric, alpha, n, mu, curve range); the ranges cover all but
 # ~0.1% of the scaled mass at the default sample count
 _FIGURES = {
@@ -108,7 +110,6 @@ class RunConfig:
     samples: int = 100_000
     seed: int = 1
     bins: int = 60
-    precision: str = "auto"
     out: str | None = None
     format: str = "csv"
 
@@ -135,6 +136,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise UsageError("grid start must be strictly below stop")
     if points < 2:
         raise UsageError("grid needs at least 2 points")
+    if points > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {points} points, more than the {MAX_GRID_POINTS} allowed")
     return np.linspace(start, stop, points)
 
 
@@ -216,16 +219,15 @@ def cmd_density(cfg: RunConfig) -> int:
     xs = parse_grid(cfg.grid)
     if cfg.kind == "exact":
         dims = _need_dims(cfg)
-        kw = {"precision": cfg.precision}
         if cfg.metric == METRIC_KAPPA_D:
-            ys = pdf_kappa_d_grid(xs, dims, **kw)
+            ys = pdf_kappa_d_grid(xs, dims)
         elif cfg.metric == METRIC_KAPPA_E:
-            ys = pdf_kappa_e_grid(xs, dims, **kw)
+            ys = pdf_kappa_e_grid(xs, dims)
         elif cfg.metric == METRIC_LAMBDA_MIN:
-            ys = pdf_lambda_min_grid(xs, dims, **kw)
+            ys = pdf_lambda_min_grid(xs, dims)
         else:
-            ys = pdf_lambda2_grid(xs, dims, **kw)
-        meta = {"precision": cfg.precision}
+            ys = pdf_lambda2_grid(xs, dims)
+        meta = {}
     else:
         params = _need_scaled(cfg)
         if cfg.metric == METRIC_KAPPA_D:
@@ -400,16 +402,15 @@ def _st_limit_tables():
 
 def _st_kd_limit_bessel():
     # alpha 1: mu u^2 e^-u I2; alpha 2: mu u^2 e^-u (I2 I4 - I3^2 + I2 I3 / sqrt(u)),
-    # all at 2 sqrt(u)
+    # all at 2 sqrt(u), from the positive series I_k = u^(k/2) sum_j u^j / (j! (j + k)!)
     vs = np.linspace(0.05, 8.0, 20)
     for alpha in (1, 2):
         want = []
-        with mpmath.workdps(30):
-            for v in vs:
-                u = 1 / mpmath.mpf(float(v))
-                i2, i3, i4 = (mpmath.besseli(k, 2 * mpmath.sqrt(u)) for k in (2, 3, 4))
-                det = i2 if alpha == 1 else i2 * i4 - i3 ** 2 + i2 * i3 / mpmath.sqrt(u)
-                want.append(float(u ** 2 * mpmath.exp(-u) * det))
+        for u in 1.0 / vs:
+            i2, i3, i4 = (u ** (k / 2) * math.fsum(u ** j / (math.factorial(j) * math.factorial(j + k))
+                                                  for j in range(80)) for k in (2, 3, 4))
+            det = i2 if alpha == 1 else i2 * i4 - i3 * i3 + i2 * i3 / math.sqrt(u)
+            want.append(u ** 2 * math.exp(-u) * det)
         gap = _rel_gap(pdf_v_kappa_d_grid(vs, ScaledParams(1.0, alpha)), want)
         assert gap < 1e-12, f"alpha={alpha} gap={gap:.2e}"
 
@@ -510,13 +511,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shared(sub, *, mu=False, precision=False):
+def _add_shared(sub, *, mu=False):
     sub.add_argument("--n", type=int, help="matrix columns")
     sub.add_argument("--alpha", type=int, help="rows minus columns")
     if mu:
         sub.add_argument("--mu", type=float, help="scale constant of the limit variable")
-    if precision:
-        sub.add_argument("--precision", choices=PRECISIONS, default="auto")
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
 
@@ -532,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=METRICS, required=True)
     p.add_argument("--kind", choices=("exact", "asymptotic"), default="exact")
     p.add_argument("--grid", required=True, help="start:stop:points")
-    _add_shared(p, mu=True, precision=True)
+    _add_shared(p, mu=True)
 
     p = commands.add_parser("mgf", help="evaluate a moment generating function")
     p.add_argument("--metric", choices=(METRIC_KAPPA_D, METRIC_KAPPA_E), required=True)
@@ -610,6 +609,9 @@ def main(argv=None) -> int:
         return run(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # ArithmeticError covers ConvergenceError, FloatingPointError and OverflowError
     except (SamplerError, ArithmeticError) as exc:

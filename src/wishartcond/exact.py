@@ -40,26 +40,26 @@ a sum of Beta terms in t, every CDF a finite sum of binomial probabilities
 in t and every moment generating function one finite quadrature in t per
 piece and s, the s grid sharing each piece's t-density at every node
 array.  In t no exponent is near mn log y, whose rounding would cost
-digits that no cancellation measure sees.  A term of an eigenvalue law is
-a multiple of a Gamma(power + 1, rate) density, so both eigenvalue CDFs
-are finite Poisson sums.  Every density, CDF and MGF integrand is one list
-of numkit.mixture_sum terms: mixture_sum adds them one at a time for the
-CDFs and MGF integrands, _signed_rows as one array for the densities.
+digits that no cancellation measure sees.  Each trace-ratio density, CDF
+and MGF integrand is one list of numkit.mixture_sum terms, which
+_signed_rows sums as one array for the densities.  Every density is
+summed in double, with the digits lost to cancellation, log10 of
+sum |term| / |sum term|, measured in the same pass: a trace-ratio sum
+loses at most half a digit (only the kappa-e near piece has signs), and a
+point past 3 raises ArithmeticError.
 
-Precision 'auto' evaluates every table in double, a whole grid as one
-(points x terms) array, and measures the digits lost to cancellation,
-log10 of sum |term| / |sum term|, in the same pass.  The two
-second-smallest-eigenvalue pieces cancel near x = 0: the eigenvalue points
-that lose more than 3 (13 of 16 left) are evaluated again as sums of
-mpmath floats at DEFAULT_DPS digits, and again at twice the digits while
-they keep fewer than 13.  A trace-ratio sum loses at most half a digit (a
-tail piece is one-signed, and only the kappa-e near piece has signs), so
-it has no extended sum: a trace-ratio point past 3 digits raises
-ArithmeticError.
+Both eigenvalue laws are also positive one-rate mixtures sum_k w_k
+Gamma(k + 1, n) (_GammaMix): the smallest eigenvalue's terms directly,
+the second-smallest's two pieces after exp(-(n - 1) x) = exp(-n x)
+exp(x), a series cut where its exact remainder is below 1e-30.  Both
+eigenvalue CDFs are Poisson sums over those weights, with no signs in
+either tail.  The two second-smallest pieces cancel near x = 0, by alpha +
+3 orders: the density points that lose more than a digit there are
+summed again from the weights.
 
 The connection routes (pdf_via_min_connection, pdf_via_lambda2_connection)
-push the eigenvalue densities through the same pair in double, in another
-order, as cross-checks.
+push the eigenvalue densities through the inverse-Laplace pair in double,
+in another order, as cross-checks.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .detkit import vandermonde_int
 from .numkit import (FPoly, _log_ratio, _sign, _sign_log, divide_by_one_minus, fpoly_det,
                      fpoly_split_det, integrate_finite, mixture_sum, pochhammer_int,
-                     poisson_tail_terms)
+                     poisson_sum)
 
 log = logging.getLogger("wishartcond")
 
@@ -89,16 +88,16 @@ METRIC_LAMBDA_MIN = "lambda-min"
 METRIC_LAMBDA_2 = "lambda-2"
 METRICS = (METRIC_KAPPA_D, METRIC_KAPPA_E, METRIC_LAMBDA_MIN, METRIC_LAMBDA_2)
 
-PRECISIONS = ("auto", "double")
-DEFAULT_DPS = 40
 # largest alpha of the nested-sum kappa-d table
 _NESTED_SUM_ALPHA_CAP = 4
 # relative tolerance of every quadrature: the mgfs and the lambda-2 route
 _RTOL = 1e-9
-# digits lost to cancellation above which 'auto' evaluates a point again
-_LOST_LIMIT = 3.0
-# digits past which 'auto' gives up on a point that still cancels
-_MAX_DPS = 10_000
+# digits lost to cancellation past which a trace-ratio density raises, and
+# past which an eigenvalue-density point is summed again from its weights
+_LOST_LIMIT, _RESUM_LIMIT = 3.0, 1.0
+# the lambda-2 Gamma weights stop where the mass past them is below
+# 10^-_WEIGHT_TAIL_DIGITS; eigenvalue CDFs leave out terms below _DROP of them
+_WEIGHT_TAIL_DIGITS, _DROP = 30, 2.0 ** -60
 # elements of one (points x terms) block of a density in double
 _BLOCK = 1 << 20
 
@@ -129,34 +128,6 @@ class Dims:
         return self.m * self.n
 
 
-def _evaluate(values_fn, xs, precision: str, what: str) -> np.ndarray:
-    """values_fn(xs, dps) -> (values, digits lost to cancellation), in double
-    for dps None and at dps digits otherwise.  Under 'auto', points that
-    lose more than _LOST_LIMIT of the 16 digits of a double are evaluated
-    again at DEFAULT_DPS digits, and again at twice the digits while they
-    keep fewer than 16 - _LOST_LIMIT."""
-    if precision not in PRECISIONS:
-        raise ValueError("precision must be 'auto' or 'double'")
-    xs = np.asarray(xs, dtype=float)
-    dps = DEFAULT_DPS
-    values, lost = values_fn(xs, None)
-    if precision == "auto" and xs.size:
-        redo = lost > _LOST_LIMIT
-        log.info("%s: %d of %d points evaluated again at %d digits, worst "
-                 "cancellation %.1f digits", what, int(redo.sum()), xs.size, dps,
-                 float(lost.max()))
-        while redo.any():
-            if dps > _MAX_DPS:
-                raise ArithmeticError(f"{what}: cancellation leaves no digits at {dps // 2} digits")
-            values[redo], lost[redo] = values_fn(xs[redo], dps)
-            redo &= lost > _LOST_LIMIT + dps - 16
-            dps *= 2
-            if redo.any():
-                log.info("%s: %d points evaluated again at %d digits", what,
-                         int(redo.sum()), dps)
-    return values
-
-
 def _signed_rows(x: np.ndarray, y: np.ndarray, terms):
     """Per point, (sum_j c_j exp(l_j + a_j x + b_j y), log10 of sum_j |.| /
     |sum_j .|) in double, over the mixture_sum terms (c_j, l_j, a_j, b_j) at
@@ -178,19 +149,6 @@ def _signed_rows(x: np.ndarray, y: np.ndarray, terms):
             lost[lo:lo + step][live] = np.log10((scaled * np.abs(c)).sum(axis=1) / np.abs(acc))
         out[lo:lo + step][live] = acc * np.exp(shift[live])
     return out, lost
-
-
-def _mp_sum(terms: list) -> tuple[float, float]:
-    """(the sum of mpmath terms, as a double; log10 of sum |.| / |sum .|);
-    no terms give (0.0, 0.0)."""
-    total = mpmath.fsum(terms)
-    if not total:
-        return 0.0, (math.inf if any(terms) else 0.0)
-    return float(total), float(mpmath.log10(mpmath.fsum(terms, absolute=True) / abs(total)))
-
-
-def _mpf(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +243,10 @@ def _log_t(edge, y: np.ndarray):
     return np.where(near, log_small, log_large), np.where(near, log_large, log_small)
 
 
-def _law_values(law, ys: np.ndarray, dps: int | None):
+def _law_values(law, ys: np.ndarray):
     """Density of a law on a grid in double, with the digits each point
     loses to cancellation: the points of each piece (the pieces are
-    disjoint) are edge / y^2 times its t-density, the whole grid at once.
-    A tail piece is one-signed and the kappa-e near piece loses under half
-    a digit, so there is no sum at dps digits: a call for one, which 'auto'
-    makes only past _LOST_LIMIT, raises ArithmeticError."""
-    if dps is not None:
-        raise ArithmeticError(f"trace-ratio density cancels past {_LOST_LIMIT:g} digits in "
-                              "double, and it has no extended-precision sum")
+    disjoint) are edge / y^2 times its t-density, the whole grid at once."""
     out, lost = np.zeros((2, ys.size))
     for piece in law:
         on = (ys > piece.edge) & (ys <= piece.hi) & (ys < np.inf)
@@ -302,6 +254,17 @@ def _law_values(law, ys: np.ndarray, dps: int | None):
         values, lost[on] = _signed_rows(*_log_t(piece.edge, y), piece.t_density)
         out[on] = values * (piece.edge / y / y)
     return out, lost
+
+
+def _law_density(law, ys, what: str) -> np.ndarray:
+    """Density of a trace-ratio law on a grid.  No sum loses half a digit,
+    so a point past _LOST_LIMIT means a broken table: ArithmeticError."""
+    values, lost = _law_values(law, np.asarray(ys, dtype=float))
+    if lost.size:
+        log.info("%s: worst cancellation %.1f digits", what, float(lost.max()))
+    if np.any(lost > _LOST_LIMIT):
+        raise ArithmeticError(f"{what} cancels past {_LOST_LIMIT:g} digits in double")
+    return values
 
 
 def _law_cdf(law):
@@ -341,7 +304,9 @@ def _law_mgf(law, s, what: str):
             nodes[key] = (law[i].edge / (1.0 - ts),
                           mixture_sum(np.log(ts), np.log1p(-ts), law[i].t_density))
         w, dens = nodes[key]
-        return np.exp(-sv * w) * dens
+        # a huge s overflows s w to inf, whose exp is the right 0
+        with np.errstate(over="ignore"):
+            return np.exp(-sv * w) * dens
 
     values = [sum(integrate_finite(functools.partial(integrand, i, sv), 0.0,
                                    1.0 - piece.edge / piece.hi, rtol=_RTOL)
@@ -369,50 +334,88 @@ class _ExpPiece(NamedTuple):
     fracs: tuple
 
 
-def _exp_law_values(law, xs: np.ndarray, dps: int | None):
-    """Density of an eigenvalue law on a grid, with the digits each point
-    loses to cancellation: in double, the whole grid at once, or at dps digits."""
+def _exp_law_values(law, xs: np.ndarray):
+    """Density of an eigenvalue law on a grid in double, the whole grid at
+    once, with the digits each point loses to cancellation."""
     out, lost = np.zeros((2, xs.size))
-    if dps is None:
-        on = xs > 0
-        x = xs[on]
-        out[on], lost[on] = _signed_rows(np.log(x), -x, [(*_sign_log(c), k, rate)
-                                                         for rate, powers, fracs in law
-                                                         for k, c in zip(powers, fracs) if c])
-        return out, lost
-    with mpmath.workdps(dps):
-        terms = [(rate, k, _mpf(c)) for rate, powers, fracs in law
-                 for k, c in zip(powers, fracs) if c]
-        for i, x in enumerate(xs):
-            if x > 0:
-                xr = mpmath.mpf(x)
-                decay = {rate: mpmath.exp(-rate * xr) for rate, _, _ in law}
-                out[i], lost[i] = _mp_sum([c * xr ** k * decay[rate] for rate, k, c in terms])
+    on = xs > 0
+    x = xs[on]
+    out[on], lost[on] = _signed_rows(np.log(x), -x, [(*_sign_log(c), k, rate)
+                                                     for rate, powers, fracs in law
+                                                     for k, c in zip(powers, fracs) if c])
     return out, lost
 
 
-def _exp_law_cdf(law):
-    """Exact CDF of an eigenvalue law: 1 - sum over pieces of the upper tail
-    of their Gamma(k + 1, rate) mixture, a Poisson sum in rate x, clipped to
-    [0, 1]; the left tail has only absolute accuracy."""
-    parts = []
-    for rate, powers, fracs in law:
-        weights = dict(zip(powers, fracs))
-        parts.append((rate, poisson_tail_terms(
-            [weights.get(k, 0) * math.factorial(k) / Fraction(rate) ** (k + 1)
-             for k in range(max(powers) + 1)])))
+class _GammaMix(NamedTuple):
+    """An eigenvalue law as sum_k w_k Gamma(k + 1, rate), every w_k >= 0:
+    weights are the w_k, lower and upper the numkit.poisson_sum weights
+    W_(i-1) and 1 - W_(i-1) of its CDF and its upper tail, W_k = w_0 + ...
+    + w_k and W_(-1) = 0, and mean is its mean in u = rate x."""
 
-    def cdf(xs):
+    rate: int
+    weights: tuple
+    mean: float
+    lower: tuple
+    upper: tuple
+
+    def cdf(self, xs) -> np.ndarray:
+        """The CDF, each point on one list of positive Poisson terms in u:
+        up to the mean, where it is near 1/2 or less, sum_i pois_i(u)
+        W_(i-1); past it 1 - sum_i pois_i(u) (1 - W_(i-1)), which there
+        loses under a digit.  Both tails keep their relative accuracy."""
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
         out[xs == np.inf] = 1.0
-        live = (xs > 0) & (xs < np.inf)
-        x = xs[live]
-        out[live] = np.clip(1.0 - sum(mixture_sum(np.log(rate * x), -rate * x, terms)
-                                      for rate, terms in parts), 0.0, 1.0)
+        u = self.rate * xs
+        low, high = (u > 0) & (u <= self.mean), (u > self.mean) & (u < np.inf)
+        out[low] = poisson_sum(u[low], self.lower)
+        out[high] = 1.0 - poisson_sum(u[high], self.upper)
         return out
 
-    return cdf
+
+def _gamma_mix(rate: int, den: int, nums: list) -> _GammaMix:
+    """The mixture with w_k = nums[k] / (den rate^(k+1)), k = 0..K, and mass
+    1, each double rounded once from exact integers; past K, W stays W_K.
+    As pois_i(u) / pois_j(u), i > j, grows with u, the lower terms left out
+    weigh less, relative to the CDF, anywhere below the mean than at it,
+    where the list stops once the Poisson mass past it is below _DROP of
+    the CDF.  The upper list stops where 1 - W_(i-1) falls below that.  A
+    negative weight raises ArithmeticError."""
+    if min(nums) < 0:
+        raise ArithmeticError(f"negative Gamma mixture weight at power {nums.index(min(nums))}")
+    weights, below, above, run, scale = [], [0.0], [1.0], 0, den
+    for c in nums:
+        run, scale = run * rate + c, scale * rate
+        weights.append(c / scale)
+        below.append(run / scale)
+        above.append((scale - run) / scale)
+    mean = math.fsum((k + 1) * w for k, w in enumerate(weights))
+    lower, p, at_mean = [], math.exp(-mean), 0.0
+    for i in itertools.count():
+        lower.append(below[min(i, len(below) - 1)])
+        at_mean += p * lower[-1]
+        p *= mean / (i + 1)
+        # the pois_j(mean), j > i, sum to at most 2 p once i + 2 > 2 mean
+        if i + 2 > 2 * mean and 2 * p <= _DROP * at_mean:
+            break
+    upper = itertools.takewhile(lambda rest: rest >= _DROP * at_mean, above)
+    return _GammaMix(rate, tuple(weights), mean, tuple(lower), tuple(upper))
+
+
+def _exp_law_density(law, mix: _GammaMix, xs, what: str) -> np.ndarray:
+    """Density of an eigenvalue law on a grid in double.  The points that
+    lose more than _RESUM_LIMIT digits are summed again as rate sum_k w_k
+    pois_k(rate x), which has no signs but stops at K: it serves near x = 0,
+    where the pieces cancel, and not in the right tail."""
+    xs = np.asarray(xs, dtype=float)
+    values, lost = _exp_law_values(law, xs)
+    redo = lost > _RESUM_LIMIT
+    if redo.any():
+        values[redo] = mix.rate * poisson_sum(mix.rate * xs[redo], mix.weights)
+    if xs.size:
+        log.info("%s: %d of %d points re-summed from the one-rate weights, worst "
+                 "cancellation %.1f digits", what, int(redo.sum()), xs.size, float(lost.max()))
+    return values
 
 
 def _log_build(law: str, dims: Dims, pieces, started: float) -> None:
@@ -461,10 +464,23 @@ def _lambda_min_law(dims: Dims) -> tuple:
     return (_ExpPiece(dims.n, powers, fracs),)
 
 
+@functools.cache
+def _lambda_min_mix(dims: Dims) -> _GammaMix:
+    """The smallest-eigenvalue law as a Gamma mixture: c x^k exp(-n x) is
+    c k! / n^(k+1) times the Gamma(k + 1, n) density."""
+    (rate, powers, fracs), = _lambda_min_law(dims)
+    den = math.lcm(*(c.denominator for c in fracs))
+    nums = [0] * (max(powers) + 1)
+    for k, c in zip(powers, fracs):
+        nums[k] = c.numerator * (den // c.denominator) * math.factorial(k)
+    return _gamma_mix(rate, den, nums)
+
+
 def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
-    """Density of the smallest eigenvalue on a grid of points."""
-    return _evaluate(functools.partial(_exp_law_values, _lambda_min_law(dims)), xs,
-                     precision, "lambda-min density")
+    """Density of the smallest eigenvalue on a grid of points.  precision
+    changes nothing; it is accepted for callers that still pass it."""
+    return _exp_law_density(_lambda_min_law(dims), _lambda_min_mix(dims), xs,
+                            "lambda-min density")
 
 
 @functools.cache
@@ -541,10 +557,9 @@ def _kd_law(dims: Dims, mode: str = "auto") -> tuple:
     return (_KD_CHECKS[mode](dims),)
 
 
-def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto", precision: str = "auto") -> np.ndarray:
+def pdf_kappa_d_grid(ys, dims: Dims, mode: str = "auto") -> np.ndarray:
     """Density of trace / smallest eigenvalue on a grid.  Support is y > n."""
-    return _evaluate(functools.partial(_law_values, _kd_law(dims, mode)), ys, precision,
-                     "kappa-d density")
+    return _law_density(_kd_law(dims, mode), ys, "kappa-d density")
 
 
 def pdf_kappa_d(y: float, dims: Dims) -> float:
@@ -695,10 +710,9 @@ def _scatter(acc: dict, products, start: int) -> None:
             acc[start - j] = acc.get(start - j, 0) + c
 
 
-def pdf_kappa_e_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
+def pdf_kappa_e_grid(ys, dims: Dims) -> np.ndarray:
     """Density of trace / second-smallest eigenvalue.  Support is y > n - 1."""
-    return _evaluate(functools.partial(_law_values, _trace_ratio_law(METRIC_KAPPA_E, dims)), ys,
-                     precision, "kappa-e density")
+    return _law_density(_trace_ratio_law(METRIC_KAPPA_E, dims), ys, "kappa-e density")
 
 
 def pdf_kappa_e(y: float, dims: Dims) -> float:
@@ -780,15 +794,47 @@ def _lambda2_law(dims: Dims) -> tuple:
     return tuple(pieces)
 
 
-def pdf_lambda2_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
-    """Density of the second-smallest eigenvalue on a grid.
+@functools.cache
+def _lambda2_mix(dims: Dims) -> _GammaMix:
+    """The second-smallest-eigenvalue law as a Gamma mixture at rate n.
 
-    The two pieces cancel near x = 0; 'auto' measures that and evaluates
-    those points again at DEFAULT_DPS digits, or more where those are not
-    enough.
+    Its pieces are exp(-n x) [exp(x) near(x) + far(x)] = exp(-n x) sum_k
+    c_k x^k, c_k = far_k + sum_j near_j / (k - j)!, so w_k = c_k k! / n^(k+1)
+    has the numerator far_k k! + sum_j near_j k! / (k - j)! over den, by
+    Horner in j.  Past the top power only the near piece adds; the weights
+    stop at the first K there whose exact remainder 1 - W_K is below
+    10^-_WEIGHT_TAIL_DIGITS.  That every c_k >= 0 is measured, not proved:
+    a negative one, or a remainder below 0 or that does not fall, raises
+    ArithmeticError.
     """
-    return _evaluate(functools.partial(_exp_law_values, _lambda2_law(dims)), xs,
-                     precision, "lambda-2 density")
+    started = time.perf_counter()
+    n = dims.n
+    near, far = _lambda2_law(dims)
+    den = math.lcm(*(c.denominator for piece in (near, far) for c in piece.fracs))
+    near_c = dict(zip(near.powers, near.fracs))
+    near_nums = [int(den * near_c.get(j, 0)) for j in range(max(near.powers) + 1)]
+    far_nums = {k: int(den * c) for k, c in zip(far.powers, far.fracs)}
+    top = max(len(near_nums) - 1, *far.powers)
+    nums, run, scale, fact = [], 0, den, 1    # 1 - W_k = (scale - run) / scale
+    for k in range(64 * (top + 1)):
+        fact *= max(k, 1)
+        h = 0
+        for j in range(min(k, len(near_nums) - 1), -1, -1):
+            h = h * (k - j) + near_nums[j]
+        nums.append(far_nums.get(k, 0) * fact + h)
+        run, scale = run * n + nums[-1], scale * n
+        if k > top and 0 <= (scale - run) * 10 ** _WEIGHT_TAIL_DIGITS < scale:
+            break
+    else:
+        raise ArithmeticError(f"lambda-2 weights: mass past power {k} is {1 - run / scale:.3g}")
+    _log_build("lambda-2 weights", dims, [nums], started)
+    return _gamma_mix(n, den, nums)
+
+
+def pdf_lambda2_grid(xs, dims: Dims) -> np.ndarray:
+    """Density of the second-smallest eigenvalue on a grid: its two pieces,
+    which cancel near x = 0, where the one-rate weights take over."""
+    return _exp_law_density(_lambda2_law(dims), _lambda2_mix(dims), xs, "lambda-2 density")
 
 
 def mgf_kappa_e(s, dims: Dims):
@@ -876,17 +922,11 @@ def cdf_kappa_e_interp(dims: Dims):
 
 def cdf_lambda_min_interp(dims: Dims):
     """Exact vectorized CDF of the smallest eigenvalue, a finite Poisson sum
-    whose Gamma weights must all be positive.  It is 1 minus the upper tails,
-    so the left tail has only absolute accuracy, about 3e-16."""
-    law = _lambda_min_law(dims)
-    if any(c < 0 for c in law[0].fracs):
-        raise ArithmeticError("lambda-min table: negative mixture weight")
-    return _exp_law_cdf(law)
+    over its Gamma weights, which must all be positive (_GammaMix.cdf)."""
+    return _lambda_min_mix(dims).cdf
 
 
 def cdf_lambda2_interp(dims: Dims):
-    """Exact vectorized CDF of the second-smallest eigenvalue, a finite
-    Poisson sum over its two pieces with signed weights.  It is 1 minus the
-    upper tails, so the left tail has only absolute accuracy: about 2e-15 at
-    n = 4, 5e-15 at n = 13 and 1.5e-14 at n = 50."""
-    return _exp_law_cdf(_lambda2_law(dims))
+    """Exact vectorized CDF of the second-smallest eigenvalue, a Poisson sum
+    over its one-rate Gamma weights (_lambda2_mix, _GammaMix.cdf)."""
+    return _lambda2_mix(dims).cdf

@@ -101,6 +101,20 @@ def poisson_terms(weights, power: int = 0) -> list:
             for i, w in enumerate(weights) if w]
 
 
+def poisson_sum(u: np.ndarray, weights) -> np.ndarray:
+    """sum_i weights[i] pois_i(u), u >= 0, by pois_i = pois_(i-1) u / i from
+    e^{-u}: no pois_i exceeds 1, so nothing overflows, and past u = 745 the
+    sum is 0, right to the double range for weight lists much shorter than u."""
+    p = np.exp(-u)
+    out = weights[0] * p
+    for i in range(1, len(weights)):
+        p *= u
+        p /= i
+        if weights[i]:
+            out += weights[i] * p
+    return out
+
+
 def poisson_tail_terms(weights) -> list:
     """mixture_sum terms of sum_k weights[k] P(Gamma(k + 1) > u), that is
     sum_i pois_i(u) U_i with U_i = sum_{k >= i} weights[k], summed exactly."""

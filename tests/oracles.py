@@ -23,8 +23,10 @@ mpmath at 40 digits.
 The per-point double sums loop over the points, one scaled dot product of
 the signed t-density terms at each, so they differ from the library's
 whole-grid sums only in summation order.  The closed alpha = 0 kappa-e law,
-whose pieces overlap, has its own per-point sum in y.  The trace-ratio
-densities at 40 digits are mpmath sums in y of the exact coefficients.
+whose pieces overlap, has its own per-point sum in y, summed again at 40
+digits where it loses more than 3.  The densities at 40 digits are mpmath
+sums of the exact coefficients, in y for the trace ratios and in x for the
+eigenvalues.
 
 The sampler's reference stream builds one Philox generator per draw, as
 the sampler did before it re-keyed a single generator, and the Erlang
@@ -35,6 +37,7 @@ of the bidiagonal model: their Gram spectra come from LAPACK.
 """
 
 import functools
+import logging
 import math
 from fractions import Fraction
 
@@ -45,13 +48,10 @@ from wishartcond import asymptotic
 from wishartcond.exact import (
     Dims,
     _EdgePowerTable,
-    _evaluate,
     _ExpPiece,
     _ke_det,
     _log_t,
     _min_eig_fracs,
-    _mp_sum,
-    _mpf,
     _shift_by_one,
     pdf_kappa_d_grid,
     pdf_kappa_e_grid,
@@ -60,6 +60,21 @@ from wishartcond.exact import (
 )
 from wishartcond.numkit import _sign_log, integrate_finite, pochhammer_int
 from wishartcond.sampler import _box_muller_polar, _keyed_raw, _uniform
+
+log = logging.getLogger("wishartcond")
+
+
+def _mp_sum(terms: list) -> tuple[float, float]:
+    """(the sum of mpmath terms, as a double; log10 of sum |.| / |sum .|);
+    no terms give (0.0, 0.0)."""
+    total = mpmath.fsum(terms)
+    if not total:
+        return 0.0, (math.inf if any(terms) else 0.0)
+    return float(total), float(mpmath.log10(mpmath.fsum(terms, absolute=True) / abs(total)))
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 def _signed_sum(signs: np.ndarray, t: np.ndarray) -> tuple[float, float]:
@@ -122,6 +137,22 @@ def law_values_mp(law, ys, dps: int):
     return out, lost
 
 
+def exp_law_values_mp(law, xs, dps: int):
+    """(density, digits lost) of an eigenvalue law at dps digits, point by
+    point: the mpmath sum of c x^k exp(-rate x) over every piece."""
+    xs = np.asarray(xs, dtype=float)
+    out, lost = np.zeros((2, xs.size))
+    with mpmath.workdps(dps):
+        terms = [(rate, k, _mpf(c)) for rate, powers, fracs in law
+                 for k, c in zip(powers, fracs) if c]
+        for i, x in enumerate(xs):
+            if x > 0:
+                xr = mpmath.mpf(x)
+                decay = {rate: mpmath.exp(-rate * xr) for rate, _, _ in law}
+                out[i], lost[i] = _mp_sum([c * xr ** k * decay[rate] for rate, k, c in terms])
+    return out, lost
+
+
 def exp_law_values_pointwise(law, xs):
     """(density, digits lost) of an eigenvalue law in double, point by point."""
     xs = np.asarray(xs, dtype=float)
@@ -170,16 +201,23 @@ def ke_closed_alpha0_law(n: int) -> tuple:
 
 
 def pdf_kappa_e_closed_alpha0_grid(ys, dims: Dims, precision: str = "auto") -> np.ndarray:
-    """kappa-e density at alpha = 0 from the closed double sum."""
+    """kappa-e density at alpha = 0 from the closed double sum, whose pieces
+    overlap above n, where they cancel: sums in y in double, and under
+    'auto' again at 40 digits, then twice as many while fewer than 13 are
+    left, at each point that loses more than 3."""
     if dims.alpha != 0 or dims.n < 3:
         raise ValueError("closed form covers alpha = 0 and n >= 3 only")
     law = ke_closed_alpha0_law(dims.n)
-
-    def values(ys, dps):
-        # the pieces overlap above n, where they cancel: sums in y
-        return _law_values_in_y(law, ys) if dps is None else law_values_mp(law, ys, dps)
-
-    return _evaluate(values, ys, precision, "closed kappa-e density")
+    ys = np.asarray(ys, dtype=float)
+    values, lost = _law_values_in_y(law, ys)
+    redo = lost > 3.0 if precision == "auto" else np.zeros(ys.shape, dtype=bool)
+    dps = 40
+    log.info("closed kappa-e density: %d of %d points evaluated again", int(redo.sum()), ys.size)
+    while redo.any():
+        values[redo], lost[redo] = law_values_mp(law, ys[redo], dps)
+        redo &= lost > dps - 13
+        dps *= 2
+    return values
 
 
 def _exp_tail(order: int, x: float) -> float:

@@ -65,10 +65,34 @@ class TestUsageFailures:
         assert cli.main(["figure", "--id", "9z"]) == EXIT_USAGE
 
     def test_no_extended_precision(self, capsys):
-        # precision is measured per point; there is no fixed-digit mode
-        assert cli.main(["density", "--metric", "lambda-2", "--n", "5", "--alpha", "3",
-                         "--grid", "0.1:1:3", "--precision", "extended"]) == EXIT_USAGE
-        assert "invalid choice: 'extended'" in capsys.readouterr().err
+        # every density is summed in double, and the lambda-2 points that
+        # cancel are summed again from positive weights: there is no flag
+        for mode in ("extended", "double", "auto"):
+            assert cli.main(["density", "--metric", "lambda-2", "--n", "5", "--alpha", "3",
+                             "--grid", "0.1:1:3", "--precision", mode]) == EXIT_USAGE
+            assert "unrecognized arguments: --precision" in capsys.readouterr().err
+
+    def test_grid_bound_before_allocation(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        assert cli.main(["density", "--metric", "kappa-d", "--n", "4", "--alpha", "1",
+                         "--grid", "5:10:100000000000"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cli.MAX_GRID_POINTS) in err and "Traceback" not in err
+        with pytest.raises(UsageError, match=str(cli.MAX_GRID_POINTS)):
+            parse_grid(f"5:10:{cli.MAX_GRID_POINTS + 1}")
+
+    def test_memory_error_is_one_line(self, monkeypatch, capsys):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "pdf_kappa_d_grid", exhaust)
+        assert cli.main(["density", "--metric", "kappa-d", "--n", "4", "--alpha", "1",
+                         "--grid", "5:10:3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
     def test_mgf_needs_exactly_one_argument_form(self):
         base = ["mgf", "--metric", "kappa-d", "--n", "3", "--alpha", "0"]
@@ -173,8 +197,6 @@ class TestParserReuse:
         # each command keeps its own default format, whatever ran before
         assert cli.config_from_args(mc).format == "json"
         assert cli.config_from_args(density).format == "csv"
-        assert cli.config_from_args(density + ["--precision", "double"]).precision == "double"
-        assert cli.config_from_args(density).precision == "auto"
         assert cli.config_from_args(mc).format == "json"
         out = tmp_path / "mc.json"
         assert cli.main(mc + ["--out", str(out)]) == EXIT_OK
@@ -363,6 +385,20 @@ class TestNumericalExit:
 
 
 class TestConsoleEntry:
+    def test_mgf_huge_s_is_quiet(self):
+        # s w overflows to inf, whose exp is the right 0: no RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-m", "wishartcond.cli", "mgf", "--metric", "kappa-d",
+             "--n", "4", "--alpha", "1", "--s", "1e308"],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_import_leaves_out_mpmath(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, wishartcond.cli; print('mpmath' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wishartcond.cli", "mgf", "--metric", "kappa-d",

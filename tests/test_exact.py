@@ -1,4 +1,3 @@
-import functools
 import logging
 import math
 import warnings
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exp_law_values_mp,
     exp_law_values_pointwise,
     kd_min_table_oracle,
     ke_closed_alpha0_law,
@@ -27,18 +27,18 @@ from oracles import (
     r_integral_oracle,
 )
 from wishartcond.exact import (
-    DEFAULT_DPS,
     METRIC_KAPPA_D,
     METRIC_KAPPA_E,
     METRIC_LAMBDA_2,
     Dims,
     _EdgePowerTable,
-    _evaluate,
     _exp_law_values,
     _kd_law,
     _ke_bivariate_w_fracs,
     _lambda2_law,
+    _lambda2_mix,
     _lambda_min_law,
+    _law_density,
     _law_values,
     _min_eig_fracs,
     _trace_ratio_law,
@@ -67,10 +67,9 @@ def _ke_pieces(dims):
 
 
 def _at_dps(law, xs, values=law_values_mp):
-    """A law's density from its sums at DEFAULT_DPS (40) digits at every
-    point, whatever the cancellation: the reference the double and 'auto'
-    paths are held to."""
-    return values(law, np.asarray(xs, dtype=float), DEFAULT_DPS)[0]
+    """A law's density from its sums at 40 digits at every point, whatever
+    the cancellation: the reference the library's double sums are held to."""
+    return values(law, np.asarray(xs, dtype=float), 40)[0]
 
 
 class TestDims:
@@ -132,7 +131,7 @@ class TestKappaD:
     def test_precision_paths_agree(self):
         d = Dims(3, 1)
         ys = np.linspace(3.2, 12.0, 20)
-        a = pdf_kappa_d_grid(ys, d, precision="double")
+        a = pdf_kappa_d_grid(ys, d)
         b = _at_dps(_kd_law(d), ys)
         assert np.max(np.abs(a - b) / np.maximum(b, 1e-300)) < 1e-12
 
@@ -163,8 +162,8 @@ class TestLambdaMin:
         # [lo, hi] holds the central 98% of the mass; exact coefficients
         # leave only the rounding of the final sum in double
         xs = np.linspace(lo, hi, 40)
-        dbl = pdf_lambda_min_grid(xs, dims, precision="double")
-        ext = _at_dps(_lambda_min_law(dims), xs, _exp_law_values)
+        dbl = pdf_lambda_min_grid(xs, dims)
+        ext = _at_dps(_lambda_min_law(dims), xs, exp_law_values_mp)
         assert dbl == pytest.approx(ext, rel=1e-12)
 
     def test_auto_stays_double_for_one_signed_table(self, caplog):
@@ -173,8 +172,8 @@ class TestLambdaMin:
         xs = np.linspace(0.02, 0.6, 30)
         with caplog.at_level(logging.INFO, logger="wishartcond"):
             got = pdf_lambda_min_grid(xs, dims)
-        assert "0 of 30 points evaluated again" in caplog.text
-        assert got == pytest.approx(_at_dps(_lambda_min_law(dims), xs, _exp_law_values),
+        assert "0 of 30 points re-summed" in caplog.text
+        assert got == pytest.approx(_at_dps(_lambda_min_law(dims), xs, exp_law_values_mp),
                                     rel=1e-12)
 
 
@@ -280,11 +279,11 @@ class TestLambda2:
         # cleared caches, so the tables are built again under the patch
         exact._ke_det.cache_clear()
         exact._lambda2_law.cache_clear()
+        exact._lambda2_mix.cache_clear()
         dims = Dims(5, 2)
         xs = np.array([0.001, 0.4, 3.0])
-        for precision in exact.PRECISIONS:
-            assert np.all(pdf_lambda2_grid(xs, dims, precision=precision) > 0.0)
-        assert np.all(_at_dps(_lambda2_law(dims), xs, _exp_law_values) > 0.0)
+        assert np.all(pdf_lambda2_grid(xs, dims) > 0.0)
+        assert np.all(_at_dps(_lambda2_law(dims), xs, exp_law_values_mp) > 0.0)
         assert np.all(np.diff(cdf_lambda2_interp(dims)(xs)) > 0.0)
 
 
@@ -374,25 +373,6 @@ class TestProofIntegrals:
 
 
 class TestCurveAndContext:
-    def test_resolve_context(self, monkeypatch):
-        # 'auto' starts in double at every size; only measured cancellation
-        # sends a point to more digits
-        from wishartcond import exact
-
-        seen = []
-
-        def spy(law, ys, dps):
-            seen.append(dps)
-            return np.zeros_like(ys), np.zeros_like(ys)
-
-        monkeypatch.setattr(exact, "_law_values", spy)
-        for precision in exact.PRECISIONS:
-            pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision=precision)
-        assert seen == [None, None]
-        for bad in ("sometimes", "extended"):
-            with pytest.raises(ValueError):
-                pdf_kappa_d_grid(np.array([5.0]), Dims(3, 1), precision=bad)
-
     def test_normalization_spot(self):
         assert normalization_kappa_d(Dims(2, 1)) == pytest.approx(1.0, abs=1e-7)
 
@@ -471,7 +451,7 @@ class TestKappaEPieces:
                              np.geomspace(n + 0.01, 1e4 * n, 12)])
         for alpha in range(4):
             law = _ke_pieces(Dims(n, alpha))
-            got = pdf_kappa_e_grid(ys, Dims(n, alpha), precision="double")
+            got = pdf_kappa_e_grid(ys, Dims(n, alpha))
             with mpmath.workdps(60):
                 want = np.array([float(_mp_density(law, y)) for y in ys])
             assert np.max(np.abs(got - want) / want) <= 1e-12, (n, alpha)
@@ -481,7 +461,7 @@ class TestKappaEPieces:
         dims = Dims(50, 1)
         ys = np.geomspace(200.0, 5e5, 12)
         law = _ke_pieces(dims)
-        got = pdf_kappa_e_grid(ys, dims, precision="double")
+        got = pdf_kappa_e_grid(ys, dims)
         with mpmath.workdps(60):
             want = np.array([float(_mp_density(law, y)) for y in ys])
         assert np.max(np.abs(got - want) / want) <= 1e-10
@@ -523,22 +503,21 @@ class TestKappaEPieces:
         for n, alpha, bound in cases:
             near, tail = _ke_pieces(Dims(n, alpha))
             assert all(f > 0 for f in tail.fracs), (n, alpha)
-            _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50), None)
+            _, lost = _law_values((near,), n - 1 + np.linspace(0.02, 1.0, 50))
             assert lost.max() <= bound, (n, alpha)
 
     def test_cancelling_piece_raises_under_auto(self):
         # 1 - 0.9999 (y - 1) at y = 2 keeps 1e-4 of sum |term| = 1.9999:
-        # 4.3 digits lost, past the 3 that 'auto' allows, and the trace-ratio
-        # laws have no extended-precision sum to fall back on
+        # 4.3 digits lost, past the 3 a trace-ratio density allows, and the
+        # trace-ratio laws have no other sum to fall back on
         piece = _EdgePowerTable(4, 1, math.inf, (0, 1), (Fraction(1), Fraction(-9999, 10000)))
         ys = np.array([1.5, 2.0])
-        values = functools.partial(_law_values, (piece,))
-        want, lost = values(ys, None)
+        want, lost = _law_values((piece,), ys)
         assert lost[1] == pytest.approx(math.log10(19999.0), rel=1e-9)
         assert want[1] == pytest.approx(1e-4 / 16, rel=1e-11)
         with pytest.raises(ArithmeticError, match="cancels past 3 digits"):
-            _evaluate(values, ys, "auto", "test density")
-        assert _evaluate(values, ys, "double", "test density").tolist() == want.tolist()
+            _law_density((piece,), ys, "test density")
+        assert _law_density((piece,), ys[:1], "test density").tolist() == want[:1].tolist()
 
     def test_kappa_d_tables_one_signed(self):
         # the production table (from the smallest-eigenvalue polynomial) is
@@ -562,7 +541,7 @@ class TestKappaEPieces:
         assert abs(pdf_kappa_e_closed_alpha0_grid(ys, dims, precision="double")[0] - want) \
             > 1e-8 * want
         # the pieces lose nothing there in double
-        assert pdf_kappa_e_grid(ys, dims, precision="double")[0] == pytest.approx(want, rel=1e-12)
+        assert pdf_kappa_e_grid(ys, dims)[0] == pytest.approx(want, rel=1e-12)
 
     def test_exact_rational_value_n13(self):
         # at integer y the w-table z-integral of the kernel is an exact
@@ -619,9 +598,10 @@ class TestExactCdfs:
 
     @pytest.mark.parametrize("dims, x", [(Dims(13, 1), 1e-4), (Dims(6, 3), 0.01)], ids=str)
     def test_eigenvalue_left_tail_is_a_probability(self, dims, x):
-        # 1 - sum of upper tails: the true values are 2.9e-22 and 5.9e-22,
-        # which the difference rounds below 0 without the clip
-        assert 0.0 <= cdf_lambda2_interp(dims)(np.array([x]))[0] <= 2e-15
+        # the true values are 2.9e-22 and 5.9e-22, which 1 - the sum of the
+        # two pieces' upper tails rounded below 0
+        got = cdf_lambda2_interp(dims)(np.array([x]))[0]
+        assert got == pytest.approx(_mp_eig_cdf(_lambda2_law(dims), [x])[0], rel=2e-14)
 
     def test_lambda_min_cdf_matches_gammainc(self):
         dims = Dims(6, 2)
@@ -694,15 +674,14 @@ class TestTraceRatioAccuracy:
         cdf = cdf_kappa_d_interp if metric == METRIC_KAPPA_D else cdf_kappa_e_interp
         assert np.max(np.abs(cdf(dims)(ys) - _cdf_sums(law, ys))) <= 1e-14
 
-    @pytest.mark.parametrize("precision", ["auto", "double"])
-    def test_density_far_out_is_zero(self, precision):
+    def test_density_far_out_is_zero(self):
         # the top term has no power of 1 - t, and edge / y^2 must not overflow
         ys = np.array([np.inf, 1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pdf, dims in ((pdf_kappa_d_grid, Dims(4, 1)), (pdf_kappa_e_grid, Dims(4, 1)),
                               (pdf_kappa_e_grid, Dims(13, 1))):
-                assert pdf(ys, dims, precision=precision).tolist() == [0.0, 0.0]
+                assert pdf(ys, dims).tolist() == [0.0, 0.0]
 
 
 # (law builder, dims, grid) of every density job of the benchmark's
@@ -743,7 +722,7 @@ class TestWholeGrid:
     @pytest.mark.parametrize("build, dims, xs", _CURVE_GRIDS + _EDGE_GRIDS)
     def test_matches_pointwise_sums(self, build, dims, xs):
         law, values, pointwise = _double_values(build, dims)
-        got, lost = values(law, xs, None)
+        got, lost = values(law, xs)
         want, want_lost = pointwise(law, xs)
         # only the order of the final sum differs: its rounding is a few eps
         # of sum |term| = |value| 10^lost
@@ -757,20 +736,20 @@ class TestWholeGrid:
         from wishartcond import exact
 
         law, values, _ = _double_values(build, dims)
-        got, lost = values(law, xs, None)
+        got, lost = values(law, xs)
         for i in range(xs.size):
-            alone = values(law, xs[i:i + 1], None)
+            alone = values(law, xs[i:i + 1])
             assert (alone[0][0], alone[1][0]) == (got[i], lost[i]), xs[i]
         terms = sum(len(piece.powers) for piece in law)
         for block in (1, 3 * terms):
             monkeypatch.setattr(exact, "_BLOCK", block)
-            small, small_lost = values(law, xs, None)
+            small, small_lost = values(law, xs)
             assert small.tolist() == got.tolist() and small_lost.tolist() == lost.tolist()
 
     def test_outside_support_is_zero(self):
         for build, dims, xs in _EDGE_GRIDS:
             law, values, _ = _double_values(build, dims)
-            got, lost = values(law, xs, None)
+            got, lost = values(law, xs)
             dead = xs <= (dims.n if build is _kd_law else dims.n - 1 if build is _ke_pieces
                           else 0.0)
             assert got[dead].tolist() == lost[dead].tolist() == [0.0] * int(dead.sum())
@@ -832,37 +811,123 @@ class TestMgfAgainstMpmath:
             assert fn(s, dims) == pytest.approx(want, rel=1e-12), s
 
 
+def _mp_eig_density(law, xs, dps: int) -> np.ndarray:
+    """An eigenvalue law's density at dps digits, as mpmath sums over its pieces."""
+    with mpmath.workdps(dps):
+        return np.array([float(mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.mpf(x) ** k
+            * mpmath.exp(-rate * mpmath.mpf(x))
+            for rate, powers, fracs in law for k, c in zip(powers, fracs))) for x in xs])
+
+
+def _mp_eig_cdf(law, xs, dps: int = 50) -> np.ndarray:
+    """An eigenvalue law's CDF at dps digits, as sums of regularized lower
+    incomplete gamma functions over the terms of its pieces."""
+    with mpmath.workdps(dps):
+        return np.array([float(mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.factorial(k)
+            / mpmath.mpf(rate) ** (k + 1)
+            * mpmath.gammainc(k + 1, 0, rate * mpmath.mpf(x), regularized=True)
+            for rate, powers, fracs in law for k, c in zip(powers, fracs))) for x in xs])
+
+
+_ACCURACY_DIMS = [Dims(4, 1), Dims(6, 3), Dims(13, 1), Dims(20, 2), Dims(50, 1)]
+
+
 class TestLambda2Precision:
     def test_double_matches_extended_at_n13(self, caplog):
-        # the two pieces cancel near x = 0: 'auto' measures that, evaluates
-        # those points again at 40 digits and keeps the rest in double
+        # the two pieces cancel near x = 0: the points that lose more than a
+        # digit are summed again from the one-rate weights, the rest stay
+        # the two-piece sum in double
         xs = np.geomspace(1e-3, 4.0, 30)
         for dims in (Dims(13, 1), Dims(13, 3)):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="wishartcond"):
                 got = pdf_lambda2_grid(xs, dims)
-            ext = _at_dps(_lambda2_law(dims), xs, _exp_law_values)
-            assert got == pytest.approx(ext, rel=1e-12)
+            ext = _at_dps(_lambda2_law(dims), xs, exp_law_values_mp)
+            assert got == pytest.approx(ext, rel=2e-14)
             redone = int(caplog.text.split("lambda-2 density: ")[1].split(" of")[0])
             assert 0 < redone < len(xs)
-            dbl = pdf_lambda2_grid(xs, dims, precision="double")
+            dbl = _exp_law_values(_lambda2_law(dims), xs)[0]
             assert dbl[-10:] == pytest.approx(ext[-10:], rel=1e-12)
 
-    def test_auto_adds_digits_while_cancellation_persists(self, caplog):
-        # below x = 1e-4 the pieces cancel by more than 27 digits, so 40
-        # digits leave fewer than 13 and the points go again at 80
+    def test_deep_cancellation_is_resummed(self, caplog):
+        # below x = 1e-4 the pieces cancel by more than 27 digits; the
+        # one-rate weights have nothing to cancel
         dims = Dims(5, 3)
         xs = np.array([1e-6, 1e-5])
         with caplog.at_level(logging.INFO, logger="wishartcond"):
             got = pdf_lambda2_grid(xs, dims)
-        assert "2 points evaluated again at 80 digits" in caplog.text
-        assert "160 digits" not in caplog.text
-        with mpmath.workdps(120):
-            want = [float(sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.mpf(x) ** k
-                              * mpmath.exp(-rate * mpmath.mpf(x))
-                              for rate, powers, fracs in _lambda2_law(dims)
-                              for k, c in zip(powers, fracs))) for x in xs]
-        assert got == pytest.approx(want, rel=1e-13)
+        assert "2 of 2 points re-summed" in caplog.text
+        assert got == pytest.approx(_mp_eig_density(_lambda2_law(dims), xs, 120), rel=2e-14)
+
+    @pytest.mark.parametrize("dims", _ACCURACY_DIMS, ids=str)
+    def test_density_against_80_digits(self, dims):
+        xs = np.geomspace(1e-4, 200.0 / dims.n, 120)
+        want = _mp_eig_density(_lambda2_law(dims), xs, 80)
+        keep = want > 1e-300
+        got = pdf_lambda2_grid(xs[keep], dims)
+        assert np.max(np.abs(got - want[keep]) / want[keep]) <= 2e-14
+
+    @pytest.mark.parametrize("dims", _ACCURACY_DIMS, ids=str)
+    def test_cdfs_against_gammainc(self, dims):
+        # relative accuracy in both tails, and never negative
+        xs = np.geomspace(1e-4, 5.0 / dims.n, 30)
+        for law, cdf in ((_lambda2_law(dims), cdf_lambda2_interp(dims)),
+                         (_lambda_min_law(dims), cdf_lambda_min_interp(dims))):
+            want = _mp_eig_cdf(law, xs)
+            keep = want > 1e-300
+            got = cdf(xs)
+            assert np.all(got >= 0.0)
+            assert np.max(np.abs(got[keep] - want[keep]) / want[keep]) <= 2e-14
+
+
+# every lambda-2 dims the tests build
+_LAMBDA2_DIMS = sorted({*(Dims(n, alpha) for n in range(3, 14) for alpha in range(4)),
+                        Dims(20, 2), Dims(20, 3), Dims(30, 2), Dims(50, 1), Dims(5, 4),
+                        Dims(6, 5), Dims(8, 6), Dims(6, 3)}, key=lambda d: (d.n, d.alpha))
+
+
+class TestLambda2Weights:
+    """The one-rate weights against c_k = far_k + sum_j near_j / (k - j)!
+    in exact rationals, term by term."""
+
+    @pytest.mark.parametrize("dims", _LAMBDA2_DIMS, ids=str)
+    def test_positive_with_tail_below_1e30(self, dims):
+        n = dims.n
+        near, far = _lambda2_law(dims)
+        weights = _lambda2_mix(dims).weights
+        far_c = dict(zip(far.powers, far.fracs))
+        exact_w = [(far_c.get(k, 0) + sum(c / math.factorial(k - j)
+                                          for j, c in zip(near.powers, near.fracs) if j <= k))
+                   * math.factorial(k) / Fraction(n) ** (k + 1) for k in range(len(weights))]
+        assert all(w >= 0 for w in exact_w)
+        assert [float(w) for w in exact_w] == list(weights)
+        rest = 1 - sum(exact_w)
+        assert 0 <= rest < Fraction(1, 10 ** 30)
+        # the first K past the top power whose remainder is below 1e-30
+        top = max(*near.powers, *far.powers)
+        assert len(weights) - 1 > top
+        assert len(weights) - 2 == top or rest + exact_w[-1] >= Fraction(1, 10 ** 30)
+
+    def test_counts(self):
+        # K + 1 weights at (4, 1), (13, 1) and (50, 1)
+        assert [len(_lambda2_mix(Dims(*d)).weights) for d in ((4, 1), (13, 1), (50, 1))] == [
+            73, 59, 149]
+
+    def test_negative_weight_raises(self, monkeypatch):
+        from wishartcond import exact
+
+        near, far = _lambda2_law(Dims(4, 1))
+        broken = (near, far._replace(fracs=(far.fracs[0] * 1000,) + far.fracs[1:]))
+        monkeypatch.setattr(exact, "_lambda2_law", lambda dims: broken)
+        with pytest.raises(ArithmeticError, match="lambda-2 weights|negative"):
+            exact._lambda2_mix.__wrapped__(Dims(4, 1))
+        # one negative smallest-eigenvalue coefficient is a negative weight
+        fracs = exact._min_eig_fracs(Dims(4, 2))
+        monkeypatch.setattr(exact, "_min_eig_fracs", lambda dims: (-fracs[0],) + fracs[1:])
+        with pytest.raises(ArithmeticError, match="negative Gamma mixture weight at power 2"):
+            exact._lambda_min_mix.__wrapped__(Dims(4, 2))
 
 
 class TestExtendedFrozen:
@@ -871,7 +936,7 @@ class TestExtendedFrozen:
 
     def test_lambda2_n6(self):
         xs = np.linspace(0.01, 3.0, 100)[list(range(10)) + [20, 40, 60, 80, 99]]
-        got = _at_dps(_lambda2_law(Dims(6, 1)), xs, _exp_law_values)
+        got = _at_dps(_lambda2_law(Dims(6, 1)), xs, exp_law_values_mp)
         assert got.tolist() == [
             1.9686892645511727e-09, 1.8521742697265666e-06, 2.7334194890557976e-05,
             0.0001459232533936643, 0.00048581443750571037, 0.001229883792023444,
@@ -880,7 +945,7 @@ class TestExtendedFrozen:
             0.5151414749950269, 0.22138999544406057, 0.07091718403909768]
 
     def test_lambda2_n13(self):
-        got = _at_dps(_lambda2_law(Dims(13, 1)), np.linspace(0.05, 1.0, 2), _exp_law_values)
+        got = _at_dps(_lambda2_law(Dims(13, 1)), np.linspace(0.05, 1.0, 2), exp_law_values_mp)
         assert got.tolist() == [0.0003694168531051331, 0.772512054886887]
 
     def test_kappa_e_n13(self):

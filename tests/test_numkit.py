@@ -1,14 +1,15 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import gauss_legendre_mp
-from wishartcond.exact import _lagneg, _laplace_density, _mp_sum, _signed_rows
+from oracles import _mp_sum, gauss_legendre_mp
+from wishartcond.exact import _lagneg, _laplace_density, _signed_rows
 from wishartcond.numkit import (
     ConvergenceError,
     QuadratureError,
@@ -23,6 +24,7 @@ from wishartcond.numkit import (
     integrate_finite,
     mixture_sum,
     pochhammer_int,
+    poisson_sum,
     poisson_tail_terms,
     poisson_terms,
 )
@@ -107,6 +109,19 @@ class TestCombinatorics:
                     for i, c in enumerate(coeffs)) for u in us]
         assert self._poisson(us, coeffs) == pytest.approx(want, rel=1e-13)
         assert len(poisson_terms(coeffs)) == 4
+
+    def test_poisson_sum(self):
+        # positive weights by the pois_i recurrence, against mpmath, from
+        # u = 0 to past the point where e^{-u} underflows, with no warning
+        weights = [0.0, 0.25, 0.0, 0.5, 1.0, 2.0 ** -60]
+        us = np.array([0.0, 1e-8, 0.3, 4.0, 60.0, 700.0, 800.0, 1e300])
+        with mpmath.workdps(30):
+            want = [float(sum(w * mpmath.exp(-mpmath.mpf(u)) * mpmath.mpf(u) ** i
+                              / mpmath.factorial(i) for i, w in enumerate(weights))) for u in us]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poisson_sum(us, weights)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_poisson_tail_terms(self):
         # sum_k w_k P(Gamma(k + 1) > u) against the regularized upper gamma
