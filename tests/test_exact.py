@@ -674,14 +674,22 @@ class TestTraceRatioAccuracy:
         cdf = cdf_kappa_d_interp if metric == METRIC_KAPPA_D else cdf_kappa_e_interp
         assert np.max(np.abs(cdf(dims)(ys) - _cdf_sums(law, ys))) <= 1e-14
 
-    def test_density_far_out_is_zero(self):
-        # the top term has no power of 1 - t, and edge / y^2 must not overflow
+    @pytest.mark.parametrize("route", ["auto", "double"])
+    def test_density_far_out_is_zero(self, route):
+        # the top term has no power of 1 - t, and edge / y^2 must not overflow;
+        # 'auto' is the public density, 'double' the whole-grid sum under it
         ys = np.array([np.inf, 1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for pdf, dims in ((pdf_kappa_d_grid, Dims(4, 1)), (pdf_kappa_e_grid, Dims(4, 1)),
-                              (pdf_kappa_e_grid, Dims(13, 1))):
-                assert pdf(ys, dims).tolist() == [0.0, 0.0]
+            for metric, dims in ((METRIC_KAPPA_D, Dims(4, 1)), (METRIC_KAPPA_E, Dims(4, 1)),
+                                 (METRIC_KAPPA_E, Dims(13, 1))):
+                if route == "auto":
+                    pdf = pdf_kappa_d_grid if metric == METRIC_KAPPA_D else pdf_kappa_e_grid
+                    got = pdf(ys, dims)
+                else:
+                    got, lost = _law_values(_trace_ratio_law(metric, dims), ys)
+                    assert np.all(np.isfinite(lost))
+                assert got.tolist() == [0.0, 0.0]
 
 
 # (law builder, dims, grid) of every density job of the benchmark's
