@@ -304,9 +304,11 @@ def _mc_run(cfg: RunConfig, threshold: float | None = None) -> dict:
         cdf = _exact_cdf(cfg.metric, dims)
         meta = {"kind": "exact"}
     started = time.perf_counter()
-    draws = mc_collect(cfg.metric, dims, cfg.samples, cfg.seed, workers=_workers())
+    stages: dict = {}
+    draws = mc_collect(cfg.metric, dims, cfg.samples, cfg.seed, workers=_workers(),
+                       stage_s=stages)
     sample_s = time.perf_counter() - started
-    cost = {"sample_s": sample_s, "draws_per_s": cfg.samples / sample_s}
+    cost = {"sample_s": sample_s, "draws_per_s": cfg.samples / sample_s, **stages}
     log.debug("mc_collect %s n=%d alpha=%d: sample_s=%.4f draws_per_s=%.0f",
               cfg.metric, dims.n, dims.alpha, sample_s, cost["draws_per_s"])
     if "scale" in meta:

@@ -1,21 +1,22 @@
 """Monte Carlo ground truth for the analytic densities.
 
-Sampling is deterministic by construction: draw i under seed s owns a fixed
-range of counters in the Philox stream keyed by s (and a fixed counter of a
-second key for each rare exhausted Gamma variate), so the same draw comes
-out bit-identical whether the batch runs on one worker or eight, and any
-single draw can be regenerated in isolation.
+Sampling is deterministic by construction: draw k under seed s belongs to
+block b = k // 1024, and every draw of a block takes its variates from one
+Philox4x64-10 stream, keyed s mod 2^64 and started at counter b << 64.  The
+same draw comes out bit-identical whether the batch runs on one worker or
+eight, in chunks of any size, and one draw regenerates from its block.
+Values are bit-identical within one numpy version: they depend on numpy's
+Gamma code, which NEP 19 does not freeze across releases.
 
 ``mc_collect`` samples the bidiagonal beta = 2 Laguerre model (Dumitriu
 and Edelman, J. Math. Phys. 43 (2002) 5830).  A*A has the eigenvalue law
 of B B^T, with B n x n lower bidiagonal and independent Gamma squared
-entries; the trace is the sum of the squared entries.  A Gamma shape up to
-``_ERLANG_MAX_SHAPE`` (8) is an Erlang sum of that many uniforms; a larger
-one is a Marsaglia-Tsang variate from four words of the row (a Box-Muller
-pair for the normals of two tries and their two uniforms), and the rare
-variate whose both tries are rejected is an Erlang sum from a second
-stream keyed (seed mod 2^64) + 2^64.  A draw reads m n words while m <= 8,
-and 407 at (50, 1), where m n is 2550.  The one eigenvalue the metric
+entries: a_i^2 of shape m - i on the diagonal, b_i^2 of shape n - 1 - i
+below it.  A block draws them one row of 1,024 at a time with numpy's
+``standard_gamma`` (Marsaglia and Tsang's exact method, ACM TOMS 26 (2000)
+363, in C and without the GIL): the n a_i^2 rows, then the n - 1 b_i^2
+rows.  A block that a chunk covers only in part is drawn a row at a time
+through one 1,024-double buffer and sliced.  The one eigenvalue the metric
 reads (the smallest or the second smallest) comes from Laguerre steps on
 the LDL^T (Sturm) recurrence of the tridiagonal B B^T, on the lanes still
 moving; for the second smallest, one Laguerre step from 0 gives the pole
@@ -26,11 +27,13 @@ tolerance, as LAPACK dstebz's ABSTOL does; the few lanes that fail are
 finished by Sturm bisection.
 
 A chunk holds its tridiagonals lane-major, D (n, lanes) and E2 (n - 1,
-lanes), (2n - 1) x lanes doubles written straight from each Philox
-block's Gamma rows through buffers of one block's rows; the search adds
-one work copy of D, and a buffer for the E2 of the live lanes once fewer
-than half are live.  Every step acts elementwise per lane, so neither
-layout nor block nor chunk changes a draw.
+lanes), with the Gamma rows written straight into them (through the one
+row buffer for a partial block), summed into the trace and then combined
+in place; the search adds one work copy of D, and a buffer for the E2 of
+the live lanes once fewer than half are live.  Every step acts
+elementwise per lane, so neither layout nor chunk changes a draw.  The
+DEBUG chunk line has the variate and search seconds, the search's counts
+and the bytes held; numpy's Gamma fill reports no tries.
 """
 
 from __future__ import annotations
@@ -52,67 +55,22 @@ from .exact import (
     Dims,
 )
 
-_ONE_BITS = np.uint64(0x3FF0000000000000)  # exponent bits of 1.0
 _PIVMIN = 1e-290
 _EPS = np.finfo(float).eps
 # Laguerre sweeps per search, and probes for a point between lambda_1 and
 # lambda_2, before a lane is left to certification and bisection
 _LAGUERRE_SWEEPS = 40
 _GAP_PROBES = 60
-# raw words held at once per worker while drawing Gamma variates (1 MiB)
-_VARIATE_BLOCK_WORDS = 1 << 17
-# largest Gamma shape drawn as an Erlang sum of uniforms; larger shapes take
-# Marsaglia-Tsang tries
-_ERLANG_MAX_SHAPE = 8
+# draws per keyed Philox stream
+_BLOCK = 1024
 
 log = logging.getLogger("wishartcond")
 # per thread: the last search's counts and bytes, for the chunk log line
 _search_stats = threading.local()
-# per thread: (Marsaglia-Tsang variates, second tries, exhausted, bytes held)
-# of the last rows
-_variate_stats = threading.local()
 
 
 class SamplerError(RuntimeError):
     """Eigensolver breakdown or an impossible sample, with its index."""
-
-
-def _row_words(count: int) -> int:
-    """Stream words a draw of count words owns: whole 4-word Philox blocks."""
-    return 4 * -(-count // 4)
-
-
-def _keyed_raw(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """count raw words per draw k in start..stop-1, one row each: the words
-    [k w, k w + count), w = ``_row_words(count)``, of the Philox4x64-10
-    stream keyed (seed mod 2**64, 0).  Draw k starts on Philox block k w / 4,
-    so one generator at the first row's counter makes the whole block."""
-    w = _row_words(count)
-    bg = np.random.Philox(key=seed % 2 ** 64, counter=start * w // 4)
-    return bg.random_raw((stop - start) * w).reshape(-1, w)[:, :count]
-
-
-def _uniform(raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words to uniforms in (0, 1], so that log(u) is finite, in
-    place: the top 52 bits of a word fill the mantissa of x in [1, 2), and
-    u = 2 - x.  Returns the float64 view of ``raw``."""
-    raw >>= 12
-    raw |= _ONE_BITS
-    u = raw.view(np.float64)
-    return np.subtract(2.0, u, out=u)
-
-
-def _box_muller_polar(u: np.ndarray, w: np.ndarray, var: float):
-    """Box-Muller on two arrays of uniforms in (0, 1] from ``_uniform``, used
-    up in place: (r, angle) with r cos(angle) and r sin(angle) independent
-    normals of variance var."""
-    # u in (0, 1] keeps the log finite; the angle starts from 1 - w in [0, 1)
-    np.log(u, out=u)
-    u *= -2.0 * var
-    np.sqrt(u, out=u)
-    np.subtract(1.0, w, out=w)  # x - 1 of the word's x in [1, 2), exactly
-    w *= 2.0 * math.pi
-    return u, w
 
 
 # ---------------------------------------------------------------------------
@@ -343,176 +301,80 @@ def _gap_point(D, E2, pole):
     return x, probes
 
 
-def _variate_layout(dims: Dims):
-    """(shapes, nd, ns, offsets, words) of one draw's row.
-
-    shapes are the 2n - 1 Gamma shapes: m, m-1, ..., m-n+1 for the squared
-    diagonal of B, then n-1, ..., 1 for the squared subdiagonal.  The first
-    nd diagonal and the first ns subdiagonal shapes exceed
-    ``_ERLANG_MAX_SHAPE``.  The row holds the other shapes' Erlang segments
-    in column order (offsets are their starts), then, for the nd + ns large
-    shapes, four groups of as many words: the Box-Muller pair whose cos and
-    sin normals drive the first and the second Marsaglia-Tsang try, and the
-    two tries' uniforms.
-    """
-    n = dims.n
-    shapes = np.array([dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)])
-    large = shapes > _ERLANG_MAX_SHAPE
-    nd, ns = int(large[:n].sum()), int(large[n:].sum())
-    lengths = shapes[~large]
-    return shapes, nd, ns, np.cumsum(lengths) - lengths, int(lengths.sum()) + 4 * (nd + ns)
-
-
-def _mt_accept(x, v, u, d, lv=None, tmp=None):
-    """Marsaglia-Tsang acceptance of d v, v = (1 + c x)^3, as a Gamma(d + 1/3)
-    variate: v > 0 and log u < x^2 / 2 + d - d v + d log v (in the buffers
-    lv and tmp, if given).  v <= 0 makes the bound NaN or -inf: rejected."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lv = np.log(v, out=lv)
-    lv -= v
-    lv += 1.0
-    lv *= d
-    lv += np.multiply(np.multiply(0.5, x, out=tmp), x, out=tmp)
-    return np.log(u, out=tmp) < lv
-
-
-def _mt_try(x, u, d, c, v=None, y=None, tmp=None):
-    """One Marsaglia-Tsang try per lane: (accepted, d (1 + c x)^3), in the
-    buffers v, y and tmp, if given."""
-    v = np.multiply(c, x, out=v)
-    v += 1.0
-    y = np.multiply(v, v, out=y)
-    y *= v
-    ok = _mt_accept(x, y, u, d, v, tmp)
-    y *= d
-    return ok, y
-
-
-def _exhausted_gamma(seed: int, index: int, variate: int, shape: int) -> float:
-    """Gamma(shape) for a variate whose two Marsaglia-Tsang tries were both
-    rejected: an Erlang sum of shape uniforms from the Philox stream keyed
-    (seed mod 2**64) + 2**64, run from the counter (index << 128) +
-    (variate << 64) that the draw and the variate fix."""
-    bg = np.random.Philox(key=seed % 2 ** 64 + 2 ** 64, counter=(index << 128) + (variate << 64))
-    return float(-np.log(_uniform(bg.random_raw(shape))).sum())
-
-
-def _gamma_blocks(dims: Dims, seed: int, start: int, stop: int):
-    """The 2n - 1 Gamma variates of draws start..stop-1, one row each, as
-    (first draw, rows) per block of ``_VARIATE_BLOCK_WORDS`` raw words: shapes
-    m, m-1, ..., m-n+1 for the squared diagonal of B, then n-1, ..., 1 for
-    the squared subdiagonal.  The rows, and every temporary, live in buffers
-    of min(block, stop - start) rows that the next block overwrites.
-
-    A shape up to ``_ERLANG_MAX_SHAPE`` is the Erlang sum -sum log(u) over
-    its own segment of the row; with m at most that, the row is the m n
-    uniforms in column order.  A larger shape takes
-    Marsaglia and Tsang's tries (ACM TOMS 26 (2000) 363), the second only
-    where the first is rejected, and an Erlang sum from ``_exhausted_gamma``
-    where both are.  Each is an exact Gamma variate.  Counts of both tries
-    and of the exhaustions, and the bytes of one block's buffers and raw
-    words, go to ``_variate_stats.last``.
-    """
-    shapes, nd, ns, offsets, words = _variate_layout(dims)
-    n, nl = dims.n, nd + ns
-    ne = words - 4 * nl
-    cols = np.r_[0:nd, n:n + ns]  # the large shapes' columns
-    d = shapes[cols] - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    # rows are independent, so the block size changes memory, not values
-    block = max(1, _VARIATE_BLOCK_WORDS // _row_words(words))
-    rows = min(block, stop - start)
-    gam = np.empty((rows, len(shapes)))
-    # with every column an Erlang sum, the sums are the rows
-    red = np.empty((rows, len(offsets))) if nl else gam
-    mt = np.empty((4, rows, nl))  # cos(angle) r, then _mt_try's v, y and tmp
-    held = gam.nbytes + mt.nbytes + (red is not gam) * red.nbytes + 8 * rows * _row_words(words)
-    retries = exhausted = 0
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        raw = _keyed_raw(seed, lo, hi, words)
-        # the second tries' words are rarely read, and made into uniforms then
-        u = _uniform(raw[:, :ne + 3 * nl])
-        out = gam[:hi - lo]
-        if ne:
-            np.log(u[:, :ne], out=u[:, :ne])
-            sums = np.add.reduceat(u[:, :ne], offsets, axis=1, out=red[:hi - lo])
-            np.negative(sums[:, :n - nd], out=out[:, nd:n])
-            np.negative(sums[:, n - nd:], out=out[:, n + ns:])
-        if nl:
-            x, v, y, tmp = mt[:, :hi - lo]
-            r, ang = _box_muller_polar(u[:, ne:ne + nl], u[:, ne + nl:ne + 2 * nl], 1.0)
-            np.cos(ang, out=x)
-            x *= r
-            ok, y = _mt_try(x, u[:, ne + 2 * nl:ne + 3 * nl], d, c, v, y, tmp)
-            np.logical_not(ok, out=ok)
-            i, j = np.divmod(np.flatnonzero(ok), nl)
-            if len(i):
-                x = r[i, j] * np.sin(ang[i, j])
-                ok, y[i, j] = _mt_try(x, _uniform(raw[i, ne + 3 * nl + j]), d[j], c[j])
-                retries += len(i)
-                exhausted += len(i) - int(np.count_nonzero(ok))
-                for row, t in zip(i[~ok].tolist(), j[~ok].tolist()):
-                    y[row, t] = _exhausted_gamma(seed, lo + row, int(cols[t]), int(shapes[cols[t]]))
-            out[:, :nd] = y[:, :nd]
-            out[:, n:n + ns] = y[:, nd:]
-        yield lo, out
-        raw = u = r = ang = None  # the next block's words replace these, not join them
-    _variate_stats.last = ((stop - start) * nl, retries, exhausted, held)
-
-
 def _laguerre_tridiagonal(dims: Dims, seed: int, start: int, stop: int):
     """(D, E2, trace) of B B^T for draws start..stop-1 of the bidiagonal
     model, lane-major as the eigenvalue search reads them: D (n, lanes) and
-    E2 (n - 1, lanes), each block of ``_gamma_blocks`` written straight in."""
+    E2 (n - 1, lanes).
+
+    Block b's generator fills its rows in a fixed order, a_0^2 .. a_{n-1}^2
+    into D, then b_0^2 .. b_{n-2}^2 into E2, each a whole row of ``_BLOCK``
+    draws, so a partial block draws every row into one buffer and keeps its
+    slice.  The trace sums the rows in that order; then, from the bottom row
+    up, D[i + 1] += b_i^2 and E2[i] = a_i^2 b_i^2 make the diagonal and the
+    squared off-diagonal in place.
+    """
     n, lanes = dims.n, stop - start
-    D, E2, trace = np.empty((n, lanes)), np.empty((n - 1, lanes)), np.empty(lanes)
-    for lo, gam in _gamma_blocks(dims, seed, start, stop):
-        s = slice(lo - start, lo - start + len(gam))
-        a2, b2 = gam[:, :n].T, gam[:, n:].T
-        D[0, s] = a2[0]
-        np.add(a2[1:], b2, out=D[1:, s])
-        np.multiply(a2[:-1], b2, out=E2[:, s])
-        gam.sum(axis=1, out=trace[s])
+    shapes = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
+    rows, trace = np.empty((2 * n - 1, lanes)), np.empty(lanes)
+    D, E2 = rows[:n], rows[n:]
+    buf = None
+    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+        lo, hi = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
+        gen = np.random.Generator(np.random.Philox(key=seed % 2 ** 64, counter=b << 64))
+        if hi - lo == _BLOCK:
+            for j, shape in enumerate(shapes):
+                gen.standard_gamma(shape, out=rows[j, lo - start:hi - start])
+            continue
+        buf = np.empty(_BLOCK) if buf is None else buf
+        for j, shape in enumerate(shapes):
+            gen.standard_gamma(shape, out=buf)
+            rows[j, lo - start:hi - start] = buf[lo - b * _BLOCK:hi - b * _BLOCK]
+    rows.sum(axis=0, out=trace)
+    for i in range(n - 2, -1, -1):
+        D[i + 1] += E2[i]
+        E2[i] *= D[i]
     return D, E2, trace
 
 
-def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
-    timed = log.isEnabledFor(logging.DEBUG)
-    if timed:
-        started = time.perf_counter()
+def _chunk_values(metric: str, dims: Dims, seed: int, start: int, stop: int):
+    """(values, variates seconds, search seconds) of draws start..stop-1."""
+    started = time.perf_counter()
     D, E2, tr = _laguerre_tridiagonal(dims, seed, start, stop)
     # only the order statistic the metric reads is searched for
     kth = 2 if metric in (METRIC_KAPPA_E, METRIC_LAMBDA_2) else 1
-    if timed:
-        drawn = time.perf_counter()
+    drawn = time.perf_counter()
     lam = _kth_smallest(D, E2, kth)
-    if timed:
-        tries, retries, exhausted, block_bytes = _variate_stats.last
+    searched = time.perf_counter()
+    if log.isEnabledFor(logging.DEBUG):
         pole, probes, final, predicted, fallbacks, search_bytes = _search_stats.last
-        log.debug("mc chunk %d-%d %s n=%d: variates %.4f s (%d Marsaglia-Tsang, %d second "
-                  "tries, %d exhausted), eigenvalue search %.4f s, per lane %.2f pole "
-                  "sweeps, %.2f gap probes and %.2f final sweeps, %d predicted stops, "
-                  "%d fallback lanes; %d bytes held", start, stop - 1, metric, dims.n,
-                  drawn - started, tries, retries, exhausted, time.perf_counter() - drawn,
-                  pole, probes, final, predicted, fallbacks,
-                  D.nbytes + E2.nbytes + block_bytes + search_bytes)
+        buf_bytes = 8 * _BLOCK if start % _BLOCK or stop % _BLOCK else 0
+        log.debug("mc chunk %d-%d %s n=%d: variates %.4f s, eigenvalue search %.4f s, "
+                  "per lane %.2f pole sweeps, %.2f gap probes and %.2f final sweeps, "
+                  "%d predicted stops, %d fallback lanes; %d bytes held", start, stop - 1,
+                  metric, dims.n, drawn - started, searched - drawn, pole, probes, final,
+                  predicted, fallbacks,
+                  D.nbytes + E2.nbytes + tr.nbytes + buf_bytes + search_bytes)
     bad = ~np.isfinite(lam) | (lam <= 0)
     if np.any(bad):
         idx = start + int(np.argmax(bad))
         raise SamplerError(f"eigensolver failed for sample index {idx}")
-    return tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
+    values = tr / lam if metric in (METRIC_KAPPA_D, METRIC_KAPPA_E) else lam
+    return values, drawn - started, searched - drawn
 
 
 def mc_collect(metric: str, dims: Dims, count: int, seed: int,
-               workers: int = 1, chunk: int = 4096) -> np.ndarray:
+               workers: int = 1, chunk: int = 4096, stage_s: dict | None = None) -> np.ndarray:
     """count draws of the chosen statistic, bit-deterministic in (seed, index).
 
     The sample index space is split into fixed chunks of ``chunk`` draws;
     ``workers`` threads only change how chunks are scheduled, never what
-    any index produces.  Each searched eigenvalue is certified by two
-    Sturm counts (``_kth_smallest``), and one that is not finite and
-    positive raises SamplerError with its sample index.
+    any index produces: each draw's variates come from the keyed Philox
+    stream of its 1,024-draw block (module docstring), bit-identical
+    within one numpy version.  Each searched eigenvalue is certified by
+    two Sturm counts (``_kth_smallest``), and one that is not finite and
+    positive raises SamplerError with its sample index.  A ``stage_s``
+    dict gets ``variates_s`` and ``search_s``, the seconds of the two
+    stages summed over chunks.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -528,7 +390,10 @@ def mc_collect(metric: str, dims: Dims, count: int, seed: int,
             parts = list(pool.map(lambda sp: _chunk_values(metric, dims, seed, *sp), spans))
     else:
         parts = [_chunk_values(metric, dims, seed, s, t) for s, t in spans]
-    return np.concatenate(parts)
+    if stage_s is not None:
+        stage_s["variates_s"] = math.fsum(p[1] for p in parts)
+        stage_s["search_s"] = math.fsum(p[2] for p in parts)
+    return np.concatenate([p[0] for p in parts])
 
 
 # ---------------------------------------------------------------------------

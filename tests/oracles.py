@@ -59,7 +59,6 @@ from wishartcond.exact import (
     pdf_lambda_min_grid,
 )
 from wishartcond.numkit import _sign_log, integrate_finite, pochhammer_int
-from wishartcond.sampler import _box_muller_polar, _keyed_raw, _uniform
 
 log = logging.getLogger("wishartcond")
 
@@ -625,30 +624,29 @@ def normalization_v_kappa_e(p: asymptotic.ScaledParams) -> float:
 # sampler references
 
 
-def philox_raw_reference(seed: int, index: int, count: int) -> np.ndarray:
-    """count raw words of draw index under seed: the words of a fresh
-    Philox4x64-10 keyed (seed mod 2**64, 0), run from its start up to and
-    through the draw, then sliced at the draw's whole-block offset."""
-    w = 4 * -(-count // 4)
+def bidiagonal_shapes(dims: Dims) -> list:
+    """The 2n - 1 Gamma shapes of the bidiagonal model: m, m-1, ..., m-n+1
+    for the squared diagonal of B, then n-1, ..., 1 below it."""
+    return [dims.m - i for i in range(dims.n)] + [dims.n - 1 - i for i in range(dims.n - 1)]
+
+
+def block_gamma_reference(dims: Dims, seed: int, block: int) -> np.ndarray:
+    """The Gamma rows of one 1,024-draw block of the sampler, in
+    ``bidiagonal_shapes`` order, as a fresh generator on that block's stream
+    draws them: Philox4x64-10 keyed (seed mod 2**64, 0) from counter
+    (0, block, 0, 0)."""
     key = np.array([seed % 2 ** 64, 0], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw((index + 1) * w)[index * w:index * w + count]
-
-
-def erlang_variates_reference(dims: Dims, seed: int, index: int) -> np.ndarray:
-    """The 2n - 1 Gamma variates of draw index as Erlang sums -sum log(u)
-    over consecutive segments of its m n uniforms: lengths m, m-1, ...,
-    m-n+1 for the squared diagonal of B, then n-1, ..., 1."""
-    n = dims.n
-    lengths = [dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)]
-    offsets = np.cumsum([0] + lengths[:-1])
-    logu = np.log(_uniform(philox_raw_reference(seed, index, dims.mn)))
-    return -np.add.reduceat(logu, offsets)
+    counter = np.array([0, block, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.stack([gen.standard_gamma(a, size=1024) for a in bidiagonal_shapes(dims)])
 
 
 def sample_matrix(dims: Dims, seed: int, index: int = 0) -> np.ndarray:
     """The index-th dense m x n matrix under this seed: iid complex normals
-    of unit variance (1/2 per real part), by Box-Muller on the draw's 2 m n
-    words of the sampler's stream, taken in pairs."""
-    u = _uniform(_keyed_raw(seed, index, index + 1, 2 * dims.mn)[0])
-    r, ang = _box_muller_polar(u[0::2], u[1::2], 0.5)
-    return (r * np.cos(ang) + 1j * (r * np.sin(ang))).reshape(dims.m, dims.n)
+    of unit variance (1/2 per real part), from the Philox4x64-10 stream keyed
+    (seed mod 2**64, 1), a key the sampler's blocks never use, at counter
+    index << 64."""
+    key = np.array([seed % 2 ** 64, 1], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=index << 64))
+    real, imag = gen.standard_normal((2, dims.m, dims.n)) * math.sqrt(0.5)
+    return real + 1j * imag

@@ -289,6 +289,8 @@ class TestMcCommand:
         meta = json.loads(out.read_text())["results"]["meta"]
         assert meta["sample_s"] > 0
         assert meta["draws_per_s"] == pytest.approx(400 / meta["sample_s"])
+        # 400 draws are one chunk: its two stages lie within the run's time
+        assert 0 < meta["variates_s"] + meta["search_s"] <= meta["sample_s"]
         assert any("mc_collect kappa-e n=4 alpha=1: sample_s=" in r.getMessage()
                    for r in caplog.records)
 
@@ -313,12 +315,13 @@ class TestFigureCommand:
         assert cli.main(args) == EXIT_OK
         for suffix in ("_curve.csv", "_hist.csv"):
             assert (tmp_path / f"fig{suffix}").read_bytes() == first[suffix]
-        # the report matches apart from the sampling time, which is measured
+        # the report matches apart from the sampling times, which are measured
         payload = json.loads(first["_report.json"])
         again = json.loads((tmp_path / "fig_report.json").read_text())
         for report in (payload, again):
             meta = report["results"]["meta"]
             assert meta.pop("sample_s") > 0 and meta.pop("draws_per_s") > 0
+            assert meta.pop("variates_s") > 0 and meta.pop("search_s") > 0
         assert again == payload
         res = payload["results"]
         assert res["n"] == 10 and res["alpha"] == 0

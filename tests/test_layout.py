@@ -15,6 +15,9 @@ and thread; a cache belongs to the function that fills it.
 An ``np.take`` into ``out=`` in numpy's default "raise" mode first gathers
 into a hidden copy as large as ``out``, so every such take names another
 mode.
+Random draws come only from ``np.random.Generator`` over an
+``np.random.Philox`` built with an explicit ``key=``, so no unkeyed or
+module-level generator can make a draw depend on anything but its seed.
 """
 
 import ast
@@ -193,3 +196,45 @@ def test_takes_into_out_do_not_buffer(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert [(line, mode) for line, mode in _takes_into_out(tree)
             if mode not in ("clip", "wrap")] == []
+
+
+_RANDOM_ALLOWED = ("Generator", "Philox")
+
+
+def _random_misuses(tree) -> list:
+    """(line, what) of each ``np.random`` attribute other than Generator and
+    Philox, each import from or of ``numpy.random``, and each Philox call
+    without ``key=``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random"
+                and getattr(node.value.value, "id", None) in ("np", "numpy")
+                and node.attr not in _RANDOM_ALLOWED):
+            found.append((node.lineno, f"np.random.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            found.append((node.lineno, f"from {node.module} import"))
+        elif (isinstance(node, ast.Call) and _name(node.func) == "Philox"
+              and not any(k.arg == "key" for k in node.keywords)):
+            found.append((node.lineno, "Philox without key="))
+    return sorted(found)
+
+
+def test_random_misuses_are_caught():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.random import default_rng\n"
+                     "a = np.random.default_rng(1)\n"
+                     "b = np.random.Generator(np.random.Philox(5))\n"
+                     "c = np.random.Generator(np.random.Philox(key=5, counter=1))\n"
+                     "from numpy import random\n")
+    assert _random_misuses(tree) == [(2, "from numpy.random import"),
+                                     (3, "np.random.default_rng"), (4, "Philox without key="),
+                                     (6, "from numpy import")]
+
+
+@pytest.mark.parametrize("module", CHECKED)
+def test_random_draws_come_from_keyed_philox(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert _random_misuses(tree) == []

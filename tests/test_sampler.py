@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import re
@@ -6,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import erlang_variates_reference, philox_raw_reference, sample_matrix
+from oracles import bidiagonal_shapes, block_gamma_reference, sample_matrix
 
 from wishartcond import sampler
 from wishartcond.exact import (
@@ -18,12 +19,9 @@ from wishartcond.exact import (
     Dims,
 )
 from wishartcond.sampler import (
-    _VARIATE_BLOCK_WORDS,
+    _BLOCK,
     SamplerError,
-    _keyed_raw,
     _kth_smallest,
-    _row_words,
-    _uniform,
     build_report,
     ks_compare,
     ks_threshold,
@@ -67,6 +65,14 @@ class TestMcCollect:
         assert np.array_equal(base, again)
         assert np.array_equal(base, chunked)
         assert np.array_equal(base, threaded)
+        # 3,000 draws span three blocks; chunks of 113 and 1,000 cut them
+        for dims in (Dims(50, 1), Dims(10, 9)):
+            base = mc_collect(METRIC_KAPPA_E, dims, 3000, seed=21)
+            for chunk in (113, 1000, 4096):
+                for workers in (1, 2, 3):
+                    got = mc_collect(METRIC_KAPPA_E, dims, 3000, seed=21, workers=workers,
+                                     chunk=chunk)
+                    assert np.array_equal(got, base), (dims, chunk, workers)
 
     def test_metric_inequalities(self):
         d = Dims(4, 0)
@@ -96,53 +102,26 @@ class TestMcCollect:
             with pytest.raises(ValueError, match="chunk must be >= 1"):
                 mc_collect(METRIC_KAPPA_D, Dims(3, 0), 10, seed=1, chunk=chunk)
 
+    def test_stage_seconds(self):
+        stages = {}
+        got = mc_collect(METRIC_KAPPA_E, Dims(4, 1), 300, seed=3, workers=2, chunk=100,
+                         stage_s=stages)
+        assert sorted(stages) == ["search_s", "variates_s"]
+        assert stages["variates_s"] > 0 and stages["search_s"] > 0
+        # the seconds are reported beside the draws, which do not change
+        assert np.array_equal(got, mc_collect(METRIC_KAPPA_E, Dims(4, 1), 300, seed=3))
+
+
+@functools.lru_cache(maxsize=8)
+def _block(dims: Dims, seed: int, block: int) -> np.ndarray:
+    rows = block_gamma_reference(dims, seed, block)
+    rows.flags.writeable = False
+    return rows
+
 
 def _reference_variates(dims: Dims, seed: int, index: int) -> np.ndarray:
-    """Draw index's Gamma variates, built on their own from a freshly
-    constructed Philox generator: Erlang sums for shapes up to
-    ``_ERLANG_MAX_SHAPE``, then for each larger shape the first
-    Marsaglia-Tsang try on its Box-Muller cos normal, the second on its sin
-    normal, and an Erlang sum on the exhaustion stream after both."""
-    K = sampler._ERLANG_MAX_SHAPE
-    if dims.m <= K:
-        return erlang_variates_reference(dims, seed, index)
-    n = dims.n
-    shapes = np.array([dims.m - i for i in range(n)] + [n - 1 - i for i in range(n - 1)])
-    small, large = np.flatnonzero(shapes <= K), np.flatnonzero(shapes > K)
-    e, v = int(shapes[small].sum()), len(large)
-    u = _uniform(philox_raw_reference(seed, index, e + 4 * v))
-    gam = np.empty(len(shapes))
-    if e:
-        lengths = shapes[small]
-        gam[small] = -np.add.reduceat(np.log(u[:e]), np.cumsum(lengths) - lengths)
-    r = np.sqrt(-2.0 * np.log(u[e:e + v]))
-    ang = (1.0 - u[e + v:e + 2 * v]) * (2.0 * np.pi)
-    d = shapes[large] - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    tries = []
-    for x, w in ((r * np.cos(ang), u[e + 2 * v:e + 3 * v]), (r * np.sin(ang), u[e + 3 * v:])):
-        y = 1.0 + c * x
-        y = y * y * y
-        tries.append((sampler._mt_accept(x, y, w, d), d * y))
-    (ok1, y1), (ok2, y2) = tries
-    gam[large] = np.where(ok1, y1, y2)
-    for t in np.flatnonzero(~ok1 & ~ok2):
-        bg = np.random.Philox(key=np.array([seed % 2 ** 64, 1], dtype=np.uint64),
-                              counter=np.array([0, large[t], index, 0], dtype=np.uint64))
-        gam[large[t]] = -np.log(_uniform(bg.random_raw(shapes[large[t]]))).sum()
-    return gam
-
-
-def _row_width(dims: Dims) -> int:
-    """Words a draw of the bidiagonal model reads from its stream."""
-    return sampler._variate_layout(dims)[-1]
-
-
-def _gamma_rows(dims: Dims, seed: int, start: int, stop: int) -> np.ndarray:
-    """The Gamma variates of draws start..stop-1, every block of
-    ``_gamma_blocks`` stacked."""
-    return np.concatenate([rows.copy() for _, rows in
-                           sampler._gamma_blocks(dims, seed, start, stop)])
+    """Draw index's 2n - 1 Gamma variates, regenerated from its block."""
+    return _block(dims, seed, index // _BLOCK)[:, index % _BLOCK]
 
 
 def _rows(dims: Dims, seed: int, start: int, stop: int):
@@ -152,11 +131,15 @@ def _rows(dims: Dims, seed: int, start: int, stop: int):
 
 
 def _tridiagonal(gam: np.ndarray, n: int):
-    """(d, e2, trace) of B B^T from rows of Gamma variates, one row per draw."""
+    """(d, e2, trace) of B B^T from rows of Gamma variates, one row per draw;
+    the trace adds the variates in their row order, as the sampler does."""
     a2, b2 = gam[:, :n], gam[:, n:]
     d = a2.copy()
     d[:, 1:] += b2
-    return d, a2[:, :-1] * b2, gam.sum(axis=1)
+    trace = gam[:, 0].copy()
+    for col in gam.T[1:]:
+        trace += col
+    return d, a2[:, :-1] * b2, trace
 
 
 def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
@@ -168,24 +151,37 @@ def _reference_draws(metric: str, dims: Dims, seed: int, indices) -> np.ndarray:
 
 
 class TestKeyedStream:
-    # counts that are no multiple of 4 leave the rest of a draw's last block unused
+    """Block b = k // 1024 of draws k draws its Gamma rows from one Philox
+    stream, keyed by the seed mod 2**64 and started at counter b << 64."""
+
     @pytest.mark.parametrize("count", [20, 2550, 1, 9, 10, 15])
     def test_matches_per_draw_generator(self, count):
+        # runs from draw 1000, inside block 0, to a draw of block 0 to 3: each
+        # draw equals the one its block's own generator makes
+        dims = Dims(3, 2)
         for seed in (11, -7, 2 ** 63 + 5):
-            want = np.stack([philox_raw_reference(seed, k, count) for k in range(1000, 1006)])
-            assert np.array_equal(_keyed_raw(seed, 1000, 1006, count), want)
+            want = _tridiagonal(np.stack([_reference_variates(dims, seed, k)
+                                          for k in range(1000, 1000 + count)]), dims.n)
+            got = _rows(dims, seed, 1000, 1000 + count)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_seeds_below_2_63_keep_their_words(self):
-        # the list key that numpy converts exactly below 2**63: draw 4 of
-        # 20 words is words 80..99 of that one stream
+        # the list key that numpy converts exactly below 2**63: the first row
+        # of block 4, a_0^2 of shape m, is that stream's first 1,024 variates
+        dims = Dims(3, 2)
         for seed in (0, 1, 209, 2 ** 62 + 3, 2 ** 63 - 1):
-            want = np.random.Philox(key=[seed, 0]).random_raw(100)[80:]
-            assert np.array_equal(_keyed_raw(seed, 4, 5, 20)[0], want)
+            gen = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, 4, 0, 0]))
+            D = sampler._laguerre_tridiagonal(dims, seed, 4 * 1024, 5 * 1024)[0]
+            assert np.array_equal(D[0], gen.standard_gamma(dims.m, size=1024))
 
     def test_distinct_seeds_give_distinct_streams(self):
+        def first(seed):
+            return sampler._laguerre_tridiagonal(Dims(2, 0), seed, 0, 8)[0]
+
         for a, b in ((-1, -2), (-1, -7), (-2, -7), (2 ** 63 + 5, 2 ** 63 + 6)):
-            assert not np.array_equal(_keyed_raw(a, 0, 1, 8), _keyed_raw(b, 0, 1, 8))
-        assert np.array_equal(_keyed_raw(-1, 0, 1, 8), _keyed_raw(2 ** 64 - 1, 0, 1, 8))
+            assert not np.array_equal(first(a), first(b))
+        assert np.array_equal(first(-1), first(2 ** 64 - 1))
 
     def test_negative_seeds_draw_distinct_values_without_warning(self):
         with warnings.catch_warnings():
@@ -196,58 +192,54 @@ class TestKeyedStream:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_mc_collect_matches_per_draw_path(self, metric):
+        # indices 1014..1039 cross the block at 1024 and the chunk at 1030
         dims = Dims(50, 1)
-        block = _VARIATE_BLOCK_WORDS // _row_words(_row_width(dims))
-        assert block == 321
-        # indices 310..329 cross the variate block at 321 and the chunk at 325
-        got = mc_collect(metric, dims, 330, seed=5, chunk=325)[310:]
-        assert np.array_equal(got, _reference_draws(metric, dims, 5, range(310, 330)))
+        got = mc_collect(metric, dims, 1040, seed=5, chunk=1030)[1014:]
+        assert np.array_equal(got, _reference_draws(metric, dims, 5, range(1014, 1040)))
 
     @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(2, 3), Dims(3, 2)])
-    def test_unpadded_widths_are_schedule_invariant(self, dims, monkeypatch):
-        # m*n = 9, 10, 15: each draw leaves 3, 2 or 1 words of its blocks unused
-        assert dims.mn % 4 in (1, 2, 3)
-        base = mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5)
-        assert np.array_equal(base, _reference_draws(METRIC_KAPPA_E, dims, 2 ** 63 + 5, range(40)))
-        assert np.array_equal(base, mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5,
+    def test_unpadded_widths_are_schedule_invariant(self, dims):
+        # chunks of 7 draws, no multiple of the block, and 2,100 draws, which
+        # end inside block 2: each cut block is drawn whole and sliced
+        seed = 2 ** 63 + 5
+        base = mc_collect(METRIC_KAPPA_E, dims, 2100, seed=seed)
+        assert np.array_equal(base[2060:], _reference_draws(METRIC_KAPPA_E, dims, seed,
+                                                            range(2060, 2100)))
+        assert np.array_equal(base, mc_collect(METRIC_KAPPA_E, dims, 2100, seed=seed,
                                                workers=2, chunk=7))
-        # a variate block of 3 draws, crossed by chunks of 7
-        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 3 * _row_words(dims.mn) + 1)
-        assert np.array_equal(base, mc_collect(METRIC_KAPPA_E, dims, 40, seed=2 ** 63 + 5,
-                                               chunk=7))
 
-    def test_variate_block_stays_within_its_memory(self, monkeypatch):
-        dims = Dims(50, 1)
-        block = _VARIATE_BLOCK_WORDS // _row_words(_row_width(dims))
-        rows = []
+    @pytest.mark.parametrize("dims", [Dims(50, 1), Dims(10, 9)])
+    def test_partial_run_is_a_slice_of_the_aligned_run(self, dims):
+        D, E2, trace = sampler._laguerre_tridiagonal(dims, 9, 0, 4096)
+        # both ends fall inside a block: blocks 0 and 3 are drawn whole and sliced
+        part = sampler._laguerre_tridiagonal(dims, 9, 1000, 3100)
+        for a, b in zip(part, (D[:, 1000:3100], E2[:, 1000:3100], trace[1000:3100])):
+            assert np.array_equal(a, b)
 
-        def spy(seed, start, stop, count):
-            rows.append(stop - start)
-            return _keyed_raw(seed, start, stop, count)
-
-        # blocks are sized on the padded width of the row
-        monkeypatch.setattr(sampler, "_keyed_raw", spy)
-        sampler._laguerre_tridiagonal(dims, 5, 0, block + 1)
-        assert rows == [block, 1]
-        # a whole 4096-draw chunk peaks at 5.4 MiB: d, e2 and the trace (3.1
-        # MiB) and the buffers of one block (2.1 MiB: raw words, variates and
-        # Marsaglia-Tsang temporaries), which scale with the block; one
-        # temporary as wide as the chunk (2.6 MiB) takes the peak past 6 MiB
-        tracemalloc.start()
-        try:
-            sampler._laguerre_tridiagonal(dims, 5, 0, 4096)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 2 ** 20
+    def test_variate_block_stays_within_its_memory(self):
+        # the variates stage holds D, E2 and the trace, and one row buffer of
+        # 1,024 doubles only when a block is cut; 4 KiB covers the generators
+        # and views of one block
+        for dims in (Dims(50, 1), Dims(4, 1)):
+            for start, stop in ((0, 4096), (1000, 3100), (5, 17)):
+                sampler._laguerre_tridiagonal(dims, 5, start, stop)
+                tracemalloc.start()
+                try:
+                    sampler._laguerre_tridiagonal(dims, 5, start, stop)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                held = 8 * (stop - start) * 2 * dims.n
+                held += 8 * _BLOCK if start % _BLOCK or stop % _BLOCK else 0
+                assert held <= peak <= held + 4096, (dims, start, stop)
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("dims, mib", [(Dims(50, 1), 6.25), (Dims(50, 2), 6.25),
                                            (Dims(4, 1), 1.31)])
     def test_chunk_stays_within_its_memory(self, metric, dims, mib):
-        # a chunk holds its tridiagonal, one work copy of d, a gather buffer
-        # for fewer than half the lanes and the buffers of one variate block:
-        # 5.6-6.0 MiB at n = 50, 1.22-1.25 MiB at n = 4
+        # a chunk holds its tridiagonal and trace, one work copy of d and a
+        # gather buffer for fewer than half the lanes; the search's
+        # temporaries set the peak: 5.7-6.0 MiB at n = 50, 1.18-1.28 MiB at n = 4
         sampler._chunk_values(metric, dims, 5, 0, 4096)
         tracemalloc.start()
         try:
@@ -270,101 +262,50 @@ def _gamma_cdf(x, a: int) -> np.ndarray:
 
 
 class TestGammaVariates:
-    K = sampler._ERLANG_MAX_SHAPE
-
     def test_columns_match_the_gamma_law(self):
-        # diagonal column i of (50, 1) has shape 51 - i
-        dims, count = Dims(50, 1), 100_000
-        shapes = (self.K, self.K + 1, 20, 51)
-        cols = [51 - a for a in shapes]
-        got = np.concatenate([_gamma_rows(dims, 13, lo, lo + 20_000)[:, cols]
-                              for lo in range(0, count, 20_000)])
-        for a, col in zip(shapes, got.T):
-            assert ks_compare(col, lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count), a
-        # the Marsaglia-Tsang columns rarely need a second try
-        tries, retries, exhausted, _ = sampler._variate_stats.last
-        assert tries == 20_000 * 84 and retries < 0.004 * tries and exhausted <= retries
+        # (50, 1): a_0^2 has shape 51, a_42^2 shape 9, a_49^2 shape 2 and
+        # b_48^2 shape 1, each a row of every block; the sampler's draws are
+        # these rows (TestKeyedStream)
+        dims, blocks = Dims(50, 1), 98
+        rows = np.concatenate([block_gamma_reference(dims, 13, b) for b in range(blocks)], axis=1)
+        crit = ks_threshold(blocks * _BLOCK)
+        for a, row in ((51, 0), (9, 42), (2, 49), (1, 98)):
+            assert bidiagonal_shapes(dims)[row] == a
+            assert ks_compare(rows[row], lambda x, a=a: _gamma_cdf(x, a)) < crit, a
 
-    @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 2), Dims(1, K - 1), Dims(3, K - 3),
-                                      Dims(K, 0)])
+    @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 2), Dims(1, 7), Dims(3, 5),
+                                      Dims(8, 0)])
     def test_small_shapes_keep_the_erlang_row(self, dims):
-        # m <= K: every variate is an Erlang sum over the row of m n uniforms
-        assert dims.m <= self.K and _row_width(dims) == dims.mn
-        want = np.stack([erlang_variates_reference(dims, 7, k) for k in range(300, 340)])
-        assert np.array_equal(_gamma_rows(dims, 7, 300, 340), want)
-        assert sampler._variate_stats.last[:3] == (0, 0, 0)
+        # every row has an integer shape up to 8, so an Erlang law, row by
+        # row; the 1e-4 critical value keeps all 35 rows checked here at a
+        # small family-wise level
+        blocks = 20
+        rows = np.concatenate([block_gamma_reference(dims, 7, b) for b in range(blocks)], axis=1)
+        for row, a in zip(rows, bidiagonal_shapes(dims)):
+            assert ks_compare(row, lambda x, a=a: _gamma_cdf(x, a)) < 2.23 / (blocks * _BLOCK) ** 0.5
 
     def test_row_width(self):
-        # (50, 1): Erlang sums for diagonal shapes 2..8 and subdiagonal 1..8
-        # (71 words), four words for each of the other 84 variates
-        assert _row_width(Dims(50, 1)) == 71 + 4 * 84
-        assert _row_width(Dims(1, self.K)) == 4
+        # a block is 1,024 draws wide: draws 0..2047 take the first row of
+        # blocks 0 and 1, and the cut run 1020..1027 the slices of both
+        dims = Dims(2, 1)
+        assert _BLOCK == 1024
+        want = np.concatenate([_block(dims, 3, 0)[0], _block(dims, 3, 1)[0]])
+        assert np.array_equal(sampler._laguerre_tridiagonal(dims, 3, 0, 2048)[0][0], want)
+        assert np.array_equal(sampler._laguerre_tridiagonal(dims, 3, 1020, 1028)[0][0],
+                              want[1020:1028])
 
     @pytest.mark.parametrize("metric", [METRIC_KAPPA_D, METRIC_KAPPA_E])
-    def test_rejections_follow_the_row(self, metric, monkeypatch):
-        # reject about half of the tries that would pass: second tries and
-        # exhaustions then come up often, on schedule-free positions
-        accept = sampler._mt_accept
-        monkeypatch.setattr(sampler, "_mt_accept",
-                            lambda x, v, u, d, *bufs: accept(x, v, u, d, *bufs) & (u < 0.5))
-        dims = Dims(10, 0)
-        base = mc_collect(metric, dims, 300, seed=2 ** 63 + 5)
-        _, retries, exhausted, _ = sampler._variate_stats.last
-        assert retries > 100 and exhausted > 50
-        assert np.array_equal(base[280:], _reference_draws(metric, dims, 2 ** 63 + 5,
-                                                           range(280, 300)))
-        assert np.array_equal(base, mc_collect(metric, dims, 300, seed=2 ** 63 + 5,
-                                               workers=2, chunk=37))
-        # a variate block of 3 draws, crossed by chunks of 37
-        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 3 * _row_width(dims) + 1)
-        assert np.array_equal(base, mc_collect(metric, dims, 300, seed=2 ** 63 + 5, chunk=37))
-
-    @pytest.mark.parametrize("exhaust", [False, True])
-    def test_later_tries_stay_exact(self, exhaust, monkeypatch):
-        # every first try rejected, and with exhaust every second one too:
-        # the variates come from the second tries or the exhaustion stream
-        accept = sampler._mt_accept
-
-        def rejecting(x, v, u, d, *bufs):
-            ok = accept(x, v, u, d, *bufs)
-            if exhaust or x.ndim == 2:
-                ok[:] = False
-            return ok
-
-        monkeypatch.setattr(sampler, "_mt_accept", rejecting)
-        # (10, 0): diagonal shapes 10 and 9 and subdiagonal shape 9 are large
-        dims, count = Dims(10, 0), 10_000
-        gam = _gamma_rows(dims, 3, 0, count)
-        tries, retries, exhausted, _ = sampler._variate_stats.last
-        assert tries == retries == 3 * count
-        assert exhausted == 3 * count if exhaust else exhausted < 0.004 * tries
-        for col, a in ((0, 10), (1, 9), (10, 9)):
-            assert ks_compare(gam[:, col], lambda x, a=a: _gamma_cdf(x, a)) < ks_threshold(count)
-        again = _gamma_rows(dims, 3, 9_990, 10_010)
-        assert np.array_equal(again[:10], gam[9_990:])
-        monkeypatch.setattr(sampler, "_VARIATE_BLOCK_WORDS", 7 * _row_width(dims))
-        assert np.array_equal(_gamma_rows(dims, 3, 9_990, 10_000), gam[9_990:])
-
-
-class TestUniform:
-    def test_extreme_words(self):
-        # the top 52 bits count: the low 12 are dropped, the top bit is worth 1/2
-        words = [0, 2 ** 64 - 1, 2 ** 12 - 1, 2 ** 12, 2 ** 63]
-        u = _uniform(np.array(words, dtype=np.uint64))
-        assert list(u) == [1.0, 2.0 ** -52, 1.0, 1.0 - 2.0 ** -52, 0.5]
-
-    def test_box_muller_angle_starts_at_zero(self):
-        # u2 = x - 1: word 0 is angle 0, word 2**62 a quarter turn
-        u = _uniform(np.array([2 ** 64 - 1, 0, 2 ** 64 - 1, 2 ** 62], dtype=np.uint64))
-        r, ang = sampler._box_muller_polar(u[0::2], u[1::2], 0.5)
-        assert r == pytest.approx([np.sqrt(52.0 * np.log(2.0))] * 2, rel=1e-15)
-        assert ang[0] == 0.0 and ang[1] == 0.5 * np.pi
-
-    def test_range_and_finite_logs(self):
-        u = _uniform(_keyed_raw(9, 0, 1000, 50))
-        assert u.shape == (1000, 50)
-        assert np.all((u > 0.0) & (u <= 1.0))
-        assert np.all(np.isfinite(np.log(u)))
+    def test_rejections_follow_the_row(self, metric):
+        # a Marsaglia-Tsang rejection in numpy's standard_gamma takes more
+        # words of the block's stream, which moves every later variate of the
+        # block; blocks drawn whole, rows in a fixed order, keep that fixed
+        # (10, 0): shapes 2 to 10, chunks of 37 cut every block
+        dims, seed = Dims(10, 0), 2 ** 63 + 5
+        base = mc_collect(metric, dims, 2100, seed=seed)
+        assert np.array_equal(base[1010:1040], _reference_draws(metric, dims, seed,
+                                                                range(1010, 1040)))
+        assert np.array_equal(base, mc_collect(metric, dims, 2100, seed=seed, workers=2,
+                                               chunk=37))
 
 
 class TestOneOrderStatistic:
@@ -463,10 +404,10 @@ class TestEigenSearch:
         assert fallbacks == 0
 
     def test_widely_split_pair_needs_no_fallback(self):
-        # lambda_2 / lambda_1 ~ 6e4: dividing lambda_1 out of H near it cancels
-        # every digit, so the search must take Newton steps there (the row
-        # of draw 22 under seed 8 when every variate was an Erlang sum)
-        d, e2, _ = _tridiagonal(erlang_variates_reference(Dims(50, 0), 8, 22)[None], 50)
+        # lambda_2 / lambda_1 ~ 5e4: dividing lambda_1 out of H near it cancels
+        # every digit, so the search must take Newton steps there (draw 3553
+        # under seed 1)
+        d, e2, _ = _rows(Dims(50, 0), 1, 3553, 3554)
         vals = _lapack(d, e2)
         assert vals[0, 1] / vals[0, 0] > 1e4
         lam, (_, fallbacks) = _search(d, e2, 2)
@@ -561,20 +502,19 @@ class TestEigenSearch:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
         assert len(lines) == 3
         assert lines[2].startswith("mc chunk 40-49 kappa-e n=4: variates ")
-        assert "eigenvalue search" in lines[2]
-        held = re.search(r" s, per lane 1\.00 pole sweeps, \d\.\d\d gap probes and \d\.\d\d "
-                         r"final sweeps, \d+ predicted stops, 0 fallback lanes; (\d+) bytes held$",
-                         lines[2])
-        # 10 draws at n = 4: d, e2, the work copy and the block's raw words
-        # and variates, and a gather buffer of at most 5 lanes of e2
-        least = 8 * 10 * (4 + 3 + 4 + 20 + 7)
+        held = re.search(r": variates \d\.\d{4} s, eigenvalue search \d\.\d{4} s, per lane "
+                         r"1\.00 pole sweeps, \d\.\d\d gap probes and \d\.\d\d final sweeps, "
+                         r"\d+ predicted stops, 0 fallback lanes; (\d+) bytes held$", lines[2])
+        # 10 draws at n = 4: d, e2, the trace and the work copy, the row
+        # buffer of the cut block, and a gather buffer of at most 5 lanes of e2
+        least = 8 * 10 * (4 + 3 + 1 + 4) + 8 * 1024
         assert least <= int(held.group(1)) <= least + 8 * 5 * 3
-        # n = 4 draws only Erlang sums; (10, 0) has three large shapes a draw
-        assert " s (0 Marsaglia-Tsang, 0 second tries, 0 exhausted), " in lines[2]
+        # a chunk of whole blocks draws no row buffer
         caplog.clear()
-        mc_collect(METRIC_KAPPA_E, Dims(10, 0), 50, seed=3, chunk=20)
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk")]
-        assert " s (60 Marsaglia-Tsang, " in lines[0] and " s (30 Marsaglia-Tsang, " in lines[2]
+        mc_collect(METRIC_KAPPA_E, Dims(4, 1), 2048, seed=3, chunk=1024)
+        line = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("mc chunk"))
+        least = 8 * 1024 * (4 + 3 + 1 + 4)
+        assert least <= int(re.search(r"; (\d+) bytes held$", line).group(1)) <= least + 8 * 512 * 3
         # lambda_1 needs no pole and no gap point
         caplog.clear()
         mc_collect(METRIC_KAPPA_D, Dims(4, 1), 20, seed=3)
@@ -651,7 +591,9 @@ class TestAgainstDenseModel:
 
     N = 20_000
 
-    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2)])
+    # (5, 6) has shapes up to 11, which took the Marsaglia-Tsang tries when
+    # shapes up to 8 were Erlang sums
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2), Dims(5, 6)])
     def test_two_sample_ks(self, dims):
         mats = np.stack([sample_matrix(dims, seed=2, index=k) for k in range(self.N)])
         vals = np.linalg.eigvalsh(np.swapaxes(mats.conj(), 1, 2) @ mats)
@@ -662,7 +604,7 @@ class TestAgainstDenseModel:
             got = mc_collect(metric, dims, self.N, seed=1)
             assert _ks_two_sample(got, want) < crit, metric
 
-    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2)])
+    @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(4, 2), Dims(5, 6)])
     def test_trace_mean(self, dims):
         # the trace of A*A is Gamma(mn, 1): mean mn, variance mn
         kd = mc_collect(METRIC_KAPPA_D, dims, self.N, seed=3)
