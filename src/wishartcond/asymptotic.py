@@ -23,22 +23,23 @@ non-negative rationals that do not depend on mu:
   is a polynomial, the integral is its moment sum_k q_k / (k + 3) against
   z^2, and b_d = (d+3)! times that moment.
 
-Each (law, alpha) table is built once, on first use, in exact integer
-arithmetic (numkit.FPoly), and truncated at a degree past which no term is
-visible in double.  The kappa-e build checks that every P_d divides by
-(1-z)^{2 alpha} exactly.  With pois_i(u) = e^{-u} u^i / i! and s = 0
-(kappa-d) or 3 (kappa-e),
+Each (law, alpha) weight list is built once, on first use, in exact
+integer arithmetic (numkit.FPoly), and truncated at a degree past which no
+term is visible in double.  The kappa-e build checks that every P_d divides
+by (1-z)^{2 alpha} exactly.  Shifted by s = 0 (kappa-d) or 3 (kappa-e), the
+weights make one numkit.GammaMix at rate 1.  With pois_i(u) = e^{-u} u^i /
+i! and B_i = sum_{k+s < i} b_k, each weight and each 1 - B_i exact and
+rounded once,
 
     pdf(v) = mu u^2 sum_k b_k pois_{k+s}(u),
-    P(V <= v) = P(U >= u) = sum_i pois_i(u) sum_{k+s >= i} b_k,
+    P(V <= v) = P(U >= u) = sum_i pois_i(u) (1 - B_i),
 
-sums of positive terms with no quadrature, interpolation or cancellation.
-Both are numkit.mixture_sum Poisson sums in x = log u, y = -u, each weight
-or exact suffix sum rounded once, with log(1 / i!) in the exponent.
-The probability 1 - sum_k b_k that the truncation leaves out bounds the
-error of every CDF value (cdf_v_error_bound), and mu u^2 times it bounds
-the error of the density, whose relative accuracy holds up to u =
-_u_reach, where the density has fallen below e^{-50} of its peak.
+sums of positive terms with no quadrature, interpolation or cancellation,
+summed by the recurrence of numkit.poisson_sum to a relative ~1e-15 up to
+u = _u_reach (at most 258 at the alpha caps), where the density has fallen
+below e^{-50} of its peak.  The probability 1 - sum_k b_k that the
+truncation leaves out bounds the error of every CDF value
+(cdf_v_error_bound), and mu u^2 times it bounds the error of the density.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkit import (FPoly, divide_by_one_minus, fpoly_det, fpoly_split_det, mixture_sum,
-                     poisson_tail_terms, poisson_terms)
+from .numkit import FPoly, GammaMix, divide_by_one_minus, fpoly_det, fpoly_split_det, gamma_mix
 
 log = logging.getLogger("wishartcond")
 
@@ -69,8 +69,8 @@ class ScaledParams:
     alpha: int
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, not {self.mu!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 
@@ -130,42 +130,32 @@ def _ke_weights(alpha: int, deg: int) -> list[Fraction]:
     return weights
 
 
-@dataclass(frozen=True)
-class _MixtureTable:
-    """U ~ sum_i weights[i] Gamma(i + 1) up to the mass ``tail``, with the
-    mixture_sum terms of u^2 times its density and of its upper tail."""
-
-    weights: list           # exact Fractions
-    pdf_terms: list
-    cdf_terms: list
-    mass: float             # exact sum of the weights, rounded once
-    tail: float             # exact 1 - mass, rounded once
-
-
 _LAWS = {"kappa-d": (KAPPA_D_ALPHA_CAP, 0), "kappa-e": (KAPPA_E_ALPHA_CAP, 3)}
 
 
 @functools.cache
-def _table(law: str, alpha: int) -> _MixtureTable:
+def _weights(law: str, alpha: int) -> tuple[Fraction, ...]:
+    """The exact weights b of U ~ sum_i b[i] Gamma(i + 1), from i = 0, so
+    that the kappa-e table starts with its shift of 3 zeros."""
     cap, shift = _LAWS[law]
     if alpha > cap:
         raise ValueError(f"alpha={alpha} above the {law} limit cap {cap}")
-    started = time.perf_counter()
     if law == "kappa-d":
-        deg = _degree(alpha)
-        fracs = _kd_weights(alpha, deg)
+        fracs = _kd_weights(alpha, _degree(alpha))
     else:
-        deg = _degree(alpha + 2)
-        fracs = _ke_weights(alpha, deg)
-    if any(b < 0 for b in fracs):
-        raise ArithmeticError(f"{law} limit: negative mixture weight")
-    mass = sum(fracs)
-    tail = float(1 - mass)
-    log.debug("%s limit table alpha=%d: degree %d, built in %.3f s, tail mass %.3g",
-              law, alpha, deg, time.perf_counter() - started, tail)
-    weights = [Fraction(0)] * shift + fracs
-    return _MixtureTable(weights, poisson_terms(weights, power=2), poisson_tail_terms(weights),
-                         float(mass), tail)
+        fracs = _ke_weights(alpha, _degree(alpha + 2))
+    return (Fraction(0),) * shift + tuple(fracs)
+
+
+@functools.cache
+def _table(law: str, alpha: int) -> GammaMix:
+    started = time.perf_counter()
+    weights = _weights(law, alpha)
+    den = math.lcm(*(b.denominator for b in weights))
+    table = gamma_mix(1, den, [b.numerator * (den // b.denominator) for b in weights])
+    log.debug("%s limit table alpha=%d: %d weights, built in %.3f s, tail mass %.3g",
+              law, alpha, len(weights), time.perf_counter() - started, table.tail)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +163,11 @@ def _table(law: str, alpha: int) -> _MixtureTable:
 
 
 def _live_u(vs, mu: float):
-    """(vs, mask, u): u = 1/(mu v) on the points where it is finite and positive."""
+    """(vs, mask, u): u = 1/(mu v) on the points v > 0 where it is finite."""
     vs = np.asarray(vs, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         us = 1.0 / (mu * vs)
-    live = (vs > 0) & np.isfinite(us) & (us > 0)
+    live = (vs > 0) & (us < np.inf)
     return vs, live, us[live]
 
 
@@ -185,7 +175,8 @@ def _pdf(vs, p: ScaledParams, law: str) -> np.ndarray:
     table = _table(law, p.alpha)
     vs, live, u = _live_u(vs, p.mu)
     out = np.zeros(vs.shape)
-    out[live] = p.mu * mixture_sum(np.log(u), -u, table.pdf_terms)
+    # mu u^2 times the density in u, grouped so that no u^2 overflows
+    out[live] = p.mu * u * (u * table.pdf(u))
     return out
 
 
@@ -195,8 +186,7 @@ def _cdf(p: ScaledParams, law: str):
     def cdf(vs):
         vs, live, u = _live_u(vs, p.mu)
         out = np.zeros(vs.shape)
-        out[vs == np.inf] = table.mass
-        out[live] = mixture_sum(np.log(u), -u, table.cdf_terms)
+        out[live] = table.sf(u)
         return np.minimum(out, 1.0)
 
     return cdf

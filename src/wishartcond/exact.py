@@ -49,7 +49,7 @@ loses at most half a digit (only the kappa-e near piece has signs), and a
 point past 3 raises ArithmeticError.
 
 Both eigenvalue laws are also positive one-rate mixtures sum_k w_k
-Gamma(k + 1, n) (_GammaMix): the smallest eigenvalue's terms directly,
+Gamma(k + 1, n) (numkit.GammaMix): the smallest eigenvalue's terms directly,
 the second-smallest's two pieces after exp(-(n - 1) x) = exp(-n x)
 exp(x), a series cut where its exact remainder is below 1e-30.  Both
 eigenvalue CDFs are Poisson sums over those weights, with no signs in
@@ -76,9 +76,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .detkit import vandermonde_int
-from .numkit import (FPoly, _log_ratio, _sign, _sign_log, divide_by_one_minus, fpoly_det,
-                     fpoly_split_det, integrate_finite, mixture_sum, pochhammer_int,
-                     poisson_sum)
+from .numkit import (FPoly, GammaMix, _log_ratio, _sign, _sign_log, divide_by_one_minus,
+                     fpoly_det, fpoly_split_det, gamma_mix, integrate_finite, mixture_sum,
+                     pochhammer_int)
 
 log = logging.getLogger("wishartcond")
 
@@ -96,8 +96,8 @@ _RTOL = 1e-9
 # past which an eigenvalue-density point is summed again from its weights
 _LOST_LIMIT, _RESUM_LIMIT = 3.0, 1.0
 # the lambda-2 Gamma weights stop where the mass past them is below
-# 10^-_WEIGHT_TAIL_DIGITS; eigenvalue CDFs leave out terms below _DROP of them
-_WEIGHT_TAIL_DIGITS, _DROP = 30, 2.0 ** -60
+# 10^-_WEIGHT_TAIL_DIGITS
+_WEIGHT_TAIL_DIGITS = 30
 # elements of one (points x terms) block of a density in double
 _BLOCK = 1 << 20
 
@@ -346,63 +346,7 @@ def _exp_law_values(law, xs: np.ndarray):
     return out, lost
 
 
-class _GammaMix(NamedTuple):
-    """An eigenvalue law as sum_k w_k Gamma(k + 1, rate), every w_k >= 0:
-    weights are the w_k, lower and upper the numkit.poisson_sum weights
-    W_(i-1) and 1 - W_(i-1) of its CDF and its upper tail, W_k = w_0 + ...
-    + w_k and W_(-1) = 0, and mean is its mean in u = rate x."""
-
-    rate: int
-    weights: tuple
-    mean: float
-    lower: tuple
-    upper: tuple
-
-    def cdf(self, xs) -> np.ndarray:
-        """The CDF, each point on one list of positive Poisson terms in u:
-        up to the mean, where it is near 1/2 or less, sum_i pois_i(u)
-        W_(i-1); past it 1 - sum_i pois_i(u) (1 - W_(i-1)), which there
-        loses under a digit.  Both tails keep their relative accuracy."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape)
-        out[xs == np.inf] = 1.0
-        u = self.rate * xs
-        low, high = (u > 0) & (u <= self.mean), (u > self.mean) & (u < np.inf)
-        out[low] = poisson_sum(u[low], self.lower)
-        out[high] = 1.0 - poisson_sum(u[high], self.upper)
-        return out
-
-
-def _gamma_mix(rate: int, den: int, nums: list) -> _GammaMix:
-    """The mixture with w_k = nums[k] / (den rate^(k+1)), k = 0..K, and mass
-    1, each double rounded once from exact integers; past K, W stays W_K.
-    As pois_i(u) / pois_j(u), i > j, grows with u, the lower terms left out
-    weigh less, relative to the CDF, anywhere below the mean than at it,
-    where the list stops once the Poisson mass past it is below _DROP of
-    the CDF.  The upper list stops where 1 - W_(i-1) falls below that.  A
-    negative weight raises ArithmeticError."""
-    if min(nums) < 0:
-        raise ArithmeticError(f"negative Gamma mixture weight at power {nums.index(min(nums))}")
-    weights, below, above, run, scale = [], [0.0], [1.0], 0, den
-    for c in nums:
-        run, scale = run * rate + c, scale * rate
-        weights.append(c / scale)
-        below.append(run / scale)
-        above.append((scale - run) / scale)
-    mean = math.fsum((k + 1) * w for k, w in enumerate(weights))
-    lower, p, at_mean = [], math.exp(-mean), 0.0
-    for i in itertools.count():
-        lower.append(below[min(i, len(below) - 1)])
-        at_mean += p * lower[-1]
-        p *= mean / (i + 1)
-        # the pois_j(mean), j > i, sum to at most 2 p once i + 2 > 2 mean
-        if i + 2 > 2 * mean and 2 * p <= _DROP * at_mean:
-            break
-    upper = itertools.takewhile(lambda rest: rest >= _DROP * at_mean, above)
-    return _GammaMix(rate, tuple(weights), mean, tuple(lower), tuple(upper))
-
-
-def _exp_law_density(law, mix: _GammaMix, xs, what: str) -> np.ndarray:
+def _exp_law_density(law, mix: GammaMix, xs, what: str) -> np.ndarray:
     """Density of an eigenvalue law on a grid in double.  The points that
     lose more than _RESUM_LIMIT digits are summed again as rate sum_k w_k
     pois_k(rate x), which has no signs but stops at K: it serves near x = 0,
@@ -411,7 +355,7 @@ def _exp_law_density(law, mix: _GammaMix, xs, what: str) -> np.ndarray:
     values, lost = _exp_law_values(law, xs)
     redo = lost > _RESUM_LIMIT
     if redo.any():
-        values[redo] = mix.rate * poisson_sum(mix.rate * xs[redo], mix.weights)
+        values[redo] = mix.rate * mix.pdf(mix.rate * xs[redo])
     if xs.size:
         log.info("%s: %d of %d points re-summed from the one-rate weights, worst "
                  "cancellation %.1f digits", what, int(redo.sum()), xs.size, float(lost.max()))
@@ -465,7 +409,7 @@ def _lambda_min_law(dims: Dims) -> tuple:
 
 
 @functools.cache
-def _lambda_min_mix(dims: Dims) -> _GammaMix:
+def _lambda_min_mix(dims: Dims) -> GammaMix:
     """The smallest-eigenvalue law as a Gamma mixture: c x^k exp(-n x) is
     c k! / n^(k+1) times the Gamma(k + 1, n) density."""
     (rate, powers, fracs), = _lambda_min_law(dims)
@@ -473,7 +417,7 @@ def _lambda_min_mix(dims: Dims) -> _GammaMix:
     nums = [0] * (max(powers) + 1)
     for k, c in zip(powers, fracs):
         nums[k] = c.numerator * (den // c.denominator) * math.factorial(k)
-    return _gamma_mix(rate, den, nums)
+    return gamma_mix(rate, den, nums)
 
 
 def pdf_lambda_min_grid(xs, dims: Dims, precision: str = "auto") -> np.ndarray:
@@ -795,7 +739,7 @@ def _lambda2_law(dims: Dims) -> tuple:
 
 
 @functools.cache
-def _lambda2_mix(dims: Dims) -> _GammaMix:
+def _lambda2_mix(dims: Dims) -> GammaMix:
     """The second-smallest-eigenvalue law as a Gamma mixture at rate n.
 
     Its pieces are exp(-n x) [exp(x) near(x) + far(x)] = exp(-n x) sum_k
@@ -828,7 +772,7 @@ def _lambda2_mix(dims: Dims) -> _GammaMix:
     else:
         raise ArithmeticError(f"lambda-2 weights: mass past power {k} is {1 - run / scale:.3g}")
     _log_build("lambda-2 weights", dims, [nums], started)
-    return _gamma_mix(n, den, nums)
+    return gamma_mix(n, den, nums)
 
 
 def pdf_lambda2_grid(xs, dims: Dims) -> np.ndarray:
@@ -922,11 +866,11 @@ def cdf_kappa_e_interp(dims: Dims):
 
 def cdf_lambda_min_interp(dims: Dims):
     """Exact vectorized CDF of the smallest eigenvalue, a finite Poisson sum
-    over its Gamma weights, which must all be positive (_GammaMix.cdf)."""
+    over its Gamma weights, which must all be positive (GammaMix.cdf)."""
     return _lambda_min_mix(dims).cdf
 
 
 def cdf_lambda2_interp(dims: Dims):
     """Exact vectorized CDF of the second-smallest eigenvalue, a Poisson sum
-    over its one-rate Gamma weights (_lambda2_mix, _GammaMix.cdf)."""
+    over its one-rate Gamma weights (_lambda2_mix, GammaMix.cdf)."""
     return _lambda2_mix(dims).cdf

@@ -7,12 +7,15 @@ limit laws.  Exact polynomials (``FPoly``) keep integer numerators over
 factorial denominators; products, truncated products and determinants of
 them stay exact without rational arithmetic.
 
-mixture_sum evaluates the finite Beta and Poisson mixtures behind every
-CDF, MGF integrand and limit density one term at a time, each power inside
-its term's exponent, so that factorials and powers far outside the double
-range never form.  The quadrature routine is adaptive Gauss-Legendre, on
-rules found by Newton's method on the Legendre recurrence: order doubling
-first, panel bisection when doubling stalls.
+mixture_sum evaluates the finite Beta mixtures behind the trace-ratio
+CDFs and MGF integrands one term at a time, each power inside its term's
+exponent, so that factorials and powers far outside the double range never
+form.  GammaMix is every positive Gamma mixture, the two eigenvalue laws
+and the two limit laws; it sums its density and tails as Poisson sums by
+the recurrence pois_i = pois_(i-1) u / i (poisson_sum).  The quadrature
+routine is adaptive Gauss-Legendre, on rules found by Newton's method on
+the Legendre recurrence: order doubling first, panel bisection when
+doubling stalls.
 """
 
 from __future__ import annotations
@@ -83,28 +86,29 @@ def _log_ratio(num: int, den: int) -> float:
 
 def mixture_sum(x: np.ndarray, y: np.ndarray, terms) -> np.ndarray:
     """sum_j c_j exp(l_j + a_j x + b_j y), elementwise in x and y, one term
-    (c_j, l_j, a_j, b_j) at a time: a coefficient, a log weight and two
-    integer powers.  Beta terms in t (x = log t, y = log(1 - t)) carry a
-    sign and the log of a weight outside the double range; Poisson terms in
-    u (x = log u, y = -u, b_j = 1) carry the weight, which rounds more
-    finely than its log, and l_j = log(1 / i!), so a huge u gives 0."""
+    (c_j, l_j, a_j, b_j) at a time: a sign, the log of a weight outside the
+    double range and two integer powers, of the Beta terms t^a_j (1 - t)^b_j
+    in x = log t, y = log(1 - t)."""
     out = np.zeros_like(x)
     for c, lw, a, b in terms:
         out += c * np.exp(lw + a * x + b * y)
     return out
 
 
-def poisson_terms(weights, power: int = 0) -> list:
-    """mixture_sum terms (weights[i], log(1 / i!), i + power, 1) of
-    u^power sum_i weights[i] pois_i(u), pois_i(u) = e^{-u} u^i / i!."""
-    return [(float(w), _log_ratio(1, math.factorial(i)), i + power, 1)
-            for i, w in enumerate(weights) if w]
+# ---------------------------------------------------------------------------
+# positive Gamma mixtures
+
+
+# a CDF's lower Poisson list stops where the terms past it weigh below _DROP
+# of the CDF at the mean
+_DROP = 2.0 ** -60
 
 
 def poisson_sum(u: np.ndarray, weights) -> np.ndarray:
-    """sum_i weights[i] pois_i(u), u >= 0, by pois_i = pois_(i-1) u / i from
-    e^{-u}: no pois_i exceeds 1, so nothing overflows, and past u = 745 the
-    sum is 0, right to the double range for weight lists much shorter than u."""
+    """sum_i weights[i] pois_i(u), pois_i(u) = e^{-u} u^i / i!, u >= 0, by
+    pois_i = pois_(i-1) u / i from e^{-u}: no pois_i exceeds 1, so nothing
+    overflows.  With positive weights the sum keeps a relative ~1e-15 while
+    e^{-u} is a normal double (u up to about 708); past u = 745 it is 0."""
     p = np.exp(-u)
     out = weights[0] * p
     for i in range(1, len(weights)):
@@ -115,10 +119,71 @@ def poisson_sum(u: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def poisson_tail_terms(weights) -> list:
-    """mixture_sum terms of sum_k weights[k] P(Gamma(k + 1) > u), that is
-    sum_i pois_i(u) U_i with U_i = sum_{k >= i} weights[k], summed exactly."""
-    return poisson_terms(list(itertools.accumulate(reversed(weights)))[::-1])
+class GammaMix(NamedTuple):
+    """A law sum_k w_k Gamma(k + 1, rate), every w_k >= 0, in u = rate x.
+
+    weights are the w_k, k = 0..K; lower and upper the poisson_sum weights
+    W_(i-1) and 1 - W_(i-1) of its CDF and of its upper tail, W_k = w_0 +
+    ... + w_k and W_(-1) = 0; mean its mean in u; tail the exact remainder
+    1 - W_K, rounded once.  pdf and sf are sums of positive terms, accurate as
+    poisson_sum is."""
+
+    rate: int
+    weights: tuple
+    mean: float
+    lower: tuple
+    upper: tuple
+    tail: float
+
+    def pdf(self, u) -> np.ndarray:
+        """Density in u: sum_k w_k pois_k(u)."""
+        return poisson_sum(u, self.weights)
+
+    def sf(self, u) -> np.ndarray:
+        """P(U > u) as sum_i pois_i(u) (1 - W_(i-1)), i = 0..K + 1: the
+        upper tail with the mass tail put at Gamma(K + 2), so within tail."""
+        return poisson_sum(u, self.upper)
+
+    def cdf(self, xs) -> np.ndarray:
+        """The CDF in x, each point on one list of positive Poisson terms in
+        u: up to the mean, where it is near 1/2 or less, sum_i pois_i(u)
+        W_(i-1); past it 1 - sf(u), which there loses under a digit.  Both
+        tails keep their relative accuracy."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape)
+        out[xs == np.inf] = 1.0
+        u = self.rate * xs
+        low, high = (u > 0) & (u <= self.mean), (u > self.mean) & (u < np.inf)
+        out[low] = poisson_sum(u[low], self.lower)
+        out[high] = 1.0 - self.sf(u[high])
+        return out
+
+
+def gamma_mix(rate: int, den: int, nums: list) -> GammaMix:
+    """The mixture with w_k = nums[k] / (den rate^(k+1)), k = 0..K, each
+    double rounded once from exact integers; past K, W stays W_K.  As
+    pois_i(u) / pois_j(u), i > j, grows with u, the lower terms left out
+    weigh less, relative to the CDF, anywhere below the mean than at it,
+    where the list stops once the Poisson mass past it is below _DROP of
+    the CDF.  A negative weight raises ArithmeticError."""
+    if min(nums) < 0:
+        raise ArithmeticError(f"negative Gamma mixture weight at power {nums.index(min(nums))}")
+    weights, below, above, run, scale = [], [0.0], [1.0], 0, den
+    for c in nums:
+        run, scale = run * rate + c, scale * rate
+        weights.append(c / scale)
+        below.append(run / scale)
+        above.append((scale - run) / scale)
+    mean = math.fsum((k + 1) * w for k, w in enumerate(weights))
+    lower, p, at_mean = [], math.exp(-mean), 0.0
+    for i in itertools.count():
+        lower.append(below[min(i, len(below) - 1)])
+        at_mean += p * lower[-1]
+        p *= mean / (i + 1)
+        # the pois_j(mean), j > i, sum to at most 2 p once i + 2 > 2 mean
+        if i + 2 > 2 * mean and 2 * p <= _DROP * at_mean:
+            break
+    return GammaMix(rate, tuple(weights), mean, tuple(lower), tuple(above), above[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ class TestScaledParams:
             ScaledParams(-2.0, 0)
         with pytest.raises(ValueError):
             ScaledParams(1.0, -1)
+        for mu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ScaledParams(mu, 1)
 
 
 class TestKappaDLimit:
@@ -221,7 +224,7 @@ class TestMixtureTables:
         # P(V <= v) = P(U >= u) = sum_i w_i Q(i + 1, u), w_i the weight of
         # Gamma(i + 1) and Q the regularized upper incomplete gamma function
         mu = 4.0
-        table = asymptotic._table(law, alpha)
+        weights = asymptotic._weights(law, alpha)
         build = cdf_v_kappa_d_interp if law == "kappa-d" else cdf_v_kappa_e_interp
         vs = np.geomspace(0.002, 5.0, 25)
         got = build(ScaledParams(mu, alpha))(vs)
@@ -229,8 +232,36 @@ class TestMixtureTables:
             want = [float(mpmath.fsum(
                 mpmath.mpf(b.numerator) / b.denominator
                 * mpmath.gammainc(i + 1, 1 / (mu * mpmath.mpf(float(v))), mpmath.inf, regularized=True)
-                for i, b in enumerate(table.weights) if b > 0)) for v in vs]
+                for i, b in enumerate(weights) if b > 0)) for v in vs]
         assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+    @pytest.mark.parametrize("law,alpha,columns", [("kappa-d", 2, 2), ("kappa-d", 6, 6),
+                                                   ("kappa-e", 1, 3), ("kappa-e", 4, 6)])
+    def test_matches_50_digit_sums(self, law, alpha, columns):
+        # density and CDF against 50-digit sums of the same exact weights,
+        # mu u^2 sum_i b_i pois_i(u) and sum_i pois_i(u) (1 - B_i), B_i the
+        # exact sum of the weights below i, at the u each v maps to
+        mu = 1.0
+        weights = asymptotic._weights(law, alpha)
+        vs = 1.0 / np.geomspace(1e-3, asymptotic._u_reach(columns), 60)
+        us = 1.0 / (mu * vs)
+        build = (pdf_v_kappa_d_grid, cdf_v_kappa_d_interp) if law == "kappa-d" else \
+            (pdf_v_kappa_e_grid, cdf_v_kappa_e_interp)
+        got_pdf = build[0](vs, ScaledParams(mu, alpha))
+        got_cdf = build[1](ScaledParams(mu, alpha))(vs)
+        rests = [1 - sum(weights[:i]) for i in range(len(weights) + 1)]
+        with mpmath.workdps(50):
+            rests = [mpmath.mpf(r.numerator) / r.denominator for r in rests]
+            bs = [mpmath.mpf(b.numerator) / b.denominator for b in weights]
+            for u, pdf, cdf in zip(us, got_pdf, got_cdf):
+                u = mpmath.mpf(float(u))
+                pois = [mpmath.exp(-u)]
+                for i in range(1, len(rests)):
+                    pois.append(pois[-1] * u / i)
+                want_pdf = mu * u * u * mpmath.fsum(p * b for p, b in zip(pois, bs))
+                want_cdf = mpmath.fsum(p * r for p, r in zip(pois, rests))
+                assert abs(pdf / want_pdf - 1) <= 3e-15, (float(u), "pdf")
+                assert abs(cdf / want_cdf - 1) <= 3e-15, (float(u), "cdf")
 
     def test_kappa_d_cdf_matches_bessel_quadrature(self):
         # alpha 1: P(U >= u) is the integral of e^-x I_2(2 sqrt x) from u up
@@ -261,6 +292,12 @@ class TestMixtureTables:
         assert list(got[:3]) == [0.0, 0.0, 0.0]
         assert got[3] == pytest.approx(1.0, abs=1e-15)
 
+    def test_cdf_where_mu_v_overflows(self):
+        # where mu v overflows, u = 1/(mu v) rounds to 0, and P(U >= u) is 1
+        for build in (cdf_v_kappa_d_interp, cdf_v_kappa_e_interp):
+            cdf = build(ScaledParams(4.0, 1))
+            assert cdf(np.array([1e308, np.finfo(float).max])).tolist() == [1.0, 1.0]
+
     def test_kappa_e_build_checks_divisibility(self, monkeypatch):
         real = asymptotic.fpoly_split_det
 
@@ -271,4 +308,4 @@ class TestMixtureTables:
 
         monkeypatch.setattr(asymptotic, "fpoly_split_det", perturbed)
         with pytest.raises(ArithmeticError):
-            asymptotic._table.__wrapped__("kappa-e", 2)
+            asymptotic._weights.__wrapped__("kappa-e", 2)

@@ -227,6 +227,21 @@ class TestNonFiniteInputs:
         assert cli.main(base + ["--grid", "0:inf:3"]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    def test_infinite_mu(self, tmp_path, capsys):
+        # refused before any curve or draw: mu = inf once printed zeros and
+        # wrote "scale": Infinity into the JSON report, exiting 0
+        out = tmp_path / "mc.json"
+        for argv in (["density", "--kind", "asymptotic", "--metric", "kappa-d", "--alpha", "1",
+                      "--mu", "inf", "--grid", "0.1:1:3"],
+                     ["mc", "--kind", "asymptotic", "--metric", "kappa-d", "--n", "30",
+                      "--alpha", "1", "--mu", "inf", "--samples", "10", "--format", "json",
+                      "--out", str(out)]):
+            assert cli.main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: mu must be positive and finite, not inf\n"
+        assert not out.exists()
+
 
 class TestMgfCommand:
     def test_trivial_value(self, capsys):

@@ -1058,15 +1058,17 @@ class TestTableBuilds:
 class TestLimitWeights:
     """The tail-piece term of power mn - 2 - k - s, s = 0 for kappa-d and 3
     for kappa-e, has an exact Beta mass m_k(n) that is a polynomial in
-    x = 1/n, of degree k for kappa-d and k + 2 for kappa-e at alpha = 1.
-    Its constant term is the limit weight b_k of the asymptotic table."""
+    x = 1/n, of degree k for kappa-d and k + 2 for kappa-e, at alpha = 1
+    and 2.  Its constant term is the limit weight b_k of the asymptotic
+    table."""
 
     @pytest.mark.parametrize("metric, alpha, s, extra", [
-        (METRIC_KAPPA_D, 1, 0, 0), (METRIC_KAPPA_D, 2, 0, 0), (METRIC_KAPPA_E, 1, 3, 2)])
+        (METRIC_KAPPA_D, 1, 0, 0), (METRIC_KAPPA_D, 2, 0, 0), (METRIC_KAPPA_E, 1, 3, 2),
+        (METRIC_KAPPA_E, 2, 3, 2)])
     def test_constant_term_is_the_limit_weight(self, metric, alpha, s, extra):
         from wishartcond import asymptotic
 
-        for k in range(4):
+        for k in range(9):
             # degree + 1 nodes from n = 12, then two held-out n
             ns = range(12, 12 + k + extra + 3)
             masses = {}
@@ -1081,4 +1083,4 @@ class TestLimitWeights:
 
             for n in ns[-2:]:
                 assert fit(Fraction(1, n)) == masses[n], (k, n)
-            assert fit(Fraction(0)) == asymptotic._table(metric, alpha).weights[k + s], k
+            assert fit(Fraction(0)) == asymptotic._weights(metric, alpha)[k + s], k

@@ -20,13 +20,12 @@ from wishartcond.numkit import (
     fpoly_add,
     fpoly_det,
     fpoly_mul,
+    gamma_mix,
     gauss_legendre_rule,
     integrate_finite,
     mixture_sum,
     pochhammer_int,
     poisson_sum,
-    poisson_tail_terms,
-    poisson_terms,
 )
 
 
@@ -84,31 +83,38 @@ class TestCombinatorics:
         assert pochhammer_int(2, 3) == 24
         assert pochhammer_int(1, 5) == 120
 
-    # mixture_sum in its two shapes: Poisson terms in x = log u, y = -u,
-    # and Beta terms in x = log t, y = log(1 - t)
-    @staticmethod
-    def _poisson(us, weights, power=0):
-        us = np.asarray(us, dtype=float)
-        return mixture_sum(np.log(us), -us, poisson_terms(weights, power))
+    # a positive Gamma mixture at rate 2, w_k = nums[k] / (den 2^(k+1)):
+    # weights 1/8, 0, 3/32, 0, 5/128, missing mass 3/4 - 1/32 - 5/128
+    MIX = dict(rate=2, den=4, nums=[1, 0, 3, 0, 5])
 
     def test_poisson_mix(self):
-        us = np.array([0.5, 3.0, 40.0])
-        coeffs = [Fraction(0), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(3, 4)]
-        want = [sum(float(c) * float(mpmath.exp(-u) * mpmath.mpf(u) ** (i + 1) / mpmath.factorial(i))
-                    for i, c in enumerate(coeffs)) for u in us]
-        assert self._poisson(us, coeffs, power=1) == pytest.approx(want, rel=1e-13)
+        # the density in u, sum_k w_k pois_k(u), against mpmath
+        mix = gamma_mix(**self.MIX)
+        us = np.array([1e-3, 0.5, 3.0, 40.0, 300.0])
+        with mpmath.workdps(30):
+            want = [float(sum(mpmath.mpf(c) / (4 * 2 ** (k + 1)) * mpmath.exp(-mpmath.mpf(u))
+                              * mpmath.mpf(u) ** k / mpmath.factorial(k)
+                              for k, c in enumerate(self.MIX["nums"]))) for u in us]
+        assert mix.pdf(us) == pytest.approx(want, rel=1e-14)
         # huge u gives 0, not inf times 0 or NaN
-        assert self._poisson([1e300], coeffs, power=2).tolist() == [0.0]
+        assert mix.pdf(np.array([1e300])).tolist() == [0.0]
 
-    def test_poisson_mix_signed(self):
-        # negative weights count; only zeros are skipped
-        us = np.array([0.3, 2.0, 9.0])
-        coeffs = [Fraction(0), Fraction(3, 2), Fraction(-3, 4), Fraction(0), Fraction(-9, 4),
-                  Fraction(1, 2)]
-        want = [sum(float(c) * math.exp(-u) * u ** i / math.factorial(i)
-                    for i, c in enumerate(coeffs)) for u in us]
-        assert self._poisson(us, coeffs) == pytest.approx(want, rel=1e-13)
-        assert len(poisson_terms(coeffs)) == 4
+    def test_poisson_tail_terms(self):
+        # P(U > u) is sum_k w_k Q(k + 1, u), Q the regularized upper gamma,
+        # with the missing mass at Gamma(K + 2), against mpmath
+        mix = gamma_mix(**self.MIX)
+        ws = [Fraction(c, 4 * 2 ** (k + 1)) for k, c in enumerate(self.MIX["nums"])]
+        assert mix.tail == float(1 - sum(ws)) and mix.weights == tuple(map(float, ws))
+        us = np.array([1e-3, 1.5, 7.0, 60.0, 300.0])
+        with mpmath.workdps(30):
+            def q(k, u):
+                return mpmath.gammainc(k + 1, mpmath.mpf(u), mpmath.inf, regularized=True)
+            want = [float(sum(mpmath.mpf(w.numerator) / w.denominator * q(k, u)
+                              for k, w in enumerate(ws + [1 - sum(ws)]))) for u in us]
+        assert mix.sf(us) == pytest.approx(want, rel=1e-14)
+        assert mix.sf(np.array([0.0])).tolist() == [1.0]
+        with pytest.raises(ArithmeticError, match="power 3"):
+            gamma_mix(1, 4, [1, 0, 3, -1])
 
     def test_poisson_sum(self):
         # positive weights by the pois_i recurrence, against mpmath, from
@@ -121,17 +127,6 @@ class TestCombinatorics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = poisson_sum(us, weights)
-        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
-
-    def test_poisson_tail_terms(self):
-        # sum_k w_k P(Gamma(k + 1) > u) against the regularized upper gamma
-        weights = [Fraction(1, 6), Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]
-        us = np.array([0.01, 1.5, 7.0, 60.0])
-        got = mixture_sum(np.log(us), -us, poisson_tail_terms(weights))
-        with mpmath.workdps(30):
-            want = [float(sum(mpmath.mpf(w.numerator) / w.denominator
-                              * mpmath.gammainc(k + 1, float(u), mpmath.inf, regularized=True)
-                              for k, w in enumerate(weights))) for u in us]
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_beta_mix(self):

@@ -154,15 +154,15 @@ class TestKeyedStream:
     """Block b = k // 1024 of draws k draws its Gamma rows from one Philox
     stream, keyed by the seed mod 2**64 and started at counter b << 64."""
 
-    @pytest.mark.parametrize("count", [20, 2550, 1, 9, 10, 15])
-    def test_matches_per_draw_generator(self, count):
+    @pytest.mark.parametrize("draws", [20, 2550, 1, 9, 10, 15])
+    def test_matches_per_draw_generator(self, draws):
         # runs from draw 1000, inside block 0, to a draw of block 0 to 3: each
         # draw equals the one its block's own generator makes
         dims = Dims(3, 2)
         for seed in (11, -7, 2 ** 63 + 5):
             want = _tridiagonal(np.stack([_reference_variates(dims, seed, k)
-                                          for k in range(1000, 1000 + count)]), dims.n)
-            got = _rows(dims, seed, 1000, 1000 + count)
+                                          for k in range(1000, 1000 + draws)]), dims.n)
+            got = _rows(dims, seed, 1000, 1000 + draws)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
@@ -198,7 +198,7 @@ class TestKeyedStream:
         assert np.array_equal(got, _reference_draws(metric, dims, 5, range(1014, 1040)))
 
     @pytest.mark.parametrize("dims", [Dims(3, 0), Dims(2, 3), Dims(3, 2)])
-    def test_unpadded_widths_are_schedule_invariant(self, dims):
+    def test_small_dims_are_schedule_invariant(self, dims):
         # chunks of 7 draws, no multiple of the block, and 2,100 draws, which
         # end inside block 2: each cut block is drawn whole and sliced
         seed = 2 ** 63 + 5
@@ -275,7 +275,7 @@ class TestGammaVariates:
 
     @pytest.mark.parametrize("dims", [Dims(4, 0), Dims(4, 2), Dims(1, 7), Dims(3, 5),
                                       Dims(8, 0)])
-    def test_small_shapes_keep_the_erlang_row(self, dims):
+    def test_small_shape_rows_follow_the_gamma_law(self, dims):
         # every row has an integer shape up to 8, so an Erlang law, row by
         # row; the 1e-4 critical value keeps all 35 rows checked here at a
         # small family-wise level
